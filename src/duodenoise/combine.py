@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, HMatrix, check_sequence
-from .denoisers import Denoiser, SmoothingConfig, draw_smoothing_mask
+from .denoisers import Denoiser, SmoothingConfig, draw_smoothing_mask, mask_set
 from .losses import LossMatrix, estimate_loss, estimate_smoothed_loss
 from .rng import RngStream
 
@@ -54,17 +54,18 @@ def randomized_combined_denoise(
 ) -> tuple[np.ndarray, Selection, np.ndarray]:
     """Smoothed-estimate selection followed by one realized mask flip.
 
-    Both candidates' estimates share the same estimation mask set (their
-    Monte Carlo noise is positively correlated, stabilizing the argmin); the
-    emitted mask comes from an independent sub-stream so the selection cannot
-    be biased by the realization it is judged on.  Returns the reconstruction,
-    the selection record, and the applied mask.
+    One estimation mask set is drawn and both candidates are evaluated on it
+    (their Monte Carlo noise is positively correlated, stabilizing the
+    argmin); the emitted mask comes from an independent sub-stream so the
+    selection cannot be biased by the realization it is judged on.  Masks
+    are bool.  Returns the reconstruction, the selection record, and the
+    applied mask.
     """
     zs = check_sequence(z, ch.output_size, "noisy sequence")
-    est_stream = rng.derive("estimation-masks")
+    drawn = mask_set(cfg, len(zs), rng.derive("estimation-masks"))
     sel = select_min_estimate(
-        estimate_smoothed_loss(ch, h, lm, d1, cfg, zs, est_stream),
-        estimate_smoothed_loss(ch, h, lm, d2, cfg, zs, est_stream),
+        estimate_smoothed_loss(ch, h, lm, d1, cfg, zs, drawn=drawn),
+        estimate_smoothed_loss(ch, h, lm, d2, cfg, zs, drawn=drawn),
     )
     winner = d1 if sel.chosen_index == 1 else d2
     mask = draw_smoothing_mask(cfg, len(zs), rng.derive("emitted-mask"))

@@ -29,7 +29,9 @@ class Denoiser(ABC):
     ``input_size`` is the noisy alphabet size, ``output_size`` the clean one.
     Subclasses may override the substituted/batch methods with faster paths;
     the defaults fall back to full evaluations and are always consistent with
-    :meth:`denoise` by construction.
+    :meth:`denoise` by construction.  Batch methods take (B, n) arrays of any
+    integer or bool dtype (the smoothing kernels pass uint8) and return the
+    same values as the one-sequence methods.
     """
 
     input_size: int
@@ -289,20 +291,18 @@ class ParityCopyDenoiser(Denoiser):
         return np.zeros(len(zs), dtype=np.int64)
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        odd = (zs.sum(axis=1) % 2)[:, None]
-        return zs * odd
+        return zs * _odd(zs)
 
     def substituted_outputs(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return self._substituted(zs, zs.sum() % 2)
+        return self._substituted(check_sequence(z, self.input_size, "noisy sequence"))
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self._substituted(zs, (zs.sum(axis=1) % 2)[:, None])
+        return self._substituted(zs)
 
-    def _substituted(self, zs: np.ndarray, parity) -> np.ndarray:
-        tab = np.zeros(zs.shape + (2,), dtype=np.int64)
+    def _substituted(self, zs: np.ndarray) -> np.ndarray:
+        tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
         # substituting a flips the parity whenever a != z_i
-        tab[..., 1] = (parity + (zs != 1)) % 2
+        tab[..., 1] = _odd(zs) ^ (zs == 0)
         return tab
 
 
@@ -332,32 +332,38 @@ class ParityMarkedZerosDenoiser(Denoiser):
         return out
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        odd = zs.sum(axis=1) % 2 == 1
         is_zero = zs == 0
-        counts = np.floor(self.delta * is_zero.sum(axis=1)).astype(np.int64)
-        rank = np.cumsum(is_zero, axis=1) - is_zero
-        out = (is_zero & (rank < counts[:, None]) & odd[:, None]).astype(np.int64)
-        return out
+        counts = np.floor(self.delta * is_zero.sum(axis=1, keepdims=True)).astype(np.int64)
+        rank = np.cumsum(is_zero, axis=1, dtype=np.int32) - is_zero
+        return (is_zero & (rank < counts) & _odd(zs)).astype(zs.dtype)
 
     def substituted_outputs(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return self._substituted(zs, zs.sum() % 2, (zs == 0).sum())
+        return self._substituted(check_sequence(z, self.input_size, "noisy sequence"))
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self._substituted(
-            zs, (zs.sum(axis=1) % 2)[:, None], (zs == 0).sum(axis=1)[:, None]
-        )
+        return self._substituted(zs)
 
-    def _substituted(self, zs: np.ndarray, parity, n_zeros) -> np.ndarray:
-        is_zero = (zs == 0).astype(np.int64)
-        rank = np.cumsum(is_zero, axis=-1) - is_zero
-        tab = np.zeros(zs.shape + (2,), dtype=np.int64)
+    def _substituted(self, zs: np.ndarray) -> np.ndarray:
+        is_zero = zs == 0
+        n_zeros = is_zero.sum(axis=-1, keepdims=True)
+        rank = np.cumsum(is_zero, axis=-1, dtype=np.int32) - is_zero
         # a = 1 always yields 0; a = 0 yields 1 on the resulting odd-parity
-        # sequences at the marked leading zero positions
-        odd_after = (parity + (zs != 0)) % 2 == 1
-        counts = np.floor(self.delta * (n_zeros - is_zero + 1)).astype(np.int64)
-        tab[..., 0] = (odd_after & (rank < counts)).astype(np.int64)
+        # sequences at the marked leading zero positions.  Setting z_i = 0
+        # leaves N0 zeros where z_i is 0 and N0 + 1 where it is 1, so each
+        # row has only two counts floor(delta * (N0 - is_zero + 1)).
+        counts = np.where(
+            is_zero,
+            np.floor(self.delta * n_zeros).astype(np.int32),
+            np.floor(self.delta * (n_zeros + 1)).astype(np.int32),
+        )
+        tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
+        tab[..., 0] = (_odd(zs) ^ ~is_zero) & (rank < counts)
         return tab
+
+
+def _odd(zs: np.ndarray) -> np.ndarray:
+    """Ones-parity of each binary sequence (last axis), kept as a length-1 axis."""
+    return zs.sum(axis=-1, keepdims=True) % 2 == 1
 
 
 def make_bec_parity_pair() -> tuple[BecParityDenoiser, BecParityDenoiser]:
@@ -426,16 +432,13 @@ class SmoothedDenoiserSpec(NamedTuple):
 
 
 def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
-    """One i.i.d. Bernoulli-q binary flip mask of length n."""
-    q = cfg.resolve_q(n)
-    return (rng.uniforms(n) < q).astype(np.int64)
+    """One i.i.d. Bernoulli-q flip mask of length n, as bool."""
+    return rng.uniforms(n) < cfg.resolve_q(n)
 
 
 def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
-    """The cfg.m Monte Carlo masks of an estimator call, shape (m, n)."""
-    q = cfg.resolve_q(n)
-    u = rng.generator().random((cfg.m, n))
-    return (u < q).astype(np.int64)
+    """The cfg.m Monte Carlo masks of an estimator call, bool of shape (m, n)."""
+    return rng.generator().random((cfg.m, n)) < cfg.resolve_q(n)
 
 
 def enumerate_masks(n: int) -> np.ndarray:
@@ -471,8 +474,13 @@ def stratified_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
     return weights
 
 
-def _mask_set(cfg: SmoothingConfig, n: int, rng: RngStream | None):
-    """(masks, weights) per the config mode; MC weights are parity-stratified."""
+def mask_set(cfg: SmoothingConfig, n: int, rng: RngStream | None):
+    """(masks, weights) per the config mode; MC weights are parity-stratified.
+
+    Monte Carlo masks are bool; exact mode enumerates all 2^n masks.  A set
+    drawn once can be shared by every smoothed quantity that uses the same
+    stream.
+    """
     q = cfg.resolve_q(n)
     if cfg.mode == "exact":
         if n > cfg.exact_threshold:
@@ -495,6 +503,6 @@ def smoothed_expected_output(d: Denoiser, cfg: SmoothingConfig, z, i: int,
     zs = check_sequence(z, d.input_size, "noisy sequence")
     if not 0 <= i < len(zs):
         raise IndexError(f"position {i} out of range for length {len(zs)}")
-    masks, weights = _mask_set(cfg, len(zs), rng)
+    masks, weights = mask_set(cfg, len(zs), rng)
     outs = d.denoise_batch(zs[None, :] ^ masks)[:, i]
     return float(weights @ outs)

@@ -37,10 +37,10 @@ from .denoisers import (
     Denoiser,
     IdentityDenoiser,
     SmoothingConfig,
-    _mask_set,
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
     make_sliding_window,
+    mask_set,
 )
 from .losses import (
     LossMatrix,
@@ -286,12 +286,12 @@ def _run_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
             cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
             trial.derive("combiner"),
         )
-        sm_loss_stream = trial.derive("smoothed-loss")
+        drawn = mask_set(cfg.smoothing, cfg.n, trial.derive("smoothed-loss"))
         smoothed = {
             "sm_loss_d1": smoothed_conditional_loss(
-                cfg.lm, cfg.d1, cfg.smoothing, x, z, sm_loss_stream),
+                cfg.lm, cfg.d1, cfg.smoothing, x, z, drawn=drawn),
             "sm_loss_d2": smoothed_conditional_loss(
-                cfg.lm, cfg.d2, cfg.smoothing, x, z, sm_loss_stream),
+                cfg.lm, cfg.d2, cfg.smoothing, x, z, drawn=drawn),
             "sm_est_d1": sel.estimates[0],
             "sm_est_d2": sel.estimates[1],
             "mask_weight": int(mask.sum()),
@@ -495,7 +495,7 @@ def smoothed_position_functional(d: Denoiser, cfg: SmoothingConfig, i: int,
     def fbar(rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(rows)
         n = rows.shape[1]
-        masks, weights = _mask_set(cfg, n, rng)
+        masks, weights = mask_set(cfg, n, rng)
         big = (rows[:, None, :] ^ masks[None, :, :]).reshape(-1, n)
         outs = d.denoise_batch(big)[:, i].reshape(rows.shape[0], -1)
         return outs @ weights
@@ -540,25 +540,16 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
     """
     zs = check_sequence(z, 2, "sequence")
     n = len(zs)
-    q = cfg.resolve_q(n)
+    if cfg.mode == "monte_carlo" and rng is None:
+        raise ValueError("monte_carlo pointwise influence needs an RngStream")
+    masks, weights = mask_set(cfg, n, rng)
     if cfg.mode == "exact":
-        from .denoisers import enumerate_masks, exact_mask_weights
-
-        if n > cfg.exact_threshold:
-            raise ValueError(
-                f"exact smoothing limited to n <= {cfg.exact_threshold}, got n = {n}"
-            )
-        masks = enumerate_masks(n)
-        weights = exact_mask_weights(masks, q)
         rows = np.tile(zs, (n + 1, 1))
         rows[np.arange(1, n + 1), np.arange(n)] ^= 1
         big = (rows[:, None, :] ^ masks[None, :, :]).reshape(-1, n)
         fbar = np.asarray(f(big), dtype=np.float64).reshape(n + 1, -1) @ weights
         return float(np.abs(fbar[0] - fbar[1:]).sum()), 0.0
 
-    if rng is None:
-        raise ValueError("monte_carlo pointwise influence needs an RngStream")
-    masks, _ = _mask_set(cfg, n, rng)
     m = masks.shape[0]
     base = np.asarray(f(zs[None, :] ^ masks), dtype=np.float64)
     value_terms, se_terms = [], []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, HMatrix, check_sequence, is_bec
-from .denoisers import Denoiser, SmoothingConfig, _mask_set
+from .denoisers import Denoiser, SmoothingConfig, mask_set
 from .rng import RngStream
 
 
@@ -196,41 +196,59 @@ def _binary_check(d: Denoiser):
 
 
 def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, cfg: SmoothingConfig,
-                              x, z, rng: RngStream | None = None) -> float:
-    """Expected (over the flip mask) normalized loss of the smoothed denoiser."""
+                              x, z, rng: RngStream | None = None, *,
+                              drawn=None) -> float:
+    """Expected (over the flip mask) normalized loss of the smoothed denoiser.
+
+    ``drawn`` is a (masks, weights) pair from :func:`mask_set`, for sharing
+    one set between denoisers; without it the set is drawn from ``rng``.
+    """
     _binary_check(d)
     xs = check_sequence(x, lm.size, "clean sequence")
     zs = check_sequence(z, 2, "noisy sequence")
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     n = len(zs)
-    masks, weights = _mask_set(cfg, n, rng)
-    outs = d.denoise_batch(zs[None, :] ^ masks)     # (B, n)
-    per_mask = lm.lam[xs[None, :], outs].sum(axis=1) / n
+    masks, weights = mask_set(cfg, n, rng) if drawn is None else drawn
+    outs = d.denoise_batch(zs.astype(np.uint8)[None, :] ^ masks)     # (B, n)
+    # binary outputs: each position's loss is one of its two loss entries
+    lam_x = lm.lam[xs]
+    per_mask = np.where(outs, lam_x[:, 1], lam_x[:, 0]).sum(axis=1) / n
     return float(weights @ per_mask)
 
 
 def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
                                   d: Denoiser, cfg: SmoothingConfig, z,
-                                  rng: RngStream | None = None) -> np.ndarray:
+                                  rng: RngStream | None = None, *,
+                                  drawn=None) -> np.ndarray:
     """Per-symbol estimates of the smoothed denoiser's expected loss.
 
     One mask set is shared across all positions and substituted symbols: a
     substituted-then-flipped evaluation equals a flipped-then-substituted one
     with the substituted symbol XORed by the mask bit, so each mask costs one
-    substituted-output table.
+    substituted-output table.  ``drawn`` is a (masks, weights) pair from
+    :func:`mask_set`; passing the same pair for both candidates of a
+    combiner evaluates them on one mask set by construction.  Without it the
+    set is drawn from ``rng``.  Monte Carlo masks are bool and the flipped
+    inputs uint8, so the parity denoisers' per-mask tables take one byte per
+    entry.
+
+    The mask-weighted mean is one ``einsum`` over the mask axis, which adds
+    the masks in index order: its bits do not depend on the table's integer
+    dtype (a BLAS product or chunked partial sums would move low-order bits).
     """
     _binary_check(d)
     if ch.input_size != 2 or ch.output_size != 2:
         raise ValueError("smoothed estimation targets binary channels")
     zs = check_sequence(z, 2, "noisy sequence")
     n = len(zs)
-    masks, weights = _mask_set(cfg, n, rng)
-    tabs = d.substituted_outputs_batch(zs[None, :] ^ masks)   # (B, n, 2)
-    sub_flip = masks[:, :, None] ^ np.arange(2)[None, None, :]
-    mean_out = np.einsum(
-        "b,bia->ia", weights, np.take_along_axis(tabs, sub_flip, axis=2).astype(float)
-    )
+    masks, weights = mask_set(cfg, n, rng) if drawn is None else drawn
+    tabs = d.substituted_outputs_batch(zs.astype(np.uint8)[None, :] ^ masks)  # (B, n, 2)
+    # entry [b, i, a] of the flipped table answers symbol a ^ masks[b, i]
+    picked = np.empty_like(tabs)
+    picked[..., 0] = np.where(masks, tabs[..., 1], tabs[..., 0])
+    picked[..., 1] = np.where(masks, tabs[..., 0], tabs[..., 1])
+    mean_out = np.einsum("b,bia->ia", weights, picked)
     # binary outputs: expected loss is a mixture of the two loss columns
     exp_loss = (
         lm.lam[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
@@ -242,7 +260,8 @@ def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
 
 def estimate_smoothed_loss(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
                            cfg: SmoothingConfig, z,
-                           rng: RngStream | None = None) -> float:
+                           rng: RngStream | None = None, *,
+                           drawn=None) -> float:
     """Unbiased estimate of the smoothed denoiser's expected normalized loss."""
-    vals = smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, rng)
+    vals = smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, rng, drawn=drawn)
     return math.fsum(vals) / len(vals)

@@ -8,6 +8,8 @@ consumes only those tables.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,54 @@ class TestSmoothing:
         cfg = SmoothingConfig(q=0.1)
         with pytest.raises(ValueError, match="RngStream"):
             smoothed_expected_output(IdentityDenoiser(), cfg, np.zeros(30, np.int64), 0)
+
+
+NARROW_CASES = [(d, dtype) for d in ZOO for dtype in (np.bool_, np.uint8)
+                if dtype is np.uint8 or d.input_size == 2]
+
+
+@pytest.mark.parametrize(
+    "d,dtype", NARROW_CASES,
+    ids=[f"{type(d).__name__}-{np.dtype(t).name}" for d, t in NARROW_CASES],
+)
+def test_narrow_batch_inputs_match_row_wise(d, dtype):
+    rng = RngStream(5).generator()
+    rows = rng.integers(0, d.input_size, size=(9, 33))
+    zs = rows.astype(dtype)
+    np.testing.assert_array_equal(
+        d.denoise_batch(zs), np.stack([d.denoise(r) for r in rows])
+    )
+    np.testing.assert_array_equal(
+        d.substituted_outputs_batch(zs),
+        np.stack([d.substituted_outputs(r) for r in rows]),
+    )
+
+
+# Zero counts N0 where delta * N0 lands on an integer (0.2 * 5k) or just
+# below one (0.29 * 100 = 28.999999999999996): the raised-zero count must be
+# the float floor that the one-sequence denoise takes.
+FLOOR_BOUNDARIES = {0.2: (5, 10, 15, 100), 0.29: (100,)}
+
+
+@pytest.mark.parametrize("delta", sorted(FLOOR_BOUNDARIES))
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8])
+def test_marked_zeros_batch_keeps_float_floor(delta, dtype):
+    assert math.floor(0.29 * 100) == 28
+    d = ParityMarkedZerosDenoiser(delta)
+    gen = RngStream(9).generator()
+    for c in FLOOR_BOUNDARIES[delta]:
+        # c zeros and 11 ones: odd parity, so the first floor(delta * c)
+        # zeros are raised and so is each zero's a = 0 entry; c - 1 zeros
+        # and 12 ones: each 1's a = 0 entry sees c zeros on odd parity
+        n = c + 11
+        rows = np.ones((2, n), dtype=np.int64)
+        for row, n0 in zip(rows, (c, c - 1)):
+            row[gen.permutation(n)[:n0]] = 0
+        zs = rows.astype(dtype)
+        out = d.denoise_batch(zs)
+        assert out[0].sum() == math.floor(delta * c)
+        np.testing.assert_array_equal(out, np.stack([d.denoise(r) for r in rows]))
+        batch = d.substituted_outputs_batch(zs)
+        for row, tab in zip(rows, batch):
+            np.testing.assert_array_equal(tab, d.substituted_outputs(row))
+            np.testing.assert_array_equal(tab, brute_force_table(d, row))

@@ -1,0 +1,154 @@
+"""The smoothing kernels against their int64 reference, bit for bit.
+
+The reference below is the former kernel: every call draws its own int64
+masks from the stream, builds the int64 flipped table with
+``take_along_axis`` and averages it in float64.  The library now shares one
+bool mask set between calls and selects in one-byte tables; that is only a
+speed-up if every estimate keeps every bit, so these tests use
+``np.array_equal`` and ``==``, never a tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duodenoise.channel import compute_h, make_bsc
+from duodenoise.denoisers import (
+    ConstantDenoiser,
+    IdentityDenoiser,
+    ParityCopyDenoiser,
+    ParityMarkedZerosDenoiser,
+    SlidingWindowDenoiser,
+    SmoothingConfig,
+    exact_mask_weights,
+    mask_set,
+    stratified_mask_weights,
+)
+from duodenoise.losses import (
+    LossMatrix,
+    estimate_smoothed_loss,
+    smoothed_conditional_loss,
+    smoothed_per_symbol_estimates,
+)
+from duodenoise.rng import RngStream
+
+
+def reference_mask_set(cfg, n, rng):
+    """int64 masks and their weights, drawn afresh on every call."""
+    q = cfg.resolve_q(n)
+    if cfg.mode == "exact":
+        masks = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        return masks, exact_mask_weights(masks, q)
+    masks = (rng.generator().random((cfg.m, n)) < q).astype(np.int64)
+    return masks, stratified_mask_weights(masks, q)
+
+
+def reference_per_symbol(ch, h, lm, d, cfg, z, rng):
+    zs = np.asarray(z, dtype=np.int64)
+    masks, weights = reference_mask_set(cfg, len(zs), rng)
+    tabs = d.substituted_outputs_batch(zs[None, :] ^ masks)
+    sub_flip = masks[:, :, None] ^ np.arange(2)[None, None, :]
+    mean_out = np.einsum(
+        "b,bia->ia", weights, np.take_along_axis(tabs, sub_flip, axis=2).astype(float)
+    )
+    exp_loss = (
+        lm.lam[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
+        + lm.lam[:, 1][:, None, None] * mean_out[None, :, :]
+    )
+    inner = np.einsum("xia,xa->xi", exp_loss, ch.pi)
+    return (h.h[:, zs] * inner).sum(axis=0)
+
+
+def reference_conditional_loss(lm, d, cfg, x, z, rng):
+    xs, zs = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    n = len(zs)
+    masks, weights = reference_mask_set(cfg, n, rng)
+    outs = d.denoise_batch(zs[None, :] ^ masks)
+    per_mask = lm.lam[xs[None, :], outs].sum(axis=1) / n
+    return float(weights @ per_mask)
+
+
+@st.composite
+def denoisers(draw):
+    kind = draw(st.sampled_from(["window", "parity_copy", "marked_zeros",
+                                 "identity", "constant"]))
+    if kind == "window":
+        k = draw(st.integers(0, 2))
+        table = draw(st.lists(st.integers(0, 1), min_size=2 ** (2 * k + 1),
+                              max_size=2 ** (2 * k + 1)))
+        return SlidingWindowDenoiser(k, np.array(table))
+    if kind == "parity_copy":
+        return ParityCopyDenoiser()
+    if kind == "marked_zeros":
+        return ParityMarkedZerosDenoiser(draw(st.sampled_from([0.2, 0.29, 0.49])))
+    if kind == "identity":
+        return IdentityDenoiser()
+    return ConstantDenoiser(draw(st.integers(0, 1)))
+
+
+@st.composite
+def smoothing_cases(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        cfg = SmoothingConfig(q=draw(st.floats(0.0, 0.45)), mode="exact")
+    else:
+        n = draw(st.integers(1, 300))
+        m = draw(st.integers(1, 64))
+        if draw(st.booleans()):
+            cfg = SmoothingConfig(nu=draw(st.floats(0.3, 0.95)), m=m)
+        else:
+            cfg = SmoothingConfig(q=draw(st.floats(0.0, 0.45)), m=m)
+    seq = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    x, z = np.array(draw(seq)), np.array(draw(seq))
+    lam = draw(st.sampled_from([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.5], [0.7, 0.1]]]))
+    return cfg, x, z, LossMatrix(lam)
+
+
+@given(d=denoisers(), case=smoothing_cases(), delta=st.floats(0.05, 0.45),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_smoothed_kernels_match_int64_reference(d, case, delta, seed):
+    cfg, x, z, lm = case
+    ch = make_bsc(delta)
+    h = compute_h(ch)
+    stream = RngStream(seed).derive("estimation-masks")
+    n = len(z)
+
+    ref = reference_per_symbol(ch, h, lm, d, cfg, z, stream)
+    drawn = mask_set(cfg, n, stream)
+    assert np.array_equal(smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, stream), ref)
+    assert np.array_equal(
+        smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, drawn=drawn), ref
+    )
+    ref_est = math.fsum(ref) / n
+    assert estimate_smoothed_loss(ch, h, lm, d, cfg, z, stream) == ref_est
+    assert estimate_smoothed_loss(ch, h, lm, d, cfg, z, drawn=drawn) == ref_est
+
+    ref_loss = reference_conditional_loss(lm, d, cfg, x, z, stream)
+    assert smoothed_conditional_loss(lm, d, cfg, x, z, stream) == ref_loss
+    assert smoothed_conditional_loss(lm, d, cfg, x, z, drawn=drawn) == ref_loss
+
+
+def test_parity_pair_matches_reference_at_experiment_size():
+    """n = 4096 and m = 128: the headline experiment's shape."""
+    ch = make_bsc(0.2)
+    h = compute_h(ch)
+    lm = LossMatrix.hamming(2)
+    cfg = SmoothingConfig(nu=0.75, m=128)
+    gen = RngStream(2020).generator()
+    x = np.zeros(4096, dtype=np.int64)
+    z = (gen.random(4096) < 0.2).astype(np.int64)
+    z[0] = 1 - z[1:].sum() % 2   # odd parity, where the pair differs
+    stream = RngStream(2020).derive("estimation-masks")
+    drawn = mask_set(cfg, len(z), stream)
+    for d in (ParityCopyDenoiser(), ParityMarkedZerosDenoiser(0.2)):
+        assert np.array_equal(
+            smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, drawn=drawn),
+            reference_per_symbol(ch, h, lm, d, cfg, z, stream),
+        )
+        assert smoothed_conditional_loss(lm, d, cfg, x, z, drawn=drawn) == \
+            reference_conditional_loss(lm, d, cfg, x, z, stream)
