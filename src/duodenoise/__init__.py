@@ -5,74 +5,13 @@ discrete memoryless channel, can you do essentially as well as the better of
 the two without seeing the clean sequence?  Plain estimate-minimizing
 selection can fail badly for globally sensitive denoisers; selecting between
 Bernoulli-smoothed versions restores the guarantee.
+
+The API lives in the submodules, all but ``cli`` imported with the package:
+``channel``, ``denoisers``, ``losses``, ``combine``, ``harness`` (experiment
+configs, trials and oracles), ``spec`` (the strict spec reader), ``rng`` and
+``verify``.
 """
 
 __version__ = "0.1.0"
 
-from .channel import (
-    Channel,
-    HMatrix,
-    canonical_erasure_h,
-    channel_from_json,
-    compute_h,
-    h_defect,
-    is_bec,
-    make_bec,
-    make_bsc,
-    make_dmc,
-    sample_output,
-)
-from .combine import (
-    Selection,
-    combined_denoise,
-    randomized_combined_denoise,
-    select_min_estimate,
-)
-from .denoisers import (
-    BecParityDenoiser,
-    ConstantDenoiser,
-    Denoiser,
-    IdentityDenoiser,
-    ParityCopyDenoiser,
-    ParityMarkedZerosDenoiser,
-    SlidingWindowDenoiser,
-    SmoothingConfig,
-    draw_smoothing_mask,
-    make_bec_parity_pair,
-    make_bsc_counterexample_pair,
-    make_sliding_window,
-    smoothed_expected_output,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    TrialRecord,
-    aggregate,
-    deviation_probability,
-    empirical_influence,
-    enumerate_expectation,
-    pointwise_influence,
-    records_to_csv,
-    regret,
-    run_experiment,
-    run_trials,
-)
-from .losses import (
-    JointTypeCounts,
-    LossMatrix,
-    bsc_estimate_from_type,
-    cumulative_loss,
-    erasure_estimate_loss,
-    estimate_loss,
-    estimate_smoothed_loss,
-    joint_type_counts,
-    per_symbol_deviation,
-    per_symbol_estimate,
-    per_symbol_estimates,
-    smoothed_conditional_loss,
-    smoothed_per_symbol_estimates,
-)
-from .rng import RngStream
-from .verify import CheckResult, default_battery
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import channel, combine, denoisers, harness, losses, rng, spec, verify  # noqa: E402,F401

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence as TySequence
 
 import numpy as np
 
 from .rng import RngStream
+from .spec import ConfigError, build, read_typed
 
 ROW_SUM_TOL = 1e-12
 H_IDENTITY_TOL = 1e-9
 
 #: By convention the erasure symbol of an erasure channel is the last
-#: (highest-index) output symbol.  Nothing else in the library special-cases
-#: it; code that needs it asks the channel via :func:`erasure_symbol`.
+#: (highest-index) output symbol.
 ERASURE = 2
 
 
@@ -136,18 +135,15 @@ def make_dmc(pi) -> Channel:
     return Channel(pi, kind="dmc")
 
 
-def channel_from_json(text_or_dict) -> Channel:
-    spec = text_or_dict
-    if isinstance(spec, (str, bytes)):
-        spec = json.loads(spec)
-    kind = spec.get("type")
-    if kind == "bsc":
-        return make_bsc(float(spec["delta"]))
-    if kind == "bec":
-        return make_bec(float(spec["epsilon"]))
-    if kind == "dmc":
-        return make_dmc(spec["pi"])
-    raise ValueError(f"unknown channel type: {kind!r}")
+def channel_from_json(text_or_dict, path: str = "channel") -> Channel:
+    """Parse a channel spec, given as a dict or as JSON text."""
+    values = read_typed(text_or_dict, path, "channel type", {
+        "bsc": ({"delta": float}, {}),
+        "bec": ({"epsilon": float}, {}),
+        "dmc": ({"pi": [[float]]}, {}),
+    })
+    make = {"bsc": make_bsc, "bec": make_bec, "dmc": make_dmc}[values.pop("type")]
+    return build(path, make, *values.values())
 
 
 def is_bec(channel: Channel) -> bool:
@@ -203,3 +199,15 @@ def canonical_erasure_h(channel: Channel) -> HMatrix:
     h = np.zeros((2, 3))
     h[0, 0] = h[1, 1] = 1.0 / (1.0 - eps)
     return _check_h(channel, h)
+
+
+def h_from_choice(channel: Channel, choice: str | None = None,
+                  path: str = "h") -> tuple[str, HMatrix]:
+    """(choice, h) for a named h; without a choice, ``canonical_erasure`` on
+    a binary erasure channel and ``min_norm`` otherwise."""
+    if choice is None:
+        choice = "canonical_erasure" if is_bec(channel) else "min_norm"
+    makers = {"min_norm": compute_h, "canonical_erasure": canonical_erasure_h}
+    if choice not in makers:
+        raise ConfigError(f"{path}: unknown h choice: {choice!r}")
+    return choice, build(path, makers[choice], channel)

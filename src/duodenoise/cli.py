@@ -17,16 +17,15 @@ import sys
 
 import numpy as np
 
-from .channel import canonical_erasure_h, channel_from_json, compute_h, is_bec
+from .channel import channel_from_json, h_from_choice
 from .combine import combined_denoise, randomized_combined_denoise
-from .denoisers import SmoothingConfig
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     denoiser_from_spec,
     denoiser_pair_from_spec,
     pointwise_influence,
     run_experiment,
+    smoothing_from_spec,
 )
 from .losses import LossMatrix, erasure_estimate_loss, estimate_loss
 from .rng import RngStream
@@ -39,22 +38,10 @@ def _parse_sequence(arg: str) -> np.ndarray:
     return np.array([int(s) for s in arg.replace(",", " ").split()], dtype=np.int64)
 
 
-def _channel_h(args):
-    channel = channel_from_json(json.loads(args.channel))
-    if args.h == "canonical_erasure" or (args.h == "auto" and is_bec(channel)):
-        h = canonical_erasure_h(channel)
-    else:
-        h = compute_h(channel)
-    return channel, h
-
-
-def _smoothing(args) -> SmoothingConfig:
-    kwargs = {"mode": args.mode, "m": args.m}
-    if args.q is not None:
-        kwargs["q"] = args.q
-    else:
-        kwargs["nu"] = args.nu if args.nu is not None else 0.75
-    return SmoothingConfig(**kwargs)
+def _combiner_spec(args) -> dict:
+    """The randomized-combiner spec that the smoothing flags given stand for."""
+    flags = {key: getattr(args, key) for key in ("q", "nu", "mode", "m")}
+    return {"type": "randomized", **{k: v for k, v in flags.items() if v is not None}}
 
 
 def cmd_verify(args) -> int:
@@ -65,8 +52,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    channel, h = _channel_h(args)
-    d = denoiser_from_spec(json.loads(args.denoiser), channel)
+    channel = channel_from_json(args.channel, "--channel")
+    _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
+    d = denoiser_from_spec(args.denoiser, channel, "--denoiser")
     lm = LossMatrix.hamming(channel.input_size)
     z = _parse_sequence(args.sequence)
     if args.erasure_form:
@@ -78,12 +66,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    channel, h = _channel_h(args)
-    d1, d2 = denoiser_pair_from_spec(json.loads(args.pair), channel)
+    channel = channel_from_json(args.channel, "--channel")
+    _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
+    d1, d2 = denoiser_pair_from_spec(args.pair, channel, "--pair")
     lm = LossMatrix.hamming(channel.input_size)
     z = _parse_sequence(args.sequence)
     if args.randomized:
-        cfg = _smoothing(args)
+        cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
         out, sel, mask = randomized_combined_denoise(
             d1, d2, channel, h, lm, cfg, z, RngStream(args.seed)
         )
@@ -110,14 +99,14 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    cfg = _smoothing(args)
+    cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
     z = (_parse_sequence(args.sequence) if args.sequence
          else np.zeros(args.n, dtype=np.int64))
 
     def parity(rows: np.ndarray) -> np.ndarray:
         return np.atleast_2d(rows).sum(axis=1) % 2
 
-    rng = RngStream(args.seed) if args.mode == "monte_carlo" else None
+    rng = RngStream(args.seed) if cfg.mode == "monte_carlo" else None
     value, se = pointwise_influence(parity, cfg, z, rng)
     print(json.dumps({"influence": value, "se": se}))
     return 0
@@ -143,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=float, default=None, help="flip rate")
         p.add_argument("--nu", type=float, default=None, help="rate exponent, q = n^-nu")
         p.add_argument("--mode", choices=("exact", "monte_carlo"),
-                       default="monte_carlo")
-        p.add_argument("--m", type=int, default=128, help="Monte Carlo mask count")
+                       help="smoothing mode (default monte_carlo)")
+        p.add_argument("--m", type=int, help="Monte Carlo mask count (default 128)")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("estimate", help="estimate a denoiser's loss on a sequence")
@@ -181,7 +170,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

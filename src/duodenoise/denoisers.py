@@ -3,19 +3,17 @@
 Besides the obvious ones (identity, constant, sliding window), this module
 holds the two parity-driven pairs whose global sensitivity defeats plain loss
 estimation, plus Bernoulli smoothing machinery.  Every denoiser supports a
-single-position substituted query -- the output at position i after replacing
-the noisy symbol there -- which is what the loss estimator consumes, and
-vectorized batch paths used by the smoothing and influence code.
+substituted-output table -- at each position i, the output there after
+replacing the noisy symbol at i -- which is what the loss estimator consumes,
+and vectorized batch paths used by the smoothing and influence code.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,16 +40,8 @@ class Denoiser(ABC):
         """Full reconstruction of the noisy sequence z."""
 
     def spec(self) -> dict:
+        """The JSON spec that ``harness.denoiser_from_spec`` reads back."""
         raise NotImplementedError(f"{type(self).__name__} has no JSON spec")
-
-    def denoise_substituted(self, z, i: int, a: int) -> int:
-        """Output at position i after replacing z_i with symbol a."""
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        if not 0 <= i < len(zs):
-            raise IndexError(f"position {i} out of range for length {len(zs)}")
-        if not 0 <= a < self.input_size:
-            raise ValueError(f"substituted symbol {a} outside alphabet")
-        return int(self.substituted_outputs(zs)[i, a])
 
     def substituted_outputs(self, z) -> np.ndarray:
         """Table t[i, a] = denoise(z with position i set to a)[i], shape (n, input_size)."""
@@ -244,9 +234,6 @@ class BecParityDenoiser(Denoiser):
     def __init__(self, complement: bool):
         self.complement = bool(complement)
 
-    def spec(self) -> dict:
-        return {"type": "bec_parity", "complement": self.complement}
-
     def _fill(self, n_zeros) -> np.ndarray:
         return (np.asarray(n_zeros) + self.complement) % 2
 
@@ -280,9 +267,6 @@ class ParityCopyDenoiser(Denoiser):
 
     input_size = 2
     output_size = 2
-
-    def spec(self) -> dict:
-        return {"type": "parity_copy"}
 
     def denoise(self, z) -> np.ndarray:
         zs = check_sequence(z, self.input_size, "noisy sequence")
@@ -319,9 +303,6 @@ class ParityMarkedZerosDenoiser(Denoiser):
         if not 0.0 < delta < 0.5:
             raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
         self.delta = float(delta)
-
-    def spec(self) -> dict:
-        return {"type": "parity_marked_zeros", "delta": self.delta}
 
     def denoise(self, z) -> np.ndarray:
         zs = check_sequence(z, self.input_size, "noisy sequence")
@@ -414,21 +395,6 @@ class SmoothingConfig:
 
     def resolve_q(self, n: int) -> float:
         return self.q if self.q is not None else float(n) ** (-self.nu)
-
-    def spec(self) -> dict:
-        out = {"mode": self.mode, "m": self.m}
-        if self.q is not None:
-            out["q"] = self.q
-        else:
-            out["nu"] = self.nu
-        return out
-
-
-class SmoothedDenoiserSpec(NamedTuple):
-    """A denoiser together with its smoothing parameters (parsed JSON form)."""
-
-    inner: Denoiser
-    config: SmoothingConfig
 
 
 def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:

@@ -24,14 +24,13 @@ from . import __version__
 from .channel import (
     Channel,
     HMatrix,
-    canonical_erasure_h,
     channel_from_json,
     check_sequence,
-    compute_h,
+    h_from_choice,
     is_bec,
     sample_output,
 )
-from .combine import combined_denoise, randomized_combined_denoise
+from .combine import randomized_combined_denoise, select_min_estimate
 from .denoisers import (
     ConstantDenoiser,
     Denoiser,
@@ -49,6 +48,7 @@ from .losses import (
     smoothed_conditional_loss,
 )
 from .rng import RngStream
+from .spec import ConfigError, build, load, read, read_typed
 
 TRIAL_COLUMNS = (
     "trial,seed,parity,loss_d1,loss_d2,est_d1,est_d2,chosen,loss_combined"
@@ -57,64 +57,91 @@ SMOOTHED_COLUMNS = "sm_loss_d1,sm_loss_d2,sm_est_d1,sm_est_d2,mask_weight"
 
 ENUMERATION_LIMIT = 10**7
 
-
-class ConfigError(ValueError):
-    """A malformed or inconsistent experiment configuration."""
-
-
-def _take(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+#: Rate exponent of a randomized combiner that names neither q nor nu.
+DEFAULT_NU = 0.75
 
 
-def denoiser_from_spec(spec: dict, channel: Channel) -> Denoiser:
-    """Parse a single-denoiser JSON spec against a channel's alphabets."""
-    kind = spec.get("type")
+def denoiser_from_spec(spec, channel: Channel, path: str = "denoiser") -> Denoiser:
+    """Parse a single-denoiser spec (dict or JSON text) against a channel's
+    alphabets."""
+    v = read_typed(spec, path, "denoiser type", {
+        "identity": ({}, {}),
+        "constant": ({}, {"symbol": (int, 0)}),
+        "sliding_window": ({"k": int}, {"rule": (str, None), "table": ([int], None)}),
+    })
     k, m = channel.input_size, channel.output_size
-    if kind == "identity":
-        _take(spec, {"type"}, "identity denoiser")
+    if v["type"] == "identity":
         return IdentityDenoiser(k, m)
-    if kind == "constant":
-        _take(spec, {"type", "symbol"}, "constant denoiser")
-        return ConstantDenoiser(int(spec.get("symbol", 0)), k, m)
-    if kind == "sliding_window":
-        _take(spec, {"type", "k", "rule", "table"}, "sliding-window denoiser")
-        rule = spec.get("rule", spec.get("table"))
-        if rule is None:
-            raise ConfigError("sliding_window needs a rule or table")
-        if isinstance(rule, list):
-            rule = np.asarray(rule)
-        return make_sliding_window(int(spec["k"]), rule, m, k)
-    raise ConfigError(f"unknown denoiser type: {kind!r}")
+    if v["type"] == "constant":
+        return build(path, ConstantDenoiser, v["symbol"], k, m)
+    if (v["rule"] is None) == (v["table"] is None) or v["k"] < 0:
+        raise ConfigError(f"{path}: sliding_window needs k >= 0 and one of rule and table")
+    rule = v["rule"] if v["table"] is None else np.asarray(v["table"])
+    return build(path, make_sliding_window, v["k"], rule, m, k)
 
 
-def denoiser_pair_from_spec(spec: dict, channel: Channel) -> tuple[Denoiser, Denoiser]:
-    kind = spec.get("type")
-    if kind == "bec_parity_pair":
-        _take(spec, {"type"}, "denoiser pair")
+def denoiser_pair_from_spec(spec, channel: Channel,
+                            path: str = "denoisers") -> tuple[Denoiser, Denoiser]:
+    """Parse a denoiser-pair spec (dict or JSON text) against a channel."""
+    v = read_typed(spec, path, "denoiser pair type", {
+        "bec_parity_pair": ({}, {}),
+        "bsc_counterexample_pair": ({"delta": float}, {}),
+        "pair": ({"first": dict, "second": dict}, {}),
+    })
+    if v["type"] == "bec_parity_pair":
         if not is_bec(channel):
-            raise ConfigError("bec_parity_pair requires a binary erasure channel")
+            raise ConfigError(f"{path}: bec_parity_pair requires a binary erasure channel")
         return make_bec_parity_pair()
-    if kind == "bsc_counterexample_pair":
-        _take(spec, {"type", "delta"}, "denoiser pair")
-        return make_bsc_counterexample_pair(float(spec["delta"]))
-    if kind == "pair":
-        _take(spec, {"type", "first", "second"}, "denoiser pair")
-        return (
-            denoiser_from_spec(spec["first"], channel),
-            denoiser_from_spec(spec["second"], channel),
-        )
-    raise ConfigError(f"unknown denoiser pair type: {kind!r}")
+    if v["type"] == "bsc_counterexample_pair":
+        if channel.pi.shape != (2, 2):
+            raise ConfigError(f"{path}: bsc_counterexample_pair requires a binary channel")
+        return build(path, make_bsc_counterexample_pair, v["delta"])
+    return (denoiser_from_spec(v["first"], channel, f"{path}.first"),
+            denoiser_from_spec(v["second"], channel, f"{path}.second"))
 
 
-def _smoothing_from_spec(spec: dict) -> SmoothingConfig:
-    _take(spec, {"type", "q", "nu", "mode", "m", "exact_threshold"}, "combiner")
-    kwargs = {key: spec[key] for key in ("q", "nu", "mode", "m", "exact_threshold")
-              if key in spec}
-    if "q" not in kwargs:
-        kwargs.setdefault("nu", 0.75)
-    return SmoothingConfig(**kwargs)
+def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
+    """The smoothing of a randomized-combiner spec; None for a plain one."""
+    v = read_typed(spec, path, "combiner type", {
+        "plain": ({}, {}),
+        "randomized": ({}, {"q": (float, None), "nu": (float, None), "mode": (str, None),
+                            "m": (int, None), "exact_threshold": (int, None)}),
+    })
+    if v.pop("type") == "plain":
+        return None
+    if v["q"] is None and v["nu"] is None:
+        v["nu"] = DEFAULT_NU
+    # absent keys take SmoothingConfig's defaults
+    return build(path, SmoothingConfig, **{key: x for key, x in v.items() if x is not None})
+
+
+def clean_source_from_spec(spec, channel: Channel, n: int, path: str = "clean_source"):
+    """(source, clean sequence read from a file or None) of a clean-source spec."""
+    source = read_typed(spec, path, "clean source", {
+        "all_zeros": ({}, {}),
+        "iid_bernoulli": ({}, {"p": (float, 0.5)}),
+        "file": ({"path": str}, {}),
+    })
+    if not 0.0 <= source.get("p", 0.0) <= 1.0:
+        raise ConfigError(f"{path}: Bernoulli parameter must lie in [0, 1], got {source['p']}")
+    if source["type"] != "file":
+        return source, None
+    try:
+        clean = check_sequence(np.loadtxt(source["path"], dtype=np.int64, ndmin=1),
+                               channel.input_size, "clean file")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}.path: {exc}") from exc
+    if len(clean) != n:
+        raise ConfigError(f"{path}: clean file length {len(clean)} does not match n = {n}")
+    return source, clean
+
+
+def output_from_spec(spec, path: str = "output") -> tuple[str | None, str]:
+    """(path or None, format) of an output spec."""
+    v = read(spec, path, {}, {"path": (str, None), "format": (str, "csv")})
+    if v["format"] not in ("csv", "json"):
+        raise ConfigError(f"{path}: unknown output format: {v['format']!r}")
+    return v["path"], v["format"]
 
 
 @dataclass(frozen=True)
@@ -144,89 +171,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, spec) -> "ExperimentConfig":
-        if isinstance(spec, (str, bytes)):
-            spec = json.loads(spec)
-        _take(
-            spec,
-            {"channel", "n", "clean_source", "denoisers", "combiner", "trials",
-             "epsilons", "master_seed", "h", "loss", "output"},
-            "experiment config",
-        )
-        for key in ("channel", "n", "denoisers", "trials", "master_seed"):
-            if key not in spec:
-                raise ConfigError(f"missing required config key: {key!r}")
-        channel = channel_from_json(spec["channel"])
-        n = int(spec["n"])
-        if n < 1:
-            raise ConfigError(f"block length must be >= 1, got {n}")
-        trials = int(spec["trials"])
-        if trials < 1:
-            raise ConfigError(f"trial count must be >= 1, got {trials}")
-        epsilons = tuple(float(e) for e in spec.get("epsilons", ()))
-        if any(e <= 0 for e in epsilons):
-            raise ConfigError("deviation thresholds must be positive")
-
-        source = dict(spec.get("clean_source", {"type": "all_zeros"}))
-        _take(source, {"type", "p", "path"}, "clean_source")
-        clean_file = None
-        if source.get("type") == "file":
-            clean_file = check_sequence(
-                np.loadtxt(source["path"], dtype=np.int64, ndmin=1),
-                channel.input_size, "clean file",
-            )
-            if len(clean_file) != n:
-                raise ConfigError(
-                    f"clean file length {len(clean_file)} does not match n = {n}"
-                )
-        elif source.get("type") == "iid_bernoulli":
-            p = float(source.get("p", 0.5))
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"Bernoulli parameter must lie in [0, 1], got {p}")
-        elif source.get("type") != "all_zeros":
-            raise ConfigError(f"unknown clean source: {source.get('type')!r}")
-
-        d1, d2 = denoiser_pair_from_spec(spec["denoisers"], channel)
-
-        combiner = dict(spec.get("combiner", {"type": "plain"}))
-        if combiner.get("type") == "plain":
-            _take(combiner, {"type"}, "combiner")
-            smoothing = None
-        elif combiner.get("type") == "randomized":
-            smoothing = _smoothing_from_spec(combiner)
-        else:
-            raise ConfigError(f"unknown combiner type: {combiner.get('type')!r}")
-
-        h_choice = spec.get("h", "canonical_erasure" if is_bec(channel) else "min_norm")
-        if h_choice == "min_norm":
-            h = compute_h(channel)
-        elif h_choice == "canonical_erasure":
-            h = canonical_erasure_h(channel)
-        else:
-            raise ConfigError(f"unknown h choice: {h_choice!r}")
-
-        lm = LossMatrix.from_json(spec.get("loss", {"type": "hamming"}))
+        """Parse an experiment config (dict or JSON text); every malformed or
+        inconsistent config raises :class:`ConfigError` here."""
+        spec = load(spec, "config")
+        v = read(spec, "config", {
+            "channel": dict, "n": int, "denoisers": dict, "trials": int, "master_seed": int,
+        }, {
+            "clean_source": (dict, {"type": "all_zeros"}),
+            "combiner": (dict, {"type": "plain"}),
+            "epsilons": ([float], []),
+            "h": (str, None),
+            "loss": (dict, {"type": "hamming"}),
+            "output": (dict, {}),
+        })
+        n = v["n"]
+        if n < 1 or v["trials"] < 1:
+            raise ConfigError(f"config: n and trials must be >= 1, got {n} and {v['trials']}")
+        if any(e <= 0 for e in v["epsilons"]):
+            raise ConfigError("config.epsilons: deviation thresholds must be positive")
+        channel = channel_from_json(v["channel"], "config.channel")
+        source, clean_file = clean_source_from_spec(
+            v["clean_source"], channel, n, "config.clean_source")
+        d1, d2 = denoiser_pair_from_spec(v["denoisers"], channel, "config.denoisers")
+        smoothing = smoothing_from_spec(v["combiner"], "config.combiner")
+        if smoothing is not None and channel.pi.shape != (2, 2):
+            raise ConfigError("config.combiner: randomized combining needs a binary channel")
+        if smoothing is not None and smoothing.mode == "exact" and n > smoothing.exact_threshold:
+            raise ConfigError(f"config.combiner: exact smoothing limited to "
+                              f"n <= {smoothing.exact_threshold}, got n = {n}")
+        h_choice, h = h_from_choice(channel, v["h"], "config.h")
+        lm = LossMatrix.from_json(v["loss"], channel.input_size, "config.loss")
         if lm.size != channel.input_size:
-            raise ConfigError("loss matrix size does not match the clean alphabet")
-
-        output = dict(spec.get("output") or {})
-        _take(output, {"path", "format"}, "output")
-        output_format = output.get("format", "csv")
-        if output_format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format: {output_format!r}")
-
+            raise ConfigError("config.loss: loss matrix size does not match the clean alphabet")
+        output_path, output_format = output_from_spec(v["output"], "config.output")
         return cls(
             channel=channel, h=h, h_choice=h_choice, lm=lm, n=n,
             clean_source=source, clean_file=clean_file, d1=d1, d2=d2,
-            smoothing=smoothing, trials=trials, epsilons=epsilons,
-            master_seed=int(spec["master_seed"]),
-            output_path=output.get("path"), output_format=output_format,
-            raw=spec,
+            smoothing=smoothing, trials=v["trials"], epsilons=tuple(v["epsilons"]),
+            master_seed=v["master_seed"], output_path=output_path,
+            output_format=output_format, raw=spec,
         )
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            return cls.from_json(fh.read())
 
 
 @dataclass(frozen=True)
@@ -259,11 +248,11 @@ def _sequence_parity(channel: Channel, z: np.ndarray) -> int:
 
 
 def _clean_sequence(cfg: ExperimentConfig, trial_stream: RngStream) -> np.ndarray:
-    kind = cfg.clean_source.get("type", "all_zeros")
+    kind = cfg.clean_source["type"]
     if kind == "all_zeros":
         return np.zeros(cfg.n, dtype=np.int64)
     if kind == "iid_bernoulli":
-        p = float(cfg.clean_source.get("p", 0.5))
+        p = cfg.clean_source["p"]
         return (trial_stream.derive("clean").uniforms(cfg.n) < p).astype(np.int64)
     return cfg.clean_file
 
@@ -280,7 +269,8 @@ def _run_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
 
     smoothed = {}
     if cfg.smoothing is None:
-        out, sel = combined_denoise(cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, z)
+        sel = select_min_estimate(est1, est2)
+        out = o1 if sel.chosen_index == 1 else o2
     else:
         out, sel, mask = randomized_combined_denoise(
             cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
@@ -305,11 +295,12 @@ def _run_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
 
 
 def worker_count() -> int:
-    """Thread cap from DUO_THREADS (affects speed only, never results)."""
-    try:
-        return max(1, int(os.environ.get("DUO_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Thread count from DUO_THREADS, 1 when unset (affects speed only, never
+    results)."""
+    value = os.environ.get("DUO_THREADS", "1")
+    if not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise ConfigError(f"DUO_THREADS must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -478,29 +469,8 @@ def estimate_functional(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser):
     return lambda z: estimate_loss(ch, h, lm, d, z)
 
 
-def smoothed_loss_functional(lm: LossMatrix, d: Denoiser, cfg: SmoothingConfig, x):
-    """z -> exact expected loss of the smoothed d against the fixed clean x."""
-    xs = np.asarray(x, dtype=np.int64)
-    return lambda z: smoothed_conditional_loss(lm, d, cfg, xs, z)
-
-
 # --------------------------------------------------------------------------
 # total influence
-
-
-def smoothed_position_functional(d: Denoiser, cfg: SmoothingConfig, i: int,
-                                 rng: RngStream | None = None):
-    """Batch functional rows -> E_W of the smoothed output at position i."""
-
-    def fbar(rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(rows)
-        n = rows.shape[1]
-        masks, weights = mask_set(cfg, n, rng)
-        big = (rows[:, None, :] ^ masks[None, :, :]).reshape(-1, n)
-        outs = d.denoise_batch(big)[:, i].reshape(rows.shape[0], -1)
-        return outs @ weights
-
-    return fbar
 
 
 def empirical_influence(f, x, ch: Channel, samples: int,

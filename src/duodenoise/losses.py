@@ -13,7 +13,6 @@ results do not depend on scheduling or vectorization details.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 from .channel import ERASURE, Channel, HMatrix, check_sequence, is_bec
 from .denoisers import Denoiser, SmoothingConfig, mask_set
 from .rng import RngStream
+from .spec import build, read_typed
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,16 +52,16 @@ class LossMatrix:
         return cls(1.0 - np.eye(k))
 
     @classmethod
-    def from_json(cls, text_or_dict) -> "LossMatrix":
-        spec = text_or_dict
-        if isinstance(spec, (str, bytes)):
-            spec = json.loads(spec)
-        kind = spec.get("type")
-        if kind == "hamming":
-            return cls.hamming(int(spec.get("k", 2)))
-        if kind == "matrix":
-            return cls(spec["lambda"])
-        raise ValueError(f"unknown loss matrix type: {kind!r}")
+    def from_json(cls, text_or_dict, k: int = 2, path: str = "loss") -> "LossMatrix":
+        """Parse a loss spec (dict or JSON text); Hamming loss is over ``k``
+        symbols unless the spec names its own ``k``."""
+        values = read_typed(text_or_dict, path, "loss type", {
+            "hamming": ({}, {"k": (int, k)}),
+            "matrix": ({"lambda": [[float]]}, {}),
+        })
+        if values["type"] == "hamming":
+            return build(path, cls.hamming, values["k"])
+        return build(path, cls, values["lambda"])
 
 
 def cumulative_loss(lm: LossMatrix, x, xhat) -> float:
@@ -84,10 +84,10 @@ def _estimates_from_table(ch: Channel, h: HMatrix, lm: LossMatrix,
 def per_symbol_estimate(ch: Channel, h: HMatrix, lm: LossMatrix,
                         d: Denoiser, z, i: int) -> float:
     """Estimated loss incurred at position i, from the noisy sequence alone."""
-    zs = check_sequence(z, ch.output_size, "noisy sequence")
-    subs = np.array([d.denoise_substituted(zs, i, a) for a in range(ch.output_size)])
-    inner = (lm.lam[:, subs] * ch.pi).sum(axis=1)
-    return float(h.h[:, zs[i]] @ inner)
+    estimates = per_symbol_estimates(ch, h, lm, d, z)
+    if not 0 <= i < len(estimates):
+        raise IndexError(f"position {i} out of range for length {len(estimates)}")
+    return float(estimates[i])
 
 
 def per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
