@@ -4,7 +4,9 @@ Each case runs a small experiment and compares the SHA-256 of its trial CSV
 with the hash recorded before the smoothing kernels were rewritten.  Any
 change to the random streams, the mask draws, the estimators or the
 summation order shows up here as a different hash, so a speed-up that is
-meant to keep every output bit has to pass these unchanged.
+meant to keep every output bit has to pass these unchanged.  The two
+exact-mode cases (n = 12, all 2^12 masks enumerated) pin the enumerated
+masks and their weights, which no Monte Carlo case reaches.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ WINDOW_PAIR = {"type": "pair",
                "second": {"type": "identity"}}
 PLAIN = {"type": "plain"}
 RANDOMIZED = {"type": "randomized", "nu": 0.75, "m": 128}
+EXACT = {"type": "randomized", "q": 0.1, "mode": "exact"}
 BERNOULLI = {"type": "iid_bernoulli", "p": 0.5}
 
 CASES = {
@@ -42,6 +45,16 @@ CASES = {
         {"denoisers": WINDOW_PAIR, "combiner": RANDOMIZED, "clean_source": BERNOULLI,
          "trials": 4, "master_seed": 14},
         "0f5644d12c95806f31c2808b1d6d2599d429e47709670f03c731523cb88b47e0",
+    ),
+    "parity_exact": (
+        {"denoisers": PARITY_PAIR, "combiner": EXACT, "clean_source": BERNOULLI,
+         "n": 12, "trials": 4, "master_seed": 15},
+        "f73049154f67ac0a7e6746419f7a4125f2ae21689b07ae5df965216a81c21b2a",
+    ),
+    "window_exact": (
+        {"denoisers": WINDOW_PAIR, "combiner": EXACT, "clean_source": BERNOULLI,
+         "n": 12, "trials": 4, "master_seed": 16},
+        "f4851d17fb7c44b70441072300531b9c108342b986967a03e61c070dfe4e9139",
     ),
 }
 
