@@ -64,8 +64,8 @@ def randomized_combined_denoise(
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     drawn = mask_set(cfg, len(zs), rng.derive("estimation-masks"))
     sel = select_min_estimate(
-        estimate_smoothed_loss(ch, h, lm, d1, cfg, zs, drawn=drawn),
-        estimate_smoothed_loss(ch, h, lm, d2, cfg, zs, drawn=drawn),
+        estimate_smoothed_loss(ch, h, lm, d1, drawn, zs),
+        estimate_smoothed_loss(ch, h, lm, d2, drawn, zs),
     )
     winner = d1 if sel.chosen_index == 1 else d2
     mask = draw_smoothing_mask(cfg, len(zs), rng.derive("emitted-mask"))

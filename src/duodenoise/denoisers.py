@@ -10,7 +10,6 @@ and vectorized batch paths used by the smoothing and influence code.
 
 from __future__ import annotations
 
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -182,13 +181,14 @@ class SlidingWindowDenoiser(Denoiser):
 
 
 def _majority_table(k: int, input_size: int) -> np.ndarray:
-    width = 2 * k + 1
-    table = np.empty(input_size ** width, dtype=np.int64)
-    for code, window in enumerate(itertools.product(range(input_size), repeat=width)):
-        ones = sum(1 for s in window if s == 1)
-        zeros = sum(1 for s in window if s == 0)
-        table[code] = 1 if ones > zeros else 0
-    return table
+    """Majority vote of 1s against 0s over each window code, ties to 0."""
+    codes = np.arange(input_size ** (2 * k + 1), dtype=np.int64)
+    vote = np.zeros(codes.shape, dtype=np.int8)
+    for power in input_size ** np.arange(2 * k + 1, dtype=np.int64):
+        digit = codes // power % input_size
+        vote += digit == 1
+        vote -= digit == 0
+    return (vote > 0).astype(np.int64)
 
 
 def make_sliding_window(k: int, rule, input_size: int = 2,
@@ -364,20 +364,23 @@ def make_bsc_counterexample_pair(
     return ParityCopyDenoiser(), ParityMarkedZerosDenoiser(delta)
 
 
+#: Largest block length whose 2^n masks exact smoothing enumerates.
+EXACT_MASK_LIMIT = 20
+
+
 @dataclass(frozen=True)
 class SmoothingConfig:
     """How to randomize a denoiser with an i.i.d. Bernoulli-q flip mask.
 
     Exactly one of ``q`` (explicit flip rate) or ``nu`` (rate exponent,
     q = n^-nu) must be given.  ``mode`` selects exact enumeration of all 2^n
-    masks (only for n <= exact_threshold) or Monte Carlo with ``m`` masks.
+    masks (only for n <= EXACT_MASK_LIMIT) or Monte Carlo with ``m`` masks.
     """
 
     q: float | None = None
     nu: float | None = None
     mode: str = "monte_carlo"
     m: int = 128
-    exact_threshold: int = 20
 
     def __post_init__(self):
         if (self.q is None) == (self.nu is None):
@@ -390,11 +393,14 @@ class SmoothingConfig:
             raise ValueError(f"unknown smoothing mode {self.mode!r}")
         if self.m < 1:
             raise ValueError("Monte Carlo sample count m must be >= 1")
-        if self.exact_threshold < 1:
-            raise ValueError("exact_threshold must be >= 1")
 
     def resolve_q(self, n: int) -> float:
         return self.q if self.q is not None else float(n) ** (-self.nu)
+
+    def check_length(self, n: int) -> None:
+        """Reject a block length whose 2^n masks exact mode cannot enumerate."""
+        if self.mode == "exact" and n > EXACT_MASK_LIMIT:
+            raise ValueError(f"exact smoothing limited to n <= {EXACT_MASK_LIMIT}, got n = {n}")
 
 
 def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
@@ -443,16 +449,14 @@ def stratified_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
 def mask_set(cfg: SmoothingConfig, n: int, rng: RngStream | None):
     """(masks, weights) per the config mode; MC weights are parity-stratified.
 
-    Monte Carlo masks are bool; exact mode enumerates all 2^n masks.  A set
-    drawn once can be shared by every smoothed quantity that uses the same
-    stream.
+    Monte Carlo masks are bool and drawn from ``rng``; exact mode enumerates
+    all 2^n masks and needs no stream.  Every smoothed quantity takes such a
+    pair, so a set drawn once can be shared by every quantity and denoiser
+    that uses the same stream.
     """
+    cfg.check_length(n)
     q = cfg.resolve_q(n)
     if cfg.mode == "exact":
-        if n > cfg.exact_threshold:
-            raise ValueError(
-                f"exact smoothing limited to n <= {cfg.exact_threshold}, got n = {n}"
-            )
         masks = enumerate_masks(n)
         return masks, exact_mask_weights(masks, q)
     if rng is None:
@@ -461,14 +465,14 @@ def mask_set(cfg: SmoothingConfig, n: int, rng: RngStream | None):
     return masks, stratified_mask_weights(masks, q)
 
 
-def smoothed_expected_output(d: Denoiser, cfg: SmoothingConfig, z, i: int,
-                             rng: RngStream | None = None) -> float:
-    """E_W of the denoiser output at position i on the mask-flipped input."""
+def smoothed_expected_output(d: Denoiser, drawn, z, i: int) -> float:
+    """E_W of the denoiser output at position i on the mask-flipped input,
+    over the (masks, weights) pair ``drawn`` from :func:`mask_set`."""
     if d.input_size != 2 or d.output_size != 2:
         raise ValueError("smoothing is defined for binary-alphabet denoisers")
     zs = check_sequence(z, d.input_size, "noisy sequence")
     if not 0 <= i < len(zs):
         raise IndexError(f"position {i} out of range for length {len(zs)}")
-    masks, weights = mask_set(cfg, len(zs), rng)
+    masks, weights = drawn
     outs = d.denoise_batch(zs[None, :] ^ masks)[:, i]
     return float(weights @ outs)

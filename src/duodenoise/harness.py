@@ -16,7 +16,8 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,12 +51,10 @@ from .losses import (
 from .rng import RngStream
 from .spec import ConfigError, build, load, read, read_typed
 
-TRIAL_COLUMNS = (
-    "trial,seed,parity,loss_d1,loss_d2,est_d1,est_d2,chosen,loss_combined"
-)
-SMOOTHED_COLUMNS = "sm_loss_d1,sm_loss_d2,sm_est_d1,sm_est_d2,mask_weight"
-
 ENUMERATION_LIMIT = 10**7
+
+#: Flips evaluated per batch call in Monte Carlo pointwise influence.
+INFLUENCE_CHUNK = 64
 
 #: Rate exponent of a randomized combiner that names neither q nor nu.
 DEFAULT_NU = 0.75
@@ -76,6 +75,11 @@ def denoiser_from_spec(spec, channel: Channel, path: str = "denoiser") -> Denois
         return build(path, ConstantDenoiser, v["symbol"], k, m)
     if (v["rule"] is None) == (v["table"] is None) or v["k"] < 0:
         raise ConfigError(f"{path}: sliding_window needs k >= 0 and one of rule and table")
+    width = 2 * v["k"] + 1
+    # m >= 2, so capping the exponent keeps a huge k cheap to reject
+    if m ** min(width, 64) > ENUMERATION_LIMIT:
+        raise ConfigError(f"{path}: a window of width {width} over {m} symbols needs "
+                          f"{m}^{width} table entries, above {ENUMERATION_LIMIT}")
     rule = v["rule"] if v["table"] is None else np.asarray(v["table"])
     return build(path, make_sliding_window, v["k"], rule, m, k)
 
@@ -105,7 +109,7 @@ def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
     v = read_typed(spec, path, "combiner type", {
         "plain": ({}, {}),
         "randomized": ({}, {"q": (float, None), "nu": (float, None), "mode": (str, None),
-                            "m": (int, None), "exact_threshold": (int, None)}),
+                            "m": (int, None)}),
     })
     if v.pop("type") == "plain":
         return None
@@ -196,9 +200,8 @@ class ExperimentConfig:
         smoothing = smoothing_from_spec(v["combiner"], "config.combiner")
         if smoothing is not None and channel.pi.shape != (2, 2):
             raise ConfigError("config.combiner: randomized combining needs a binary channel")
-        if smoothing is not None and smoothing.mode == "exact" and n > smoothing.exact_threshold:
-            raise ConfigError(f"config.combiner: exact smoothing limited to "
-                              f"n <= {smoothing.exact_threshold}, got n = {n}")
+        if smoothing is not None:
+            build("config.combiner", smoothing.check_length, n)
         h_choice, h = h_from_choice(channel, v["h"], "config.h")
         lm = LossMatrix.from_json(v["loss"], channel.input_size, "config.loss")
         if lm.size != channel.input_size:
@@ -278,10 +281,8 @@ def _run_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         )
         drawn = mask_set(cfg.smoothing, cfg.n, trial.derive("smoothed-loss"))
         smoothed = {
-            "sm_loss_d1": smoothed_conditional_loss(
-                cfg.lm, cfg.d1, cfg.smoothing, x, z, drawn=drawn),
-            "sm_loss_d2": smoothed_conditional_loss(
-                cfg.lm, cfg.d2, cfg.smoothing, x, z, drawn=drawn),
+            "sm_loss_d1": smoothed_conditional_loss(cfg.lm, cfg.d1, drawn, x, z),
+            "sm_loss_d2": smoothed_conditional_loss(cfg.lm, cfg.d2, drawn, x, z),
             "sm_est_d1": sel.estimates[0],
             "sm_est_d2": sel.estimates[1],
             "mask_weight": int(mask.sum()),
@@ -314,18 +315,14 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 
 def records_to_csv(records: list[TrialRecord], fh) -> None:
-    """Write the trial CSV with the fixed column contract."""
+    """Write the trial CSV: one column per :class:`TrialRecord` field, in
+    field order; the smoothed fields (those defaulting to None) only for
+    randomized-combiner runs."""
     randomized = records and records[0].sm_est_d1 is not None
-    header = TRIAL_COLUMNS + ("," + SMOOTHED_COLUMNS if randomized else "")
+    header = [f.name for f in fields(TrialRecord) if randomized or f.default is not None]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header.split(","))
-    for r in records:
-        row = [r.trial, r.seed, r.parity, r.loss_d1, r.loss_d2,
-               r.est_d1, r.est_d2, r.chosen, r.loss_combined]
-        if randomized:
-            row += [r.sm_loss_d1, r.sm_loss_d2, r.sm_est_d1, r.sm_est_d2,
-                    r.mask_weight]
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(map(attrgetter(*header), records))
 
 
 def records_csv_text(records: list[TrialRecord]) -> str:
@@ -340,14 +337,12 @@ def _mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(se)
 
 
-def regret(records: list[TrialRecord], which: str = "plain") -> tuple[float, float]:
+def regret(records: list[TrialRecord]) -> tuple[float, float]:
     """Mean combined loss minus the better candidate's mean loss, with a
-    jackknife standard error.  ``which`` is a label check only; the candidate
-    baselines are always the raw denoisers' realized losses."""
+    jackknife standard error; the candidate baselines are the raw denoisers'
+    realized losses, for either combiner."""
     if not records:
         raise ValueError("regret needs at least one trial record")
-    if which not in ("plain", "randomized"):
-        raise ValueError(f"unknown regret flavor: {which!r}")
     l1 = np.array([r.loss_d1 for r in records])
     l2 = np.array([r.loss_d2 for r in records])
     lc = np.array([r.loss_combined for r in records])
@@ -387,7 +382,6 @@ def deviation_probability(records: list[TrialRecord], eps: float,
 
 def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     """Summary statistics with standard errors, plus the config echo."""
-    which = "randomized" if cfg.randomized else "plain"
     means = {
         name: _mean_se([getattr(r, name) for r in records])
         for name in ("loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2")
@@ -395,7 +389,7 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     if cfg.randomized:
         for name in ("sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"):
             means[name] = _mean_se([getattr(r, name) for r in records])
-    reg_value, reg_se = regret(records, which)
+    reg_value, reg_se = regret(records)
     deviations = {}
     for eps in cfg.epsilons:
         (p1, s1), (p2, s2) = deviation_probability(records, eps,
@@ -406,7 +400,7 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
         "config": cfg.raw,
         "h_choice": cfg.h_choice,
         "trials": len(records),
-        "combiner": which,
+        "combiner": "randomized" if cfg.randomized else "plain",
         "means": {k: list(v) for k, v in means.items()},
         "chosen_2_fraction": sum(r.chosen == 2 for r in records) / len(records),
         "regret": {"value": reg_value, "se": reg_se},
@@ -496,8 +490,7 @@ def empirical_influence(f, x, ch: Channel, samples: int,
 
 
 def pointwise_influence(f, cfg: SmoothingConfig, z,
-                        rng: RngStream | None = None,
-                        chunk: int = 64) -> tuple[float, float]:
+                        rng: RngStream | None = None) -> tuple[float, float]:
     """Sum over single-coordinate flips of the smoothed functional's change.
 
     ``f`` is the underlying batch functional ({0,1}^n rows -> reals); its
@@ -510,8 +503,6 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
     """
     zs = check_sequence(z, 2, "sequence")
     n = len(zs)
-    if cfg.mode == "monte_carlo" and rng is None:
-        raise ValueError("monte_carlo pointwise influence needs an RngStream")
     masks, weights = mask_set(cfg, n, rng)
     if cfg.mode == "exact":
         rows = np.tile(zs, (n + 1, 1))
@@ -523,8 +514,8 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
     m = masks.shape[0]
     base = np.asarray(f(zs[None, :] ^ masks), dtype=np.float64)
     value_terms, se_terms = [], []
-    for start in range(0, n, chunk):
-        js = np.arange(start, min(start + chunk, n))
+    for start in range(0, n, INFLUENCE_CHUNK):
+        js = np.arange(start, min(start + INFLUENCE_CHUNK, n))
         flipped = np.repeat((zs[None, :] ^ masks)[None, :, :], len(js), axis=0)
         flipped[np.arange(len(js)), :, js] ^= 1
         vals = np.asarray(f(flipped.reshape(-1, n)), dtype=np.float64)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, HMatrix, check_sequence, is_bec
-from .denoisers import Denoiser, SmoothingConfig, mask_set
-from .rng import RngStream
+from .denoisers import Denoiser
 from .spec import build, read_typed
 
 
@@ -73,10 +72,11 @@ def cumulative_loss(lm: LossMatrix, x, xhat) -> float:
     return math.fsum(lm.lam[xs, hs]) / len(xs)
 
 
-def _estimates_from_table(ch: Channel, h: HMatrix, lm: LossMatrix,
-                          z: np.ndarray, tab: np.ndarray) -> np.ndarray:
-    """Per-symbol estimates from the substituted-output table tab[i, a]."""
-    lam_tab = lm.lam[:, tab]                      # (K, n, M)
+def _estimates_from_table(ch: Channel, h: HMatrix, z: np.ndarray,
+                          lam_tab: np.ndarray) -> np.ndarray:
+    """Per-symbol estimates from the (K, n, M) loss table lam_tab[x, i, a]:
+    the (expected) loss against clean symbol x of the output at position i
+    once the noisy symbol there is replaced by a."""
     inner = np.einsum("xia,xa->xi", lam_tab, ch.pi)
     return (h.h[:, z] * inner).sum(axis=0)
 
@@ -94,7 +94,7 @@ def per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
                          d: Denoiser, z) -> np.ndarray:
     """All n per-symbol estimates (one substituted-output table pass)."""
     zs = check_sequence(z, ch.output_size, "noisy sequence")
-    return _estimates_from_table(ch, h, lm, zs, d.substituted_outputs(zs))
+    return _estimates_from_table(ch, h, zs, lm.lam[:, d.substituted_outputs(zs)])
 
 
 def estimate_loss(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser, z) -> float:
@@ -195,43 +195,37 @@ def _binary_check(d: Denoiser):
         raise ValueError("smoothed losses are defined for binary alphabets")
 
 
-def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, cfg: SmoothingConfig,
-                              x, z, rng: RngStream | None = None, *,
-                              drawn=None) -> float:
+def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float:
     """Expected (over the flip mask) normalized loss of the smoothed denoiser.
 
-    ``drawn`` is a (masks, weights) pair from :func:`mask_set`, for sharing
-    one set between denoisers; without it the set is drawn from ``rng``.
+    ``drawn`` is a (masks, weights) pair from :func:`denoisers.mask_set`;
+    the expectation is the weighted sum over its masks.
     """
     _binary_check(d)
     xs = check_sequence(x, lm.size, "clean sequence")
     zs = check_sequence(z, 2, "noisy sequence")
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
-    n = len(zs)
-    masks, weights = mask_set(cfg, n, rng) if drawn is None else drawn
+    masks, weights = drawn
     outs = d.denoise_batch(zs.astype(np.uint8)[None, :] ^ masks)     # (B, n)
     # binary outputs: each position's loss is one of its two loss entries
     lam_x = lm.lam[xs]
-    per_mask = np.where(outs, lam_x[:, 1], lam_x[:, 0]).sum(axis=1) / n
+    per_mask = np.where(outs, lam_x[:, 1], lam_x[:, 0]).sum(axis=1) / len(zs)
     return float(weights @ per_mask)
 
 
 def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
-                                  d: Denoiser, cfg: SmoothingConfig, z,
-                                  rng: RngStream | None = None, *,
-                                  drawn=None) -> np.ndarray:
+                                  d: Denoiser, drawn, z) -> np.ndarray:
     """Per-symbol estimates of the smoothed denoiser's expected loss.
 
-    One mask set is shared across all positions and substituted symbols: a
-    substituted-then-flipped evaluation equals a flipped-then-substituted one
-    with the substituted symbol XORed by the mask bit, so each mask costs one
-    substituted-output table.  ``drawn`` is a (masks, weights) pair from
-    :func:`mask_set`; passing the same pair for both candidates of a
-    combiner evaluates them on one mask set by construction.  Without it the
-    set is drawn from ``rng``.  Monte Carlo masks are bool and the flipped
-    inputs uint8, so the parity denoisers' per-mask tables take one byte per
-    entry.
+    ``drawn`` is a (masks, weights) pair from :func:`denoisers.mask_set`;
+    passing the same pair for both candidates of a combiner evaluates them
+    on one mask set by construction.  The set is shared across all
+    positions and substituted symbols: a substituted-then-flipped evaluation
+    equals a flipped-then-substituted one with the substituted symbol XORed
+    by the mask bit, so each mask costs one substituted-output table.  Monte
+    Carlo masks are bool and the flipped inputs uint8, so the parity
+    denoisers' per-mask tables take one byte per entry.
 
     The mask-weighted mean is one ``einsum`` over the mask axis, which adds
     the masks in index order: its bits do not depend on the table's integer
@@ -241,8 +235,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
     if ch.input_size != 2 or ch.output_size != 2:
         raise ValueError("smoothed estimation targets binary channels")
     zs = check_sequence(z, 2, "noisy sequence")
-    n = len(zs)
-    masks, weights = mask_set(cfg, n, rng) if drawn is None else drawn
+    masks, weights = drawn
     tabs = d.substituted_outputs_batch(zs.astype(np.uint8)[None, :] ^ masks)  # (B, n, 2)
     # entry [b, i, a] of the flipped table answers symbol a ^ masks[b, i]
     picked = np.empty_like(tabs)
@@ -254,14 +247,12 @@ def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
         lm.lam[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
         + lm.lam[:, 1][:, None, None] * mean_out[None, :, :]
     )                                               # (K, n, M)
-    inner = np.einsum("xia,xa->xi", exp_loss, ch.pi)
-    return (h.h[:, zs] * inner).sum(axis=0)
+    return _estimates_from_table(ch, h, zs, exp_loss)
 
 
 def estimate_smoothed_loss(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
-                           cfg: SmoothingConfig, z,
-                           rng: RngStream | None = None, *,
-                           drawn=None) -> float:
-    """Unbiased estimate of the smoothed denoiser's expected normalized loss."""
-    vals = smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, rng, drawn=drawn)
+                           drawn, z) -> float:
+    """Unbiased estimate of the smoothed denoiser's expected normalized loss
+    over the (masks, weights) pair ``drawn``."""
+    vals = smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z)
     return math.fsum(vals) / len(vals)

@@ -8,13 +8,15 @@ all have their declared JSON type.  Anything else raises a
 work starts.
 
 A declared type is ``int`` (a JSON integer; ``true`` and ``16.9`` are not),
-``float`` (any JSON number but a boolean; an integer is widened), ``str``,
-``dict``, or a one-element list ``[t]`` for a list of ``t``.
+``float`` (any finite JSON number but a boolean; an integer is widened;
+``NaN`` and ``Infinity``, which :func:`json.loads` accepts, are not),
+``str``, ``dict``, or a one-element list ``[t]`` for a list of ``t``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 _NAMES = {int: "integer", float: "number", str: "string", dict: "object"}
 
@@ -28,8 +30,11 @@ def _check(value, kind, path: str):
         if isinstance(value, list):
             return [_check(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
     elif not isinstance(value, bool):
-        if kind is float and isinstance(value, int):
-            return float(value)
+        if kind is float and isinstance(value, (int, float)):
+            # false for NaN, for +-inf and for integers beyond the float range
+            if abs(value) <= sys.float_info.max:
+                return float(value)
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         if isinstance(value, kind):
             return value
     raise ConfigError(f"{path}: expected {_name(kind)}, got {value!r}")

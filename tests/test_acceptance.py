@@ -37,6 +37,7 @@ from duodenoise.denoisers import (
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
     make_sliding_window,
+    mask_set,
     smoothed_expected_output,
 )
 from duodenoise.harness import (
@@ -114,7 +115,7 @@ def test_criterion_01_exact_unbiasedness():
 def test_criterion_02_conditional_unbiasedness():
     """Position-wise unbiasedness, plain (all channels) and smoothed (binary)."""
     n = 10
-    cfg = SmoothingConfig(q=0.2, mode="exact")
+    drawn = mask_set(SmoothingConfig(q=0.2, mode="exact"), n, None)
     for ch, h, denoisers in channel_suite():
         m = ch.output_size
         gen = RngStream(41).generator()
@@ -140,9 +141,9 @@ def test_criterion_02_conditional_unbiasedness():
                             zb = z.copy()
                             zb[i] = b
                             sm_est += row[b] * smoothed_per_symbol_estimates(
-                                ch, h, HAMMING, d, cfg, zb
+                                ch, h, HAMMING, d, drawn, zb
                             )[i]
-                            p1 = smoothed_expected_output(d, cfg, zb, i)
+                            p1 = smoothed_expected_output(d, drawn, zb, i)
                             sm_loss += row[b] * (p1 if x_i == 0 else 1.0 - p1)
                         assert sm_est == pytest.approx(sm_loss, abs=1e-10)
 
@@ -273,7 +274,7 @@ def test_criterion_07_randomized_combiner_recovers_better_denoiser(
 ):
     """Smoothed-estimate selection drops the regret to near zero."""
     _, records = bsc_randomized_runs[N_BIG]
-    value, se = regret(records, "randomized")
+    value, se = regret(records)
     assert value + 3 * se <= 0.01, f"regret {value:.4f} +- {se:.4f}"
     odd = [r for r in records if r.parity == 1]
     frac = np.mean([r.chosen == 2 for r in odd])
@@ -288,7 +289,7 @@ def test_criterion_08_smoothed_parity_influence():
     """Total influence of smoothed parity is n (1-2q)^n; MC agrees within 3 SE."""
     for n in (4, 8, 12):
         for q in (0.0, 0.1, 0.25):
-            cfg = SmoothingConfig(q=q, mode="exact", exact_threshold=12)
+            cfg = SmoothingConfig(q=q, mode="exact")
             value, _ = pointwise_influence(
                 parity_functional, cfg, np.zeros(n, dtype=np.int64)
             )

@@ -8,6 +8,7 @@ consumes only those tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duodenoise.denoisers import (
+    EXACT_MASK_LIMIT,
     BecParityDenoiser,
     ConstantDenoiser,
     Denoiser,
@@ -30,6 +32,7 @@ from duodenoise.denoisers import (
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
     make_sliding_window,
+    mask_set,
     smoothed_expected_output,
     stratified_mask_weights,
 )
@@ -101,6 +104,15 @@ class TestSimpleDenoisers:
         # zero padding at the boundaries; ties go to 0
         np.testing.assert_array_equal(d.denoise([1, 1, 0, 0, 1]), [1, 1, 0, 0, 0])
         np.testing.assert_array_equal(d.denoise([1]), [0])
+
+    @pytest.mark.parametrize("input_size", [2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_majority_table_matches_window_loop(self, k, input_size):
+        # reference: count the 1s and 0s of every window, in code order
+        ref = [int(w.count(1) > w.count(0))
+               for w in itertools.product(range(input_size), repeat=2 * k + 1)]
+        d = make_sliding_window(k, "majority", input_size)
+        np.testing.assert_array_equal(d.table, ref)
 
     def test_window_rule_dict(self):
         flip = {w: 1 - w[1] for w in np.ndindex(2, 2, 2)}
@@ -200,20 +212,21 @@ class TestSmoothing:
     def test_smoothed_expected_output_exact(self):
         # identity at position i: P(output 1) = q if z_i = 0 else 1 - q
         d = IdentityDenoiser()
-        cfg = SmoothingConfig(q=0.1, mode="exact")
+        drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)
         z = np.array([0, 1, 0, 1])
-        assert smoothed_expected_output(d, cfg, z, 0) == pytest.approx(0.1, abs=1e-12)
-        assert smoothed_expected_output(d, cfg, z, 1) == pytest.approx(0.9, abs=1e-12)
+        assert smoothed_expected_output(d, drawn, z, 0) == pytest.approx(0.1, abs=1e-12)
+        assert smoothed_expected_output(d, drawn, z, 1) == pytest.approx(0.9, abs=1e-12)
 
     def test_exact_mode_respects_threshold(self):
-        cfg = SmoothingConfig(q=0.1, mode="exact", exact_threshold=8)
-        with pytest.raises(ValueError, match="exact smoothing"):
-            smoothed_expected_output(IdentityDenoiser(), cfg, np.zeros(9, np.int64), 0)
+        cfg = SmoothingConfig(q=0.1, mode="exact")
+        assert EXACT_MASK_LIMIT == 20
+        with pytest.raises(ValueError, match="exact smoothing limited to n <= 20"):
+            mask_set(cfg, 21, None)
 
     def test_monte_carlo_requires_stream(self):
         cfg = SmoothingConfig(q=0.1)
         with pytest.raises(ValueError, match="RngStream"):
-            smoothed_expected_output(IdentityDenoiser(), cfg, np.zeros(30, np.int64), 0)
+            mask_set(cfg, 30, None)
 
 
 NARROW_CASES = [(d, dtype) for d in ZOO for dtype in (np.bool_, np.uint8)

@@ -16,6 +16,7 @@ from duodenoise.denoisers import (
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
     make_sliding_window,
+    mask_set,
 )
 from duodenoise.losses import (
     JointTypeCounts,
@@ -179,7 +180,8 @@ class TestSmoothedLosses:
         cfg = SmoothingConfig(q=0.125, mode="exact")
         x = np.array([0, 0, 1, 1])
         z = np.array([0, 1, 1, 1])
-        got = smoothed_conditional_loss(HAMMING, IdentityDenoiser(), cfg, x, z)
+        got = smoothed_conditional_loss(HAMMING, IdentityDenoiser(), mask_set(cfg, 4, None),
+                                        x, z)
         assert got == pytest.approx((3 * 0.125 + 0.875) / 4, abs=1e-12)
 
     def test_smoothed_estimate_exact_identity(self):
@@ -188,21 +190,21 @@ class TestSmoothedLosses:
         ch = make_bsc(delta)
         h = compute_h(ch)
         cfg = SmoothingConfig(q=q, mode="exact")
-        got = estimate_smoothed_loss(ch, h, HAMMING, IdentityDenoiser(), cfg,
-                                     [0, 1, 0, 1, 1])
+        got = estimate_smoothed_loss(ch, h, HAMMING, IdentityDenoiser(),
+                                     mask_set(cfg, 5, None), [0, 1, 0, 1, 1])
         assert got == pytest.approx(delta + q * (1 - 2 * delta), abs=1e-12)
 
     def test_q_zero_reduces_to_plain(self):
         ch = make_bsc(0.2)
         h = compute_h(ch)
-        cfg = SmoothingConfig(q=0.0, mode="exact")
+        drawn = mask_set(SmoothingConfig(q=0.0, mode="exact"), 10, None)
         d = make_bsc_counterexample_pair(0.2)[0]
         z = np.array([1, 0, 0, 1, 1, 0, 1, 0, 0, 0])
-        assert estimate_smoothed_loss(ch, h, HAMMING, d, cfg, z) == pytest.approx(
+        assert estimate_smoothed_loss(ch, h, HAMMING, d, drawn, z) == pytest.approx(
             estimate_loss(ch, h, HAMMING, d, z), abs=1e-12
         )
         x = np.zeros(10, dtype=np.int64)
-        assert smoothed_conditional_loss(HAMMING, d, cfg, x, z) == pytest.approx(
+        assert smoothed_conditional_loss(HAMMING, d, drawn, x, z) == pytest.approx(
             cumulative_loss(HAMMING, x, d.denoise(z)), abs=1e-12
         )
 
@@ -212,15 +214,15 @@ class TestSmoothedLosses:
         d = make_bsc_counterexample_pair(0.2)[1]
         z = RngStream(12).generator().integers(0, 2, size=16)
         exact = estimate_smoothed_loss(
-            ch, h, HAMMING, d, SmoothingConfig(q=0.05, mode="exact"), z
+            ch, h, HAMMING, d, mask_set(SmoothingConfig(q=0.05, mode="exact"), 16, None), z
         )
         mc = estimate_smoothed_loss(
-            ch, h, HAMMING, d, SmoothingConfig(q=0.05, m=4000), z, RngStream(13)
+            ch, h, HAMMING, d, mask_set(SmoothingConfig(q=0.05, m=4000), 16, RngStream(13)), z
         )
         assert mc == pytest.approx(exact, abs=0.02)
 
     def test_binary_only(self):
-        cfg = SmoothingConfig(q=0.1, mode="exact")
+        drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 2, None)
         with pytest.raises(ValueError, match="binary"):
-            smoothed_conditional_loss(HAMMING, IdentityDenoiser(2, 3), cfg,
+            smoothed_conditional_loss(HAMMING, IdentityDenoiser(2, 3), drawn,
                                       [0, 1], [0, 2])

@@ -120,17 +120,10 @@ def test_smoothed_kernels_match_int64_reference(d, case, delta, seed):
 
     ref = reference_per_symbol(ch, h, lm, d, cfg, z, stream)
     drawn = mask_set(cfg, n, stream)
-    assert np.array_equal(smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, stream), ref)
-    assert np.array_equal(
-        smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, drawn=drawn), ref
-    )
-    ref_est = math.fsum(ref) / n
-    assert estimate_smoothed_loss(ch, h, lm, d, cfg, z, stream) == ref_est
-    assert estimate_smoothed_loss(ch, h, lm, d, cfg, z, drawn=drawn) == ref_est
-
-    ref_loss = reference_conditional_loss(lm, d, cfg, x, z, stream)
-    assert smoothed_conditional_loss(lm, d, cfg, x, z, stream) == ref_loss
-    assert smoothed_conditional_loss(lm, d, cfg, x, z, drawn=drawn) == ref_loss
+    assert np.array_equal(smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z), ref)
+    assert estimate_smoothed_loss(ch, h, lm, d, drawn, z) == math.fsum(ref) / n
+    assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
+        reference_conditional_loss(lm, d, cfg, x, z, stream)
 
 
 def test_parity_pair_matches_reference_at_experiment_size():
@@ -147,8 +140,8 @@ def test_parity_pair_matches_reference_at_experiment_size():
     drawn = mask_set(cfg, len(z), stream)
     for d in (ParityCopyDenoiser(), ParityMarkedZerosDenoiser(0.2)):
         assert np.array_equal(
-            smoothed_per_symbol_estimates(ch, h, lm, d, cfg, z, drawn=drawn),
+            smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z),
             reference_per_symbol(ch, h, lm, d, cfg, z, stream),
         )
-        assert smoothed_conditional_loss(lm, d, cfg, x, z, drawn=drawn) == \
+        assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
             reference_conditional_loss(lm, d, cfg, x, z, stream)

@@ -38,8 +38,7 @@ PLAIN = {
     "master_seed": 1, "h": "min_norm", "loss": {"type": "hamming", "k": 2},
     "output": {"format": "csv"},
 }
-RANDOMIZED = {"type": "randomized", "nu": 0.75, "mode": "monte_carlo", "m": 8,
-              "exact_threshold": 20}
+RANDOMIZED = {"type": "randomized", "nu": 0.75, "mode": "monte_carlo", "m": 8}
 
 # The starting points of the mutation test, n <= 12 and trials <= 2 each.
 BASES = {
@@ -59,8 +58,7 @@ BASES = {
         "denoisers": {"type": "pair",
                       "first": {"type": "sliding_window", "k": 1, "rule": "majority"},
                       "second": {"type": "identity"}},
-        "combiner": {"type": "randomized", "q": 0.1, "mode": "exact",
-                     "exact_threshold": 12},
+        "combiner": {"type": "randomized", "q": 0.1, "mode": "exact"},
         "trials": 2, "master_seed": 5,
     },
     "dmc3": {
@@ -120,7 +118,7 @@ class TestReader:
     (with_(combiner=RANDOMIZED, channel=DMC3,
            denoisers={"type": "pair", "first": {"type": "identity"},
                       "second": {"type": "constant"}}), "binary channel"),
-    (with_(combiner={**RANDOMIZED, "mode": "exact", "exact_threshold": 8}),
+    (with_(n=21, combiner={**RANDOMIZED, "mode": "exact"}),
      "exact smoothing limited"),
     (with_(combiner={**RANDOMIZED, "m": 12.5}), r"combiner\.m: expected integer"),
     (with_(n=16.9), r"config\.n: expected integer"),
@@ -140,6 +138,41 @@ class TestReader:
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_json(spec)
+
+
+def test_nan_in_json_text_is_rejected():
+    text = json.dumps(with_(epsilons=[float("nan")]))
+    assert '"epsilons": [NaN]' in text
+    with pytest.raises(ConfigError, match=r"^config\.epsilons\[0\]: expected a finite number"):
+        ExperimentConfig.from_json(text)
+
+
+def test_nan_in_a_dict_is_rejected():
+    pi = [[float("nan"), 0.2], [0.2, 0.8]]
+    with pytest.raises(ConfigError, match=r"^config\.channel\.pi\[0\]\[0\]: expected a finite"):
+        ExperimentConfig.from_json(with_(channel={"type": "dmc", "pi": pi}))
+
+
+@pytest.mark.parametrize("as_text", [False, True])
+@pytest.mark.parametrize("delta", [float("inf"), float("-inf"), 10**400])
+def test_infinite_numbers_are_rejected(delta, as_text):
+    spec = with_(channel={"type": "bsc", "delta": delta})
+    with pytest.raises(ConfigError, match=r"^config\.channel\.delta: expected a finite"):
+        ExperimentConfig.from_json(json.dumps(spec) if as_text else spec)
+
+
+def test_window_table_is_bounded_before_it_is_built():
+    # 2^25 > 10^7 entries; a huge k is rejected without computing 2^(2k+1)
+    for k in (12, 10**12):
+        with pytest.raises(ConfigError, match=r"denoiser: a window of width \d+ over 2"):
+            denoiser_from_spec({"type": "sliding_window", "k": k, "rule": "majority"},
+                               make_bsc(0.2))
+    # 3^15 > 10^7 on a ternary output alphabet, with a table as well
+    with pytest.raises(ConfigError, match=r"3\^15 table entries"):
+        denoiser_from_spec({"type": "sliding_window", "k": 7, "table": [0]},
+                           make_bec(0.3))
+    assert denoiser_from_spec({"type": "sliding_window", "k": 5, "rule": "majority"},
+                              make_bsc(0.2)).table.size == 2 ** 11
 
 
 @pytest.mark.parametrize("loss", [None, {"type": "hamming"}])
@@ -193,6 +226,9 @@ def test_thread_count(monkeypatch):
     ["combine", "--channel", '{"type":"bsc","delta":0.2}', "--randomized", "--m", "0",
      "--pair", '{"type":"bsc_counterexample_pair","delta":0.2}', "--sequence", "0,1"],
     ["influence", "--q", "0.1", "--nu", "0.5"],
+    ["estimate", "--channel", '{"type":"bsc","delta":NaN}', "--denoiser", '{"type":"identity"}',
+     "--sequence", "0,1"],
+    ["influence", "--q", "nan"],
 ])
 def test_cli_rejects_malformed_input(argv, capsys):
     assert main(argv) == 1
