@@ -106,8 +106,7 @@ def cmd_influence(args) -> int:
     def parity(rows: np.ndarray) -> np.ndarray:
         return np.atleast_2d(rows).sum(axis=1) % 2
 
-    rng = RngStream(args.seed) if cfg.mode == "monte_carlo" else None
-    value, se = pointwise_influence(parity, cfg, z, rng)
+    value, se = pointwise_influence(parity, cfg, z, RngStream(args.seed))
     print(json.dumps({"influence": value, "se": se}))
     return 0
 

@@ -154,7 +154,8 @@ def test_nan_in_a_dict_is_rejected():
 
 
 @pytest.mark.parametrize("as_text", [False, True])
-@pytest.mark.parametrize("delta", [float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize("delta", [float("inf"), float("-inf"), 10**400],
+                         ids=["inf", "-inf", "int-beyond-float"])
 def test_infinite_numbers_are_rejected(delta, as_text):
     spec = with_(channel={"type": "bsc", "delta": delta})
     with pytest.raises(ConfigError, match=r"^config\.channel\.delta: expected a finite"):
