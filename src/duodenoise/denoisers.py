@@ -77,19 +77,18 @@ class IdentityDenoiser(Denoiser):
         return {"type": "identity"}
 
     def denoise(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return np.where(zs < self.output_size, zs, 0)
+        return self.denoise_batch(check_sequence(z, self.input_size, "noisy sequence"))
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.where(zs < self.output_size, zs, 0)
 
     def substituted_outputs(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        row = np.array(
-            [a if a < self.output_size else 0 for a in range(self.input_size)],
-            dtype=np.int64,
-        )
-        return np.tile(row, (len(zs), 1))
+        return self.substituted_outputs_batch(
+            check_sequence(z, self.input_size, "noisy sequence"))
+
+    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
+        symbols = np.arange(self.input_size, dtype=np.int64)
+        return np.tile(self.denoise_batch(symbols), zs.shape + (1,))
 
 
 class ConstantDenoiser(Denoiser):
@@ -106,15 +105,17 @@ class ConstantDenoiser(Denoiser):
         return {"type": "constant", "symbol": self.symbol}
 
     def denoise(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return np.full(len(zs), self.symbol, dtype=np.int64)
+        return self.denoise_batch(check_sequence(z, self.input_size, "noisy sequence"))
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.full(zs.shape, self.symbol, dtype=np.int64)
 
     def substituted_outputs(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return np.full((len(zs), self.input_size), self.symbol, dtype=np.int64)
+        return self.substituted_outputs_batch(
+            check_sequence(z, self.input_size, "noisy sequence"))
+
+    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
+        return np.full(zs.shape + (self.input_size,), self.symbol, dtype=np.int64)
 
 
 class SlidingWindowDenoiser(Denoiser):
@@ -367,6 +368,9 @@ def make_bsc_counterexample_pair(
 #: Largest block length whose 2^n masks exact smoothing enumerates.
 EXACT_MASK_LIMIT = 20
 
+#: Most entries of a table, mask set or state space the library builds.
+ENUMERATION_LIMIT = 10**7
+
 
 @dataclass(frozen=True)
 class SmoothingConfig:
@@ -374,7 +378,8 @@ class SmoothingConfig:
 
     Exactly one of ``q`` (explicit flip rate) or ``nu`` (rate exponent,
     q = n^-nu) must be given.  ``mode`` selects exact enumeration of all 2^n
-    masks (only for n <= EXACT_MASK_LIMIT) or Monte Carlo with ``m`` masks.
+    masks (only for n <= EXACT_MASK_LIMIT) or Monte Carlo with ``m`` masks
+    (only for m * n <= ENUMERATION_LIMIT).
     """
 
     q: float | None = None
@@ -398,9 +403,13 @@ class SmoothingConfig:
         return self.q if self.q is not None else float(n) ** (-self.nu)
 
     def check_length(self, n: int) -> None:
-        """Reject a block length whose 2^n masks exact mode cannot enumerate."""
+        """Reject a block length whose 2^n masks exact mode cannot enumerate,
+        or whose m masks Monte Carlo mode cannot hold."""
         if self.mode == "exact" and n > EXACT_MASK_LIMIT:
             raise ValueError(f"exact smoothing limited to n <= {EXACT_MASK_LIMIT}, got n = {n}")
+        if self.mode == "monte_carlo" and self.m * n > ENUMERATION_LIMIT:
+            raise ValueError(f"{self.m} masks of length {n} exceed the limit of "
+                             f"{ENUMERATION_LIMIT} mask entries")
 
 
 def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:

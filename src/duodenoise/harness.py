@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from .channel import (
 )
 from .combine import randomized_combined_denoise, select_min_estimate
 from .denoisers import (
+    ENUMERATION_LIMIT,
     ConstantDenoiser,
     Denoiser,
     IdentityDenoiser,
@@ -44,6 +46,7 @@ from .denoisers import (
 )
 from .losses import (
     LossMatrix,
+    _estimates_from_table,
     cumulative_loss,
     estimate_loss,
     smoothed_conditional_loss,
@@ -51,7 +54,8 @@ from .losses import (
 from .rng import RngStream
 from .spec import ConfigError, build, load, read, read_typed
 
-ENUMERATION_LIMIT = 10**7
+#: States per functional call of the exact oracle.
+ENUMERATION_CHUNK = 1024
 
 #: Flips evaluated per batch call in Monte Carlo pointwise influence.
 INFLUENCE_CHUNK = 64
@@ -304,9 +308,18 @@ def worker_count() -> int:
     return int(value)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """All trials of the experiment, in trial-id order."""
-    workers = worker_count()
+    """All trials of the experiment, in trial-id order, on at most
+    min(DUO_THREADS, trials, usable CPUs) threads."""
+    workers = min(worker_count(), cfg.trials, _usable_cpus())
     ids = range(cfg.trials)
     if workers == 1:
         return [_run_trial(cfg, t) for t in ids]
@@ -425,42 +438,86 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 # exact-enumeration oracles
 
 
-def enumerate_expectation(ch: Channel, x, functional,
-                          limit: int = ENUMERATION_LIMIT) -> float:
+def enumerate_expectation(ch: Channel, x, functional) -> float:
     """Exact E[functional(Z^n)] by summing over every channel output.
 
-    ``functional`` maps an int64 sequence to a real.  The state space M^n is
-    capped to keep this an oracle for small n only.
+    ``functional`` maps a (B, n) int64 batch of outputs to B reals, like the
+    influence functionals; anything but shape (B,) raises ``ValueError``.
+    Only outputs of positive weight are evaluated (each position ranges over
+    its support pi[x_i, z] > 0, and a weight that underflows to 0.0 is
+    dropped), in lexicographic order with the last position fastest, at most
+    ENUMERATION_CHUNK states per call.  The weighted values go into one
+    correctly rounded ``math.fsum``, so the total does not depend on the
+    chunking.  At most ENUMERATION_LIMIT states keep this an oracle for
+    small n only.
     """
     xs = check_sequence(x, ch.input_size, "clean sequence")
-    n, m = len(xs), ch.output_size
-    if m**n > limit:
-        raise ValueError(f"state space {m}^{n} exceeds the enumeration limit {limit}")
     rows = ch.pi[xs]
-    total = []
-    z = np.zeros(n, dtype=np.int64)
-    while True:
-        weight = float(rows[np.arange(n), z].prod())
-        if weight > 0.0:
-            total.append(weight * float(functional(z)))
-        for pos in range(n - 1, -1, -1):
-            z[pos] += 1
-            if z[pos] < m:
-                break
-            z[pos] = 0
-        else:
-            return math.fsum(total)
+    support = [np.flatnonzero(row) for row in rows]
+    states = math.prod(len(s) for s in support)
+    if states > ENUMERATION_LIMIT:
+        raise ValueError(f"state space of {states} outputs exceeds the enumeration "
+                         f"limit {ENUMERATION_LIMIT}")
+
+    def chunk(start: int) -> list[float]:
+        index = np.arange(start, min(start + ENUMERATION_CHUNK, states))
+        z = np.empty((len(index), len(xs)), dtype=np.int64)
+        for pos in range(len(xs) - 1, -1, -1):
+            index, digit = np.divmod(index, len(support[pos]))
+            z[:, pos] = support[pos][digit]
+        weights = rows[np.arange(len(xs)), z].prod(axis=1)
+        if not weights.all():           # products that underflow to 0.0
+            z, weights = z[weights > 0.0], weights[weights > 0.0]
+            if not len(z):
+                return []
+        values = np.asarray(functional(z), dtype=np.float64)
+        if values.shape != weights.shape:
+            raise ValueError(f"functional returned shape {values.shape} for a batch "
+                             f"of {len(z)} states; expected {weights.shape}")
+        return (weights * values).tolist()
+
+    return math.fsum(itertools.chain.from_iterable(
+        map(chunk, range(0, states, ENUMERATION_CHUNK))))
+
+
+def _row_means(terms: np.ndarray) -> np.ndarray:
+    """Each row's correctly rounded sum over its n terms, divided by n."""
+    sums = np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
+    return sums / terms.shape[1]
+
+
+def _check_batch(zs, alphabet_size: int) -> np.ndarray:
+    """A (B, n) batch of noisy sequences, validated as check_sequence does one."""
+    arr = np.asarray(zs)
+    if arr.ndim != 2:
+        raise ValueError(f"a batch functional takes (B, n) sequences, got shape {arr.shape}")
+    return check_sequence(arr.ravel(), alphabet_size, "noisy batch").reshape(arr.shape)
 
 
 def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
-    """z -> realized normalized loss of d against the fixed clean x."""
-    xs = np.asarray(x, dtype=np.int64)
-    return lambda z: cumulative_loss(lm, xs, d.denoise(z))
+    """Batch functional: row z -> cumulative_loss(lm, x, d.denoise(z)), the
+    realized normalized loss of d against the fixed clean x."""
+    xs = check_sequence(x, lm.size, "clean sequence")
+
+    def functional(zs):
+        zs = _check_batch(zs, d.input_size)
+        if zs.shape[1] != len(xs):
+            raise ValueError(f"length mismatch: {len(xs)} vs {zs.shape[1]}")
+        return _row_means(lm.lam[xs, d.denoise_batch(zs)])
+
+    return functional
 
 
 def estimate_functional(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser):
-    """z -> estimated normalized loss of d."""
-    return lambda z: estimate_loss(ch, h, lm, d, z)
+    """Batch functional: row z -> estimate_loss(ch, h, lm, d, z), the
+    estimated normalized loss of d."""
+
+    def functional(zs):
+        zs = _check_batch(zs, ch.output_size)
+        tabs = d.substituted_outputs_batch(zs)
+        return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
+
+    return functional
 
 
 # --------------------------------------------------------------------------

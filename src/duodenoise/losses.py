@@ -74,10 +74,11 @@ def cumulative_loss(lm: LossMatrix, x, xhat) -> float:
 
 def _estimates_from_table(ch: Channel, h: HMatrix, z: np.ndarray,
                           lam_tab: np.ndarray) -> np.ndarray:
-    """Per-symbol estimates from the (K, n, M) loss table lam_tab[x, i, a]:
-    the (expected) loss against clean symbol x of the output at position i
-    once the noisy symbol there is replaced by a."""
-    inner = np.einsum("xia,xa->xi", lam_tab, ch.pi)
+    """Per-symbol estimates from the (K, ..., n, M) loss table
+    lam_tab[x, ..., i, a]: the (expected) loss against clean symbol x of the
+    output at position i once the noisy symbol there is replaced by a.  ``z``
+    has the table's middle shape, (n,) or a (B, n) batch."""
+    inner = np.einsum("x...a,xa->x...", lam_tab, ch.pi)
     return (h.h[:, z] * inner).sum(axis=0)
 
 

@@ -4,13 +4,26 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from duodenoise.channel import make_bsc
-from duodenoise.denoisers import SmoothingConfig
+from duodenoise import harness
+from duodenoise.channel import canonical_erasure_h, compute_h, make_bec, make_bsc, make_dmc
+from duodenoise.denoisers import (
+    BecParityDenoiser,
+    ConstantDenoiser,
+    IdentityDenoiser,
+    ParityCopyDenoiser,
+    ParityMarkedZerosDenoiser,
+    SlidingWindowDenoiser,
+    SmoothingConfig,
+    make_bsc_counterexample_pair,
+    mask_set,
+)
 from duodenoise.harness import (
     ConfigError,
     ExperimentConfig,
@@ -20,11 +33,20 @@ from duodenoise.harness import (
     deviation_probability,
     empirical_influence,
     enumerate_expectation,
+    estimate_functional,
     pointwise_influence,
     records_csv_text,
     regret,
     run_experiment,
     run_trials,
+    true_loss_functional,
+)
+from duodenoise.losses import (
+    LossMatrix,
+    cumulative_loss,
+    estimate_loss,
+    estimate_smoothed_loss,
+    smoothed_conditional_loss,
 )
 from duodenoise.rng import RngStream
 
@@ -152,6 +174,35 @@ class TestTrials:
             chosen_loss = r.loss_d1 if r.chosen == 1 else r.loss_d2
             assert r.loss_combined == pytest.approx(chosen_loss, abs=1e-12)
 
+    def test_pool_is_capped_by_trials_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the requested size and starts no thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("DUO_THREADS", "1000")
+        for trials, expected in ((12, 3), (2, 2)):
+            cfg = ExperimentConfig.from_json(spec_with(n=16, trials=trials))
+            assert len(run_trials(cfg)) == trials
+            assert sizes.pop() == expected
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12)))
+        assert sizes == []      # one worker runs in the calling thread
+        assert harness.worker_count() == 1000
+
     def test_run_experiment_writes_output(self, tmp_path):
         path = tmp_path / "out.csv"
         cfg = ExperimentConfig.from_json(spec_with(
@@ -208,13 +259,170 @@ class TestEnumeration:
         ch = make_bsc(0.25)
         x = np.array([0, 1])
         # E[number of ones in Z] = P(z1=1) + P(z2=1) = 0.25 + 0.75
-        got = enumerate_expectation(ch, x, lambda z: z.sum())
+        got = enumerate_expectation(ch, x, lambda z: z.sum(axis=1))
         assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_state_space_cap(self):
-        ch = make_bsc(0.25)
-        with pytest.raises(ValueError, match="enumeration limit"):
-            enumerate_expectation(ch, np.zeros(40, dtype=np.int64), lambda z: 0.0)
+        # 2^40 states are refused before any batch is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1099511627776 outputs exceeds the "
+                                                 "enumeration limit"):
+                enumerate_expectation(make_bsc(0.25), np.zeros(40, dtype=np.int64),
+                                      lambda z: z.sum(axis=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("functional", [
+        lambda z: z.sum(), lambda z: z.sum(axis=1)[:, None], lambda z: z.sum(axis=1)[:-1],
+    ], ids=["scalar", "column", "short"])
+    def test_functional_must_return_one_value_per_state(self, functional):
+        with pytest.raises(ValueError, match="functional returned shape"):
+            enumerate_expectation(make_bsc(0.25), np.zeros(4, dtype=np.int64), functional)
+
+    @pytest.mark.parametrize("zs, message", [
+        ([0, 1, 1], r"\(B, n\) sequences"),
+        ([[0, 2, 1]], r"outside \[0, 2\)"),
+        ([[0, -1, 1]], r"outside \[0, 2\)"),
+        ([[0.0, 1.0, 1.0]], "integer symbols"),
+    ], ids=["one-sequence", "symbol-2", "symbol-minus-1", "floats"])
+    def test_batch_functionals_reject_malformed_batches(self, zs, message):
+        ch = make_bsc(0.2)
+        lm = LossMatrix.hamming(2)
+        for f in (estimate_functional(ch, compute_h(ch), lm, IdentityDenoiser()),
+                  true_loss_functional(lm, IdentityDenoiser(), [0, 1, 0])):
+            with pytest.raises(ValueError, match=message):
+                f(np.array(zs))
+        with pytest.raises(ValueError, match="length mismatch"):
+            true_loss_functional(lm, IdentityDenoiser(), [0, 1, 0])(np.zeros((2, 4), int))
+
+    def test_chunks_cover_the_support_only(self):
+        # a BEC output is never the flipped symbol: 2^11 states instead of 3^11,
+        # in two chunks of at most ENUMERATION_CHUNK
+        sizes = []
+
+        def count(z):
+            sizes.append(len(z))
+            return np.ones(len(z))
+
+        x = np.arange(11) % 2
+        assert enumerate_expectation(make_bec(0.3), x, count) == pytest.approx(1.0)
+        assert sizes == [harness.ENUMERATION_CHUNK, 2**11 - harness.ENUMERATION_CHUNK]
+
+    def test_whole_sequence_smoothed_unbiasedness(self):
+        """E_Z of the smoothed estimate equals E_Z of the smoothed loss over
+        the whole sequence, for one fixed Monte Carlo mask set."""
+        ch = make_bsc(0.2)
+        h = compute_h(ch)
+        lm = LossMatrix.hamming(2)
+        x = np.array([1, 0, 0] * 4)
+        drawn = mask_set(SmoothingConfig(q=0.1, m=8), 12, RngStream(3))
+        for d in make_bsc_counterexample_pair(0.2):
+            e_est = enumerate_expectation(ch, x, lambda zs: np.array(
+                [estimate_smoothed_loss(ch, h, lm, d, drawn, z) for z in zs]))
+            e_loss = enumerate_expectation(ch, x, lambda zs: np.array(
+                [smoothed_conditional_loss(lm, d, drawn, x, z) for z in zs]))
+            assert abs(e_est - e_loss) <= 1e-10
+
+
+def reference_expectation(ch, x, functional):
+    """The scalar oracle the batched one replaced: one functional call on
+    each int64 sequence of every state of M^n with positive weight."""
+    xs = np.asarray(x, dtype=np.int64)
+    n, m = len(xs), ch.output_size
+    rows = ch.pi[xs]
+    total = []
+    z = np.zeros(n, dtype=np.int64)
+    while True:
+        weight = float(rows[np.arange(n), z].prod())
+        if weight > 0.0:
+            total.append(weight * float(functional(z)))
+        for pos in range(n - 1, -1, -1):
+            z[pos] += 1
+            if z[pos] < m:
+                break
+            z[pos] = 0
+        else:
+            return math.fsum(total)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(channel, h, loss, denoiser, x): BSC, BEC or a 3x3 DMC with zero
+    entries, with every denoiser type that reads its output alphabet."""
+    kind = draw(st.sampled_from(["bsc", "bec", "dmc3"]))
+    n = draw(st.integers(1, 8))
+
+    def window(m, k_out):
+        k = draw(st.integers(0, 1))
+        size = m ** (2 * k + 1)
+        table = draw(st.lists(st.integers(0, k_out - 1), min_size=size, max_size=size))
+        return SlidingWindowDenoiser(k, np.array(table), m, k_out)
+
+    if kind == "bsc":
+        ch = make_bsc(draw(st.floats(0.01, 0.49)))
+        h, lm = compute_h(ch), LossMatrix.hamming(2)
+        d = draw(st.sampled_from([
+            IdentityDenoiser(), ConstantDenoiser(1), window(2, 2), ParityCopyDenoiser(),
+            ParityMarkedZerosDenoiser(draw(st.sampled_from([0.2, 0.29, 0.49])))]))
+    elif kind == "bec":
+        ch = make_bec(draw(st.floats(0.01, 0.99)))
+        h = draw(st.sampled_from([compute_h(ch), canonical_erasure_h(ch)]))
+        lm = LossMatrix([[0.0, 1.0], [2.5, 0.0]])
+        d = draw(st.sampled_from([
+            IdentityDenoiser(2, 3), ConstantDenoiser(0, 2, 3), window(3, 2),
+            BecParityDenoiser(False), BecParityDenoiser(True)]))
+    else:
+        # diagonally dominant rows, so pi is invertible; one zero per row
+        rows = []
+        for i in range(3):
+            row = [draw(st.floats(0.0, 0.5)) for _ in range(3)]
+            row[i] = draw(st.floats(2.0, 3.0))
+            row[(i + 1 + draw(st.integers(0, 1))) % 3] = 0.0
+            rows.append([v / sum(row) for v in row])
+        ch = make_dmc(rows)
+        h, lm = compute_h(ch), LossMatrix.hamming(3)
+        d = draw(st.sampled_from([
+            IdentityDenoiser(3), ConstantDenoiser(2, 3), window(3, 3)]))
+    x = np.array(draw(st.lists(st.integers(0, ch.input_size - 1), min_size=n, max_size=n)))
+    return ch, h, lm, d, x
+
+
+@given(case=oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_batched_oracle_equals_scalar_oracle(case):
+    """Same states in the same order, each row equal to its one-sequence
+    value, and a total equal to the scalar oracle's."""
+    ch, h, lm, d, x = case
+    scalar = {
+        "estimate": lambda z: estimate_loss(ch, h, lm, d, z),
+        "loss": lambda z: cumulative_loss(lm, x, d.denoise(z)),
+    }
+    batch = {
+        "estimate": estimate_functional(ch, h, lm, d),
+        "loss": true_loss_functional(lm, d, x),
+    }
+    for name in ("estimate", "loss"):
+        values = {}
+
+        def record(z):
+            values[z.tobytes()] = value = scalar[name](z)
+            return value
+
+        expected = reference_expectation(ch, x, record)
+        seen = []
+
+        def checked(zs):
+            assert zs.dtype == np.int64 and zs.shape[1] == len(x)
+            got = batch[name](zs)
+            seen.extend(z.tobytes() for z in zs)
+            assert got.tolist() == [values[z.tobytes()] for z in zs]
+            return got
+
+        assert enumerate_expectation(ch, x, checked) == expected
+        assert seen == list(values)
 
 
 def parity_functional(rows):

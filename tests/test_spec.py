@@ -176,6 +176,18 @@ def test_window_table_is_bounded_before_it_is_built():
                               make_bsc(0.2)).table.size == 2 ** 11
 
 
+def test_mask_count_is_bounded_while_parsing():
+    # 10^9 masks of length 4096 would be 4.1e12 bools; the bound is m * n <= 10^7
+    for m in (10**9, 2442):
+        with pytest.raises(ConfigError, match=rf"^config\.combiner: {m} masks of length 4096"):
+            ExperimentConfig.from_json(with_(n=4096, combiner={**RANDOMIZED, "m": m}))
+    assert ExperimentConfig.from_json(
+        with_(n=4096, combiner={**RANDOMIZED, "m": 2441})).smoothing.m == 2441
+    # exact mode enumerates its own masks and ignores m
+    assert ExperimentConfig.from_json(
+        with_(combiner={**RANDOMIZED, "mode": "exact", "m": 10**9})).randomized
+
+
 @pytest.mark.parametrize("loss", [None, {"type": "hamming"}])
 def test_default_loss_is_hamming_over_the_clean_alphabet(loss):
     spec = {"channel": DMC3, "n": 10, "trials": 3, "master_seed": 4,
@@ -230,6 +242,7 @@ def test_thread_count(monkeypatch):
     ["estimate", "--channel", '{"type":"bsc","delta":NaN}', "--denoiser", '{"type":"identity"}',
      "--sequence", "0,1"],
     ["influence", "--q", "nan"],
+    ["influence", "--n", "4096", "--m", "1000000000"],
 ])
 def test_cli_rejects_malformed_input(argv, capsys):
     assert main(argv) == 1
