@@ -351,7 +351,7 @@ def reference_expectation(ch, x, functional):
 @st.composite
 def oracle_cases(draw):
     """(channel, h, loss, denoiser, x): BSC, BEC or a 3x3 DMC with zero
-    entries, with every denoiser type that reads its output alphabet."""
+    entries, and each denoiser type that fits the channel's alphabets."""
     kind = draw(st.sampled_from(["bsc", "bec", "dmc3"]))
     n = draw(st.integers(1, 8))
 
@@ -396,19 +396,14 @@ def test_batched_oracle_equals_scalar_oracle(case):
     """Same states in the same order, each row equal to its one-sequence
     value, and a total equal to the scalar oracle's."""
     ch, h, lm, d, x = case
-    scalar = {
-        "estimate": lambda z: estimate_loss(ch, h, lm, d, z),
-        "loss": lambda z: cumulative_loss(lm, x, d.denoise(z)),
-    }
-    batch = {
-        "estimate": estimate_functional(ch, h, lm, d),
-        "loss": true_loss_functional(lm, d, x),
-    }
-    for name in ("estimate", "loss"):
+    for scalar, batch in (
+        (lambda z: estimate_loss(ch, h, lm, d, z), estimate_functional(ch, h, lm, d)),
+        (lambda z: cumulative_loss(lm, x, d.denoise(z)), true_loss_functional(lm, d, x)),
+    ):
         values = {}
 
         def record(z):
-            values[z.tobytes()] = value = scalar[name](z)
+            values[z.tobytes()] = value = scalar(z)
             return value
 
         expected = reference_expectation(ch, x, record)
@@ -416,7 +411,7 @@ def test_batched_oracle_equals_scalar_oracle(case):
 
         def checked(zs):
             assert zs.dtype == np.int64 and zs.shape[1] == len(x)
-            got = batch[name](zs)
+            got = batch(zs)
             seen.extend(z.tobytes() for z in zs)
             assert got.tolist() == [values[z.tobytes()] for z in zs]
             return got
