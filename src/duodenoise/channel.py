@@ -163,9 +163,14 @@ def sample_output(channel: Channel, x, rng: RngStream) -> np.ndarray:
     fixed symbol order, so the output is bit-reproducible given the stream.
     """
     xs = check_sequence(x, channel.input_size, "input")
-    u = rng.uniforms(len(xs))
+    return outputs_from_uniforms(channel, xs, rng.uniforms(len(xs)))
+
+
+def outputs_from_uniforms(channel: Channel, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The inverse-CDF outputs of :func:`sample_output` for clean symbols xs
+    and uniforms u of the same shape, e.g. a (B, n) block of trials."""
     cum = np.cumsum(channel.pi, axis=1)
-    z = (u[:, None] >= cum[xs]).sum(axis=1)
+    z = (u[..., None] >= cum[xs]).sum(axis=-1)
     return np.minimum(z, channel.output_size - 1).astype(np.int64)
 
 

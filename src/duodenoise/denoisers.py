@@ -2,15 +2,15 @@
 
 Besides the obvious ones (identity, constant, sliding window), this module
 holds the two parity-driven pairs whose global sensitivity defeats plain loss
-estimation, plus Bernoulli smoothing machinery.  Every denoiser supports a
-substituted-output table -- at each position i, the output there after
-replacing the noisy symbol at i -- which is what the loss estimator consumes,
-and vectorized batch paths used by the smoothing and influence code.
+estimation, plus Bernoulli smoothing machinery.  Every denoiser is two batch
+methods over (B, n) arrays: the reconstruction, and the substituted-output
+table -- at each position i, the output there after replacing the noisy
+symbol at i -- which is what the loss estimator consumes.  The one-sequence
+methods run a sequence as a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -24,45 +24,35 @@ class Denoiser(ABC):
     """A deterministic map from noisy length-n sequences to clean-alphabet ones.
 
     ``input_size`` is the noisy alphabet size, ``output_size`` the clean one.
-    Subclasses may override the substituted/batch methods with faster paths;
-    the defaults fall back to full evaluations and are always consistent with
-    :meth:`denoise` by construction.  Batch methods take (B, n) arrays of any
-    integer or bool dtype (the smoothing kernels pass uint8) and return the
-    same values as the one-sequence methods.
+    A subclass implements the two batch methods, which take (B, n) arrays of
+    any integer or bool dtype (the smoothing kernels pass uint8); the
+    one-sequence methods validate a sequence and run it as a batch of one.
     """
 
     input_size: int
     output_size: int
 
     @abstractmethod
-    def denoise(self, z) -> np.ndarray:
-        """Full reconstruction of the noisy sequence z."""
+    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
+        """Row-wise full reconstruction of a (B, n) batch."""
+
+    @abstractmethod
+    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
+        """Per row, the table t[i, a] = denoise(row with position i set to
+        a)[i], shape (B, n, input_size)."""
 
     def spec(self) -> dict:
         """The JSON spec that ``harness.denoiser_from_spec`` reads back."""
         raise NotImplementedError(f"{type(self).__name__} has no JSON spec")
 
+    def denoise(self, z) -> np.ndarray:
+        """Full reconstruction of the noisy sequence z."""
+        return self.denoise_batch(check_sequence(z, self.input_size, "noisy sequence")[None])[0]
+
     def substituted_outputs(self, z) -> np.ndarray:
-        """Table t[i, a] = denoise(z with position i set to a)[i], shape (n, input_size)."""
+        """The (n, input_size) substituted-output table of the sequence z."""
         zs = check_sequence(z, self.input_size, "noisy sequence")
-        n = len(zs)
-        tab = np.empty((n, self.input_size), dtype=np.int64)
-        work = zs.copy()
-        for i in range(n):
-            orig = work[i]
-            for a in range(self.input_size):
-                work[i] = a
-                tab[i, a] = self.denoise(work)[i]
-            work[i] = orig
-        return tab
-
-    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`denoise` of a (B, n) batch."""
-        return np.stack([self.denoise(row) for row in zs])
-
-    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`substituted_outputs`, shape (B, n, input_size)."""
-        return np.stack([self.substituted_outputs(row) for row in zs])
+        return self.substituted_outputs_batch(zs[None])[0]
 
 
 class IdentityDenoiser(Denoiser):
@@ -76,15 +66,8 @@ class IdentityDenoiser(Denoiser):
     def spec(self) -> dict:
         return {"type": "identity"}
 
-    def denoise(self, z) -> np.ndarray:
-        return self.denoise_batch(check_sequence(z, self.input_size, "noisy sequence"))
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.where(zs < self.output_size, zs, 0)
-
-    def substituted_outputs(self, z) -> np.ndarray:
-        return self.substituted_outputs_batch(
-            check_sequence(z, self.input_size, "noisy sequence"))
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
         symbols = np.arange(self.input_size, dtype=np.int64)
@@ -104,15 +87,8 @@ class ConstantDenoiser(Denoiser):
     def spec(self) -> dict:
         return {"type": "constant", "symbol": self.symbol}
 
-    def denoise(self, z) -> np.ndarray:
-        return self.denoise_batch(check_sequence(z, self.input_size, "noisy sequence"))
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.full(zs.shape, self.symbol, dtype=np.int64)
-
-    def substituted_outputs(self, z) -> np.ndarray:
-        return self.substituted_outputs_batch(
-            check_sequence(z, self.input_size, "noisy sequence"))
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.full(zs.shape + (self.input_size,), self.symbol, dtype=np.int64)
@@ -158,27 +134,16 @@ class SlidingWindowDenoiser(Denoiser):
             codes += w * zp[..., t : t + n]
         return codes
 
-    def denoise(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return self.table[self._codes(zs)]
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return self.table[self._codes(zs)]
 
-    def _substituted_from_codes(self, zs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
         centre = self.input_size ** self.k
-        base = codes - zs * centre
+        base = self._codes(zs) - zs * centre
         out = np.empty(zs.shape + (self.input_size,), dtype=np.int64)
         for a in range(self.input_size):
             out[..., a] = self.table[base + a * centre]
         return out
-
-    def substituted_outputs(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return self._substituted_from_codes(zs, self._codes(zs))
-
-    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self._substituted_from_codes(zs, self._codes(zs))
 
 
 def _majority_table(k: int, input_size: int) -> np.ndarray:
@@ -235,31 +200,19 @@ class BecParityDenoiser(Denoiser):
     def __init__(self, complement: bool):
         self.complement = bool(complement)
 
-    def _fill(self, n_zeros) -> np.ndarray:
-        return (np.asarray(n_zeros) + self.complement) % 2
-
-    def denoise(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        fill = self._fill((zs == 0).sum())
-        return np.where(zs == ERASURE, fill, zs)
+    def _fill(self, n_zeros: np.ndarray) -> np.ndarray:
+        return (n_zeros + self.complement) % 2
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        fill = self._fill((zs == 0).sum(axis=1))[:, None]
+        fill = self._fill((zs == 0).sum(axis=1, keepdims=True))
         return np.where(zs == ERASURE, fill, zs)
 
-    def substituted_outputs(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        return self._substituted(zs, (zs == 0).sum())
-
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self._substituted(zs, (zs == 0).sum(axis=1)[:, None])
-
-    def _substituted(self, zs: np.ndarray, n_zeros) -> np.ndarray:
         is_zero = (zs == 0).astype(np.int64)
         tab = np.empty(zs.shape + (3,), dtype=np.int64)
         tab[..., 0] = 0
         tab[..., 1] = 1
-        tab[..., 2] = self._fill(n_zeros - is_zero)
+        tab[..., 2] = self._fill(is_zero.sum(axis=1, keepdims=True) - is_zero)
         return tab
 
 
@@ -269,22 +222,10 @@ class ParityCopyDenoiser(Denoiser):
     input_size = 2
     output_size = 2
 
-    def denoise(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        if zs.sum() % 2:
-            return zs.copy()
-        return np.zeros(len(zs), dtype=np.int64)
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return zs * _odd(zs)
 
-    def substituted_outputs(self, z) -> np.ndarray:
-        return self._substituted(check_sequence(z, self.input_size, "noisy sequence"))
-
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self._substituted(zs)
-
-    def _substituted(self, zs: np.ndarray) -> np.ndarray:
         tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
         # substituting a flips the parity whenever a != z_i
         tab[..., 1] = _odd(zs) ^ (zs == 0)
@@ -305,27 +246,13 @@ class ParityMarkedZerosDenoiser(Denoiser):
             raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
         self.delta = float(delta)
 
-    def denoise(self, z) -> np.ndarray:
-        zs = check_sequence(z, self.input_size, "noisy sequence")
-        out = np.zeros(len(zs), dtype=np.int64)
-        if zs.sum() % 2:
-            zero_pos = np.flatnonzero(zs == 0)
-            out[zero_pos[: math.floor(self.delta * len(zero_pos))]] = 1
-        return out
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         is_zero = zs == 0
         counts = np.floor(self.delta * is_zero.sum(axis=1, keepdims=True)).astype(np.int64)
         rank = np.cumsum(is_zero, axis=1, dtype=np.int32) - is_zero
         return (is_zero & (rank < counts) & _odd(zs)).astype(zs.dtype)
 
-    def substituted_outputs(self, z) -> np.ndarray:
-        return self._substituted(check_sequence(z, self.input_size, "noisy sequence"))
-
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self._substituted(zs)
-
-    def _substituted(self, zs: np.ndarray) -> np.ndarray:
         is_zero = zs == 0
         n_zeros = is_zero.sum(axis=-1, keepdims=True)
         rank = np.cumsum(is_zero, axis=-1, dtype=np.int32) - is_zero

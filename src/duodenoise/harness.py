@@ -2,8 +2,10 @@
 
 Experiments are declared as JSON configs (channel, block length, clean
 source, denoiser pair, combiner, trial count, master seed).  Each trial gets
-its own derived random streams, so results are independent of worker count
-and execution order; `DUO_THREADS` only changes speed.  The module also
+its own derived random streams, so results are independent of blocking,
+worker count and execution order.  Plain trials run in blocks through the
+denoisers' batch paths in the calling thread; only randomized trials use
+`DUO_THREADS` threads, which change speed only.  The module also
 provides exact expectations by state-space enumeration (the unbiasedness
 oracle) and empirical/pointwise total-influence measurements.
 """
@@ -17,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -30,6 +32,7 @@ from .channel import (
     check_sequence,
     h_from_choice,
     is_bec,
+    outputs_from_uniforms,
     sample_output,
 )
 from .combine import randomized_combined_denoise, select_min_estimate
@@ -48,7 +51,6 @@ from .losses import (
     LossMatrix,
     _estimates_from_table,
     cumulative_loss,
-    estimate_loss,
     smoothed_conditional_loss,
 )
 from .rng import RngStream
@@ -56,6 +58,9 @@ from .spec import ConfigError, build, load, read, read_typed
 
 #: States per functional call of the exact oracle.
 ENUMERATION_CHUNK = 1024
+
+#: Trial x position entries per block of plain trials.
+TRIAL_BLOCK_ENTRIES = 2048
 
 #: Flips evaluated per batch call in Monte Carlo pointwise influence.
 INFLUENCE_CHUNK = 64
@@ -245,57 +250,65 @@ class TrialRecord:
     mask_weight: int | None = None
 
 
-def _sequence_parity(channel: Channel, z: np.ndarray) -> int:
-    """Ones-parity on binary outputs; zero-count parity on a BEC; else -1."""
+def _parities(channel: Channel, zs: np.ndarray) -> np.ndarray:
+    """Per row: ones-parity on binary outputs, zero-count parity on a BEC,
+    else -1."""
     if channel.output_size == 2:
-        return int(z.sum() % 2)
+        return zs.sum(axis=1) % 2
     if is_bec(channel):
-        return int((z == 0).sum() % 2)
-    return -1
+        return (zs == 0).sum(axis=1) % 2
+    return np.full(len(zs), -1)
 
 
-def _clean_sequence(cfg: ExperimentConfig, trial_stream: RngStream) -> np.ndarray:
+def _plain_block(cfg: ExperimentConfig, ids: range):
+    """(x, z, plain-combiner records) of consecutive trials.
+
+    Each trial draws its clean and channel uniforms from its own streams;
+    the rows are stacked into (B, n) blocks, over which each denoiser makes
+    one ``denoise_batch`` and one ``substituted_outputs_batch`` pass.
+    """
+    root = RngStream(cfg.master_seed)
+    trials = [root.derive(f"trial/{t}") for t in ids]
     kind = cfg.clean_source["type"]
-    if kind == "all_zeros":
-        return np.zeros(cfg.n, dtype=np.int64)
     if kind == "iid_bernoulli":
-        p = cfg.clean_source["p"]
-        return (trial_stream.derive("clean").uniforms(cfg.n) < p).astype(np.int64)
-    return cfg.clean_file
+        u = np.stack([trial.derive("clean").uniforms(cfg.n) for trial in trials])
+        x = (u < cfg.clean_source["p"]).astype(np.int64)
+    else:
+        clean = np.zeros(cfg.n, np.int64) if kind == "all_zeros" else cfg.clean_file
+        x = np.broadcast_to(clean, (len(ids), cfg.n))
+    u = np.stack([trial.derive("channel").uniforms(cfg.n) for trial in trials])
+    z = outputs_from_uniforms(cfg.channel, x, u)
+    pair = (cfg.d1, cfg.d2)
+    losses = [_true_losses(cfg.lm, d, x, z).tolist() for d in pair]
+    ests = [_estimates(cfg.channel, cfg.h, cfg.lm, d, z).tolist() for d in pair]
+    records = []
+    for row, parity in enumerate(_parities(cfg.channel, z).tolist()):
+        chosen = select_min_estimate(ests[0][row], ests[1][row]).chosen_index
+        records.append(TrialRecord(
+            trial=ids[row], seed=trials[row].stream_id, parity=parity,
+            loss_d1=losses[0][row], loss_d2=losses[1][row],
+            est_d1=ests[0][row], est_d2=ests[1][row],
+            chosen=chosen, loss_combined=losses[chosen - 1][row],
+        ))
+    return x, z, records
 
 
 def _run_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
-    trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
-    x = _clean_sequence(cfg, trial)
-    z = sample_output(cfg.channel, x, trial.derive("channel"))
-    o1, o2 = cfg.d1.denoise(z), cfg.d2.denoise(z)
-    loss1 = cumulative_loss(cfg.lm, x, o1)
-    loss2 = cumulative_loss(cfg.lm, x, o2)
-    est1 = estimate_loss(cfg.channel, cfg.h, cfg.lm, cfg.d1, z)
-    est2 = estimate_loss(cfg.channel, cfg.h, cfg.lm, cfg.d2, z)
-
-    smoothed = {}
-    if cfg.smoothing is None:
-        sel = select_min_estimate(est1, est2)
-        out = o1 if sel.chosen_index == 1 else o2
-    else:
-        out, sel, mask = randomized_combined_denoise(
-            cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
-            trial.derive("combiner"),
-        )
-        drawn = mask_set(cfg.smoothing, cfg.n, trial.derive("smoothed-loss"))
-        smoothed = {
-            "sm_loss_d1": smoothed_conditional_loss(cfg.lm, cfg.d1, drawn, x, z),
-            "sm_loss_d2": smoothed_conditional_loss(cfg.lm, cfg.d2, drawn, x, z),
-            "sm_est_d1": sel.estimates[0],
-            "sm_est_d2": sel.estimates[1],
-            "mask_weight": int(mask.sum()),
-        }
-    return TrialRecord(
-        trial=t, seed=trial.stream_id, parity=_sequence_parity(cfg.channel, z),
-        loss_d1=loss1, loss_d2=loss2, est_d1=est1, est_d2=est2,
-        chosen=sel.chosen_index, loss_combined=cumulative_loss(cfg.lm, x, out),
-        **smoothed,
+    """One randomized-combiner trial: the plain columns of a block of one,
+    then the smoothed selection and losses."""
+    (x,), (z,), (plain,) = _plain_block(cfg, range(t, t + 1))
+    trial = RngStream(cfg.master_seed, plain.seed)
+    out, sel, mask = randomized_combined_denoise(
+        cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
+        trial.derive("combiner"),
+    )
+    drawn = mask_set(cfg.smoothing, cfg.n, trial.derive("smoothed-loss"))
+    return replace(
+        plain, chosen=sel.chosen_index, loss_combined=cumulative_loss(cfg.lm, x, out),
+        sm_loss_d1=smoothed_conditional_loss(cfg.lm, cfg.d1, drawn, x, z),
+        sm_loss_d2=smoothed_conditional_loss(cfg.lm, cfg.d2, drawn, x, z),
+        sm_est_d1=sel.estimates[0], sm_est_d2=sel.estimates[1],
+        mask_weight=int(mask.sum()),
     )
 
 
@@ -317,9 +330,18 @@ def _usable_cpus() -> int:
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """All trials of the experiment, in trial-id order, on at most
-    min(DUO_THREADS, trials, usable CPUs) threads."""
+    """All trials of the experiment, in trial-id order.
+
+    Plain trials run in the calling thread, in blocks of consecutive ids of
+    about TRIAL_BLOCK_ENTRIES trial x position entries.  Randomized trials
+    run one by one on min(DUO_THREADS, trials, usable CPUs) threads.
+    """
     workers = min(worker_count(), cfg.trials, _usable_cpus())
+    if not cfg.randomized:
+        size = max(1, TRIAL_BLOCK_ENTRIES // cfg.n)
+        blocks = (range(start, min(start + size, cfg.trials))
+                  for start in range(0, cfg.trials, size))
+        return [record for ids in blocks for record in _plain_block(cfg, ids)[2]]
     ids = range(cfg.trials)
     if workers == 1:
         return [_run_trial(cfg, t) for t in ids]
@@ -486,6 +508,19 @@ def _row_means(terms: np.ndarray) -> np.ndarray:
     return sums / terms.shape[1]
 
 
+def _true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per row of zs, cumulative_loss(lm, x, d.denoise(z)); xs is one clean
+    sequence or a block of them."""
+    return _row_means(lm.lam[xs, d.denoise_batch(zs)])
+
+
+def _estimates(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
+               zs: np.ndarray) -> np.ndarray:
+    """Per row of zs, estimate_loss(ch, h, lm, d, z)."""
+    tabs = d.substituted_outputs_batch(zs)
+    return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
+
+
 def _check_batch(zs, alphabet_size: int) -> np.ndarray:
     """A (B, n) batch of noisy sequences, validated as check_sequence does one."""
     arr = np.asarray(zs)
@@ -503,7 +538,7 @@ def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
         zs = _check_batch(zs, d.input_size)
         if zs.shape[1] != len(xs):
             raise ValueError(f"length mismatch: {len(xs)} vs {zs.shape[1]}")
-        return _row_means(lm.lam[xs, d.denoise_batch(zs)])
+        return _true_losses(lm, d, xs, zs)
 
     return functional
 
@@ -511,13 +546,7 @@ def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
 def estimate_functional(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser):
     """Batch functional: row z -> estimate_loss(ch, h, lm, d, z), the
     estimated normalized loss of d."""
-
-    def functional(zs):
-        zs = _check_batch(zs, ch.output_size)
-        tabs = d.substituted_outputs_batch(zs)
-        return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
-
-    return functional
+    return lambda zs: _estimates(ch, h, lm, d, _check_batch(zs, ch.output_size))
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from duodenoise import harness
 from duodenoise.channel import (
     canonical_erasure_h,
     compute_h,
@@ -196,9 +197,17 @@ def run_config(spec: dict):
     return cfg, run_trials(cfg)
 
 
+def run_on_usable_cpus(spec: dict):
+    """run_config with DUO_THREADS at every usable CPU, restored afterwards;
+    criterion 10 makes the records independent of the thread count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DUO_THREADS", str(harness._usable_cpus()))
+        return run_config(spec)
+
+
 @pytest.fixture(scope="module")
 def bec_run():
-    return run_config({
+    return run_on_usable_cpus({
         "channel": {"type": "bec", "epsilon": 0.5},
         "n": N_BIG,
         "clean_source": {"type": "all_zeros"},
@@ -222,7 +231,7 @@ BSC_PLAIN_SPEC = {
 
 @pytest.fixture(scope="module")
 def bsc_plain_run():
-    return run_config(BSC_PLAIN_SPEC)
+    return run_on_usable_cpus(BSC_PLAIN_SPEC)
 
 
 def bsc_randomized_spec(n: int) -> dict:
@@ -239,7 +248,7 @@ def bsc_randomized_spec(n: int) -> dict:
 
 @pytest.fixture(scope="module")
 def bsc_randomized_runs():
-    return {n: run_config(bsc_randomized_spec(n)) for n in (256, 1024, N_BIG)}
+    return {n: run_on_usable_cpus(bsc_randomized_spec(n)) for n in (256, 1024, N_BIG)}
 
 
 def mean(records, field):

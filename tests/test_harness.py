@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duodenoise import harness
-from duodenoise.channel import canonical_erasure_h, compute_h, make_bec, make_bsc, make_dmc
+from duodenoise.channel import (
+    canonical_erasure_h,
+    compute_h,
+    is_bec,
+    make_bec,
+    make_bsc,
+    make_dmc,
+    sample_output,
+)
+from duodenoise.combine import select_min_estimate
 from duodenoise.denoisers import (
     BecParityDenoiser,
     ConstantDenoiser,
@@ -194,12 +204,15 @@ class TestTrials:
         monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("DUO_THREADS", "1000")
+        randomized = {"type": "randomized", "nu": 0.75, "m": 8}
         for trials, expected in ((12, 3), (2, 2)):
-            cfg = ExperimentConfig.from_json(spec_with(n=16, trials=trials))
+            cfg = ExperimentConfig.from_json(spec_with(n=16, trials=trials, combiner=randomized))
             assert len(run_trials(cfg)) == trials
             assert sizes.pop() == expected
+        assert len(run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12)))) == 12
+        assert sizes == []      # plain trials run in the calling thread
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-        run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12)))
+        run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12, combiner=randomized)))
         assert sizes == []      # one worker runs in the calling thread
         assert harness.worker_count() == 1000
 
@@ -212,6 +225,116 @@ class TestTrials:
         assert path.exists() and summary["trials"] == 5
         assert summary["version"].startswith("duodenoise ")
         assert "0.05" in summary["deviation_probability"]
+
+
+def reference_plain_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
+    """The per-trial plain path the blocked one replaced: one-sequence
+    sampling, denoising and estimation, and a fresh loss of the winner."""
+    trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
+    kind = cfg.clean_source["type"]
+    if kind == "all_zeros":
+        x = np.zeros(cfg.n, dtype=np.int64)
+    elif kind == "iid_bernoulli":
+        x = (trial.derive("clean").uniforms(cfg.n) < cfg.clean_source["p"]).astype(np.int64)
+    else:
+        x = cfg.clean_file
+    z = sample_output(cfg.channel, x, trial.derive("channel"))
+    o1, o2 = cfg.d1.denoise(z), cfg.d2.denoise(z)
+    est1 = estimate_loss(cfg.channel, cfg.h, cfg.lm, cfg.d1, z)
+    est2 = estimate_loss(cfg.channel, cfg.h, cfg.lm, cfg.d2, z)
+    sel = select_min_estimate(est1, est2)
+    if cfg.channel.output_size == 2:
+        parity = int(z.sum() % 2)
+    elif is_bec(cfg.channel):
+        parity = int((z == 0).sum() % 2)
+    else:
+        parity = -1
+    return TrialRecord(
+        trial=t, seed=trial.stream_id, parity=parity,
+        loss_d1=cumulative_loss(cfg.lm, x, o1), loss_d2=cumulative_loss(cfg.lm, x, o2),
+        est_d1=est1, est_d2=est2, chosen=sel.chosen_index,
+        loss_combined=cumulative_loss(cfg.lm, x, o1 if sel.chosen_index == 1 else o2),
+    )
+
+
+@st.composite
+def plain_trial_cases(draw):
+    """(plain config, trials per block): BSC, BEC with either h, or a 3x3
+    DMC with a non-Hamming loss; every clean source; a denoiser pair that
+    fits the channel; a trial count below, at, or past the block size."""
+    kind = draw(st.sampled_from(["bsc", "bec", "dmc3"]))
+    n = draw(st.integers(1, 24))
+
+    def single(m, k_out):
+        k = draw(st.integers(0, 1))
+        size = m ** (2 * k + 1)
+        table = draw(st.lists(st.integers(0, k_out - 1), min_size=size, max_size=size))
+        symbol = draw(st.integers(0, k_out - 1))
+        return draw(st.sampled_from([
+            IdentityDenoiser(k_out, m), ConstantDenoiser(symbol, k_out, m),
+            SlidingWindowDenoiser(k, np.array(table), m, k_out)]))
+
+    if kind == "bsc":
+        ch = make_bsc(draw(st.floats(0.01, 0.49)))
+        h, lm = compute_h(ch), LossMatrix.hamming(2)
+        parity_pair = make_bsc_counterexample_pair(draw(st.sampled_from([0.2, 0.29, 0.49])))
+    elif kind == "bec":
+        ch = make_bec(draw(st.floats(0.01, 0.99)))
+        h = draw(st.sampled_from([compute_h(ch), canonical_erasure_h(ch)]))
+        lm = LossMatrix([[0.0, 1.0], [2.5, 0.0]])
+        parity_pair = (BecParityDenoiser(False), BecParityDenoiser(True))
+    else:
+        rows = []
+        for i in range(3):
+            row = [draw(st.floats(0.0, 0.5)) for _ in range(3)]
+            row[i] = draw(st.floats(2.0, 3.0))
+            rows.append([v / sum(row) for v in row])
+        ch = make_dmc(rows)
+        h, lm = compute_h(ch), LossMatrix([[0.0, 1.0, 3.0], [0.5, 0.0, 2.0], [1.5, 1.0, 0.0]])
+        parity_pair = None
+    m, k_out = ch.output_size, ch.input_size
+    if parity_pair is not None and draw(st.booleans()):
+        d1, d2 = parity_pair
+    else:
+        d1, d2 = single(m, k_out), single(m, k_out)
+
+    source = draw(st.sampled_from(["all_zeros", "iid_bernoulli", "file"]))
+    clean_source, clean_file = {"type": source}, None
+    if source == "iid_bernoulli":
+        clean_source["p"] = draw(st.floats(0.0, 1.0))
+    elif source == "file":
+        clean_source["path"] = "clean.txt"
+        clean_file = np.array(draw(st.lists(st.integers(0, k_out - 1), min_size=n, max_size=n)))
+    block = draw(st.integers(1, 6))
+    trials = draw(st.sampled_from([block - 1, block, 2 * block + 1, 3 * block]).filter(bool))
+    cfg = ExperimentConfig(
+        channel=ch, h=h, h_choice="given", lm=lm, n=n, clean_source=clean_source,
+        clean_file=clean_file, d1=d1, d2=d2, smoothing=None, trials=trials, epsilons=(),
+        master_seed=draw(st.integers(0, 2**63)), output_path=None, output_format="csv", raw={},
+    )
+    return cfg, block
+
+
+@given(case=plain_trial_cases())
+@settings(max_examples=200, deadline=None)
+def test_blocked_plain_trials_equal_per_trial_path(case):
+    cfg, block = case
+    with mock.patch.object(harness, "TRIAL_BLOCK_ENTRIES", block * cfg.n):
+        records = run_trials(cfg)
+    expected = [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
+    assert records == expected
+    assert records_csv_text(records) == records_csv_text(expected)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 3])
+def test_blocks_at_the_real_budget_equal_per_trial_path(extra):
+    n = 16
+    block = harness.TRIAL_BLOCK_ENTRIES // n
+    cfg = ExperimentConfig.from_json({
+        **PLAIN_SPEC, "n": n, "clean_source": {"type": "iid_bernoulli", "p": 0.3},
+        "trials": block * (2 if extra > 0 else 1) + extra,
+    })
+    assert run_trials(cfg) == [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
 
 
 def toy_records():

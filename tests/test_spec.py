@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import copy
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise import combine, harness
+from duodenoise import combine, harness, losses
 from duodenoise.channel import make_bec, make_bsc, make_dmc
 from duodenoise.cli import main
 from duodenoise.denoisers import (
@@ -202,19 +203,31 @@ def test_default_loss_is_hamming_over_the_clean_alphabet(loss):
 
 
 def test_plain_trial_estimates_each_denoiser_once(monkeypatch):
+    """One denoise_batch and one substituted_outputs_batch per denoiser per
+    block of plain trials, and no one-sequence estimate."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[3])
-        return real(*args)
+    def counted(d, name):
+        real = getattr(d, name)
 
-    real = harness.estimate_loss
-    monkeypatch.setenv("DUO_THREADS", "1")
-    monkeypatch.setattr(harness, "estimate_loss", counted)
-    monkeypatch.setattr(combine, "estimate_loss", counted)
-    cfg = ExperimentConfig.from_json(PLAIN)
-    run_trials(cfg)
-    assert calls == [cfg.d1, cfg.d2] * cfg.trials
+        def call(zs):
+            calls.append((d, name, len(zs)))
+            return real(zs)
+
+        monkeypatch.setattr(d, name, call)
+
+    cfg = ExperimentConfig.from_json(with_(trials=5))
+    for d in (cfg.d1, cfg.d2):
+        for name in ("denoise_batch", "substituted_outputs_batch"):
+            counted(d, name)
+    monkeypatch.setattr(losses, "estimate_loss", None)
+    monkeypatch.setattr(combine, "estimate_loss", None)
+    monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 2 * cfg.n)
+    assert len(run_trials(cfg)) == 5
+    # blocks of two n = 12 trials: rows 0-1, 2-3 and 4
+    assert Counter(calls) == Counter(
+        (d, name, rows) for rows in (2, 2, 1) for d in (cfg.d1, cfg.d2)
+        for name in ("denoise_batch", "substituted_outputs_batch"))
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x", "2.5", "", " 2", "²"])
