@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import channel_from_json, h_from_choice
 from .combine import combined_denoise, randomized_combined_denoise
+from .denoisers import ENUMERATION_LIMIT
 from .harness import (
     ExperimentConfig,
     denoiser_from_spec,
@@ -29,6 +30,7 @@ from .harness import (
 )
 from .losses import LossMatrix, erasure_estimate_loss, estimate_loss
 from .rng import RngStream
+from .spec import build
 from .verify import default_battery
 
 
@@ -45,6 +47,10 @@ def _combiner_spec(args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    # the battery enumerates all 2^n channel outputs; the cap keeps 2^n cheap
+    if args.n < 1 or 2 ** min(args.n, 64) > ENUMERATION_LIMIT:
+        raise ValueError(f"--n: verify enumerates 2^n outputs, so n must lie in "
+                         f"[1, {ENUMERATION_LIMIT.bit_length() - 1}], got {args.n}")
     results = default_battery(args.n)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -100,8 +106,13 @@ def cmd_experiment(args) -> int:
 
 def cmd_influence(args) -> int:
     cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
-    z = (_parse_sequence(args.sequence) if args.sequence
-         else np.zeros(args.n, dtype=np.int64))
+    if args.sequence:
+        z = _parse_sequence(args.sequence)
+    else:
+        if args.n < 1:
+            raise ValueError(f"--n: block length must be >= 1, got {args.n}")
+        build("--n", cfg.check_length, args.n)
+        z = np.zeros(args.n, dtype=np.int64)
 
     def parity(rows: np.ndarray) -> np.ndarray:
         return np.atleast_2d(rows).sum(axis=1) % 2

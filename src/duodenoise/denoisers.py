@@ -162,26 +162,14 @@ def make_sliding_window(k: int, rule, input_size: int = 2,
     """Build a sliding-window denoiser from a named rule or a complete table.
 
     ``rule`` is ``"majority"`` (vote among window symbols equal to 1 vs 0,
-    ties and non-binary symbols resolving to 0), a dict from (2k+1)-tuples to
-    output symbols, or a flat table indexed by the base-``input_size`` window
-    code.
+    ties and non-binary symbols resolving to 0) or a flat table indexed by
+    the base-``input_size`` window code.
     """
-    width = 2 * k + 1
     if isinstance(rule, str):
         if rule != "majority":
             raise ValueError(f"unknown sliding-window rule {rule!r}")
         return SlidingWindowDenoiser(k, _majority_table(k, input_size),
                                      input_size, output_size, rule_name="majority")
-    if isinstance(rule, dict):
-        table = np.full(input_size ** width, -1, dtype=np.int64)
-        weights = input_size ** np.arange(width - 1, -1, -1)
-        for window, out in rule.items():
-            if len(window) != width:
-                raise ValueError(f"rule key {window} does not have width {width}")
-            table[int(np.dot(weights, window))] = out
-        if (table < 0).any():
-            raise ValueError("incomplete table: some windows have no rule entry")
-        return SlidingWindowDenoiser(k, table, input_size, output_size)
     return SlidingWindowDenoiser(k, rule, input_size, output_size)
 
 

@@ -49,9 +49,10 @@ from .denoisers import (
 )
 from .losses import (
     LossMatrix,
-    _estimates_from_table,
     cumulative_loss,
+    estimate_losses,
     smoothed_conditional_loss,
+    true_losses,
 )
 from .rng import RngStream
 from .spec import ConfigError, build, load, read, read_typed
@@ -203,6 +204,10 @@ class ExperimentConfig:
         if any(e <= 0 for e in v["epsilons"]):
             raise ConfigError("config.epsilons: deviation thresholds must be positive")
         channel = channel_from_json(v["channel"], "config.channel")
+        if n * channel.output_size > ENUMERATION_LIMIT:
+            raise ConfigError(f"config.n: a trial's substituted-output table of {n} x "
+                              f"{channel.output_size} entries exceeds the limit "
+                              f"{ENUMERATION_LIMIT}")
         source, clean_file = clean_source_from_spec(
             v["clean_source"], channel, n, "config.clean_source")
         d1, d2 = denoiser_pair_from_spec(v["denoisers"], channel, "config.denoisers")
@@ -279,8 +284,8 @@ def _plain_block(cfg: ExperimentConfig, ids: range):
     u = np.stack([trial.derive("channel").uniforms(cfg.n) for trial in trials])
     z = outputs_from_uniforms(cfg.channel, x, u)
     pair = (cfg.d1, cfg.d2)
-    losses = [_true_losses(cfg.lm, d, x, z).tolist() for d in pair]
-    ests = [_estimates(cfg.channel, cfg.h, cfg.lm, d, z).tolist() for d in pair]
+    losses = [true_losses(cfg.lm, d, x, z).tolist() for d in pair]
+    ests = [estimate_losses(cfg.channel, cfg.h, cfg.lm, d, z).tolist() for d in pair]
     records = []
     for row, parity in enumerate(_parities(cfg.channel, z).tolist()):
         chosen = select_min_estimate(ests[0][row], ests[1][row]).chosen_index
@@ -502,25 +507,6 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
         map(chunk, range(0, states, ENUMERATION_CHUNK))))
 
 
-def _row_means(terms: np.ndarray) -> np.ndarray:
-    """Each row's correctly rounded sum over its n terms, divided by n."""
-    sums = np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
-    return sums / terms.shape[1]
-
-
-def _true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Per row of zs, cumulative_loss(lm, x, d.denoise(z)); xs is one clean
-    sequence or a block of them."""
-    return _row_means(lm.lam[xs, d.denoise_batch(zs)])
-
-
-def _estimates(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
-               zs: np.ndarray) -> np.ndarray:
-    """Per row of zs, estimate_loss(ch, h, lm, d, z)."""
-    tabs = d.substituted_outputs_batch(zs)
-    return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
-
-
 def _check_batch(zs, alphabet_size: int) -> np.ndarray:
     """A (B, n) batch of noisy sequences, validated as check_sequence does one."""
     arr = np.asarray(zs)
@@ -538,7 +524,7 @@ def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
         zs = _check_batch(zs, d.input_size)
         if zs.shape[1] != len(xs):
             raise ValueError(f"length mismatch: {len(xs)} vs {zs.shape[1]}")
-        return _true_losses(lm, d, xs, zs)
+        return true_losses(lm, d, xs, zs)
 
     return functional
 
@@ -546,7 +532,7 @@ def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
 def estimate_functional(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser):
     """Batch functional: row z -> estimate_loss(ch, h, lm, d, z), the
     estimated normalized loss of d."""
-    return lambda zs: _estimates(ch, h, lm, d, _check_batch(zs, ch.output_size))
+    return lambda zs: estimate_losses(ch, h, lm, d, _check_batch(zs, ch.output_size))
 
 
 # --------------------------------------------------------------------------

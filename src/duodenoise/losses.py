@@ -7,8 +7,17 @@ would incur under every hypothetical value of that noisy symbol.  Estimates
 are never clamped; negative values are meaningful (they are what drives the
 estimate-minimizing combiner astray on the parity pairs).
 
-All position sums use compensated (math.fsum) accumulation in index order, so
-results do not depend on scheduling or vectorization details.
+Like the denoisers, the estimator and the true loss have one batch form each,
+:func:`estimate_losses` and :func:`true_losses`: they take a (B, n) integer
+array of noisy sequences and trust it, as ``denoise_batch`` does.  The
+one-sequence forms validate their arguments; :func:`estimate_loss` then runs
+as a batch of one.
+
+Position sums use compensated (math.fsum) accumulation in index order, so
+results do not depend on scheduling or vectorization details.  The one
+exception is :func:`smoothed_conditional_loss`, which sums each mask's row
+with numpy: a per-mask fsum over (m, n) = (128, 4096) entries would run in
+Python, and the randomized golden trial CSVs pin the bits of numpy's sum.
 """
 
 from __future__ import annotations
@@ -41,10 +50,6 @@ class LossMatrix:
     @property
     def size(self) -> int:
         return self.lam.shape[0]
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.lam.max())
 
     @classmethod
     def hamming(cls, k: int = 2) -> "LossMatrix":
@@ -98,12 +103,32 @@ def per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
     return _estimates_from_table(ch, h, zs, lm.lam[:, d.substituted_outputs(zs)])
 
 
+def _row_means(terms: np.ndarray) -> np.ndarray:
+    """Each row's correctly rounded sum over its n terms, divided by n."""
+    sums = np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
+    return sums / terms.shape[1]
+
+
+def true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per row z of the (B, n) batch zs, cumulative_loss(lm, x, d.denoise(z));
+    xs is one clean sequence or a (B, n) block of them."""
+    return _row_means(lm.lam[xs, d.denoise_batch(zs)])
+
+
+def estimate_losses(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
+                    zs: np.ndarray) -> np.ndarray:
+    """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
+    tabs = d.substituted_outputs_batch(zs)
+    return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
+
+
 def estimate_loss(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser, z) -> float:
     """Unbiased estimate of the normalized cumulative loss of d on z.
 
     May be negative; no clamping is performed.
     """
-    return math.fsum(per_symbol_estimates(ch, h, lm, d, z)) / len(z)
+    zs = check_sequence(z, min(ch.output_size, d.input_size), "noisy sequence")
+    return float(estimate_losses(ch, h, lm, d, zs[None])[0])
 
 
 def erasure_estimate_loss(ch: Channel, lm: LossMatrix, d: Denoiser, z) -> float:
@@ -137,16 +162,6 @@ class JointTypeCounts:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def pair_count(self, b0: int, b1: int) -> int:
-        return int(self.counts[b0, b1].sum())
-
-    def symbol_count(self, b0: int) -> int:
-        return int(self.counts[b0].sum())
-
 
 def joint_type_counts(z, d: Denoiser) -> JointTypeCounts:
     """Joint type of (z, denoise(z), single-flip denoised symbols), binary case."""
@@ -176,19 +191,6 @@ def bsc_estimate_from_type(delta: float, t: JointTypeCounts, n: int) -> float:
         + (dbar / ratio) * (c[0, 1, 1] + c[1, 0, 0])
     )
     return float(total) / n
-
-
-def per_symbol_deviation(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
-                         x, z, i: int) -> float:
-    """Estimate minus realized loss at position i (diagnostic; needs clean x).
-
-    Summed over i and normalized this telescopes to
-    estimate_loss - cumulative_loss.
-    """
-    xs = check_sequence(x, lm.size, "clean sequence")
-    zs = check_sequence(z, ch.output_size, "noisy sequence")
-    est = per_symbol_estimate(ch, h, lm, d, zs, i)
-    return est - float(lm.lam[xs[i], d.denoise(zs)[i]])
 
 
 def _binary_check(d: Denoiser):

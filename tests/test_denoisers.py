@@ -153,15 +153,6 @@ class TestSimpleDenoisers:
         d = make_sliding_window(k, "majority", input_size)
         np.testing.assert_array_equal(d.table, ref)
 
-    def test_window_rule_dict(self):
-        flip = {w: 1 - w[1] for w in np.ndindex(2, 2, 2)}
-        d = make_sliding_window(1, flip)
-        np.testing.assert_array_equal(d.denoise([0, 1, 1, 0]), [1, 0, 0, 1])
-
-    def test_incomplete_rule_dict_rejected(self):
-        with pytest.raises(ValueError, match="incomplete table"):
-            make_sliding_window(1, {(0, 0, 0): 1})
-
     def test_wrong_size_flat_table_rejected(self):
         with pytest.raises(ValueError, match="incomplete table"):
             make_sliding_window(1, np.zeros(4, dtype=np.int64))

@@ -27,7 +27,6 @@ from duodenoise.losses import (
     estimate_loss,
     estimate_smoothed_loss,
     joint_type_counts,
-    per_symbol_deviation,
     per_symbol_estimate,
     per_symbol_estimates,
     smoothed_conditional_loss,
@@ -40,7 +39,6 @@ HAMMING = LossMatrix.hamming(2)
 class TestLossMatrix:
     def test_hamming(self):
         np.testing.assert_array_equal(HAMMING.lam, [[0, 1], [1, 0]])
-        assert HAMMING.lambda_max == 1.0
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -48,7 +46,7 @@ class TestLossMatrix:
 
     def test_from_json(self):
         lm = LossMatrix.from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]})
-        assert lm.lambda_max == 3.0
+        np.testing.assert_array_equal(lm.lam, [[0, 2], [3, 0]])
         assert LossMatrix.from_json('{"type": "hamming", "k": 4}').size == 4
 
     def test_cumulative_loss(self):
@@ -82,34 +80,22 @@ class TestEstimator:
         got = estimate_loss(ch, h, HAMMING, ParityCopyDenoiser(), z)
         assert got < 0.0
 
+    def test_symbols_the_denoiser_cannot_read_are_rejected(self):
+        ch = make_bec(0.3)
+        with pytest.raises(ValueError, match=r"noisy sequence has symbols outside \[0, 2\)"):
+            estimate_loss(ch, compute_h(ch), HAMMING, IdentityDenoiser(), [0, 2, 1])
+
     def test_per_symbol_estimates_sum_to_estimate(self):
         ch = make_bsc(0.3)
         h = compute_h(ch)
         d = make_sliding_window(1, "majority")
         z = RngStream(5).generator().integers(0, 2, size=64)
         vals = per_symbol_estimates(ch, h, HAMMING, d, z)
-        assert math.fsum(vals) / 64 == pytest.approx(
-            estimate_loss(ch, h, HAMMING, d, z), abs=1e-14
-        )
+        assert math.fsum(vals) / 64 == estimate_loss(ch, h, HAMMING, d, z)
         for i in (0, 17, 63):
             assert vals[i] == pytest.approx(
                 per_symbol_estimate(ch, h, HAMMING, d, z, i), abs=1e-14
             )
-
-    def test_per_symbol_deviation_telescopes(self):
-        ch = make_bsc(0.3)
-        h = compute_h(ch)
-        d = make_sliding_window(1, "majority")
-        g = RngStream(6).generator()
-        x = g.integers(0, 2, size=32)
-        z = g.integers(0, 2, size=32)
-        total = math.fsum(
-            per_symbol_deviation(ch, h, HAMMING, d, x, z, i) for i in range(32)
-        )
-        expected = 32 * (
-            estimate_loss(ch, h, HAMMING, d, z) - cumulative_loss(HAMMING, x, d.denoise(z))
-        )
-        assert total == pytest.approx(expected, abs=1e-10)
 
 
 class TestErasureShortcut:
@@ -148,16 +134,16 @@ class TestJointType:
     def test_counts_on_hand_worked_example(self):
         # identity: denoised symbol = z_i, flipped symbol = 1 - z_i
         t = joint_type_counts([0, 0, 1], IdentityDenoiser())
-        assert t.n == 3
         assert t.counts[0, 0, 1] == 2
         assert t.counts[1, 1, 0] == 1
         assert t.counts.sum() == 3
 
     def test_marginals(self):
         z = RngStream(9).generator().integers(0, 2, size=100)
-        t = joint_type_counts(z, make_sliding_window(1, "majority"))
-        assert t.symbol_count(0) == int((z == 0).sum())
-        assert t.pair_count(1, 0) + t.pair_count(1, 1) == t.symbol_count(1)
+        d = make_sliding_window(1, "majority")
+        t = joint_type_counts(z, d)
+        assert t.counts[0].sum() == (z == 0).sum()
+        assert t.counts[1, 1].sum() == ((z == 1) & (d.denoise(z) == 1)).sum()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2x2x2"):

@@ -135,6 +135,10 @@ class TestReader:
     (with_(channel={**BSC, "pi": [[1, 0], [0, 1]]}), r"unknown keys in config\.channel"),
     (with_(loss={"type": "hamming", "size": 2}), r"unknown keys in config\.loss"),
     (with_(channel={"type": "bec", "epsilon": 0.5}), "requires a binary channel"),
+    # n * M substituted-output entries per trial: 2 * 10^12, and 3 * 3333334
+    (with_(n=10**12), r"^config\.n: a trial's substituted-output table"),
+    (with_(n=3333334, channel={"type": "bec", "epsilon": 0.5},
+           denoisers={"type": "bec_parity_pair"}), r"^config\.n: .* 3333334 x 3 entries"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -256,11 +260,23 @@ def test_thread_count(monkeypatch):
      "--sequence", "0,1"],
     ["influence", "--q", "nan"],
     ["influence", "--n", "4096", "--m", "1000000000"],
+    ["influence", "--n", "1000000000000", "--q", "0.1"],
+    ["verify", "--n", "1000000000000"],
 ])
 def test_cli_rejects_malformed_input(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unrunnable_n_is_rejected_before_any_trial(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(with_(n=10**12)))
+    assert main(["experiment", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.n: ") and "Traceback" not in err
+    # the largest binary n whose table fits: parsed, never run here
+    assert ExperimentConfig.from_json(with_(n=5 * 10**6)).n == 5 * 10**6
 
 
 def test_cli_smoothing_defaults(capsys):
