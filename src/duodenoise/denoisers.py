@@ -11,6 +11,7 @@ methods run a sequence as a batch of one.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -234,27 +235,36 @@ class ParityMarkedZerosDenoiser(Denoiser):
             raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
         self.delta = float(delta)
 
-    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        is_zero = zs == 0
-        counts = np.floor(self.delta * is_zero.sum(axis=1, keepdims=True)).astype(np.int64)
-        rank = np.cumsum(is_zero, axis=1, dtype=np.int32) - is_zero
-        return (is_zero & (rank < counts) & _odd(zs)).astype(zs.dtype)
-
-    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
+    def _zeros_and_ranks(self, zs: np.ndarray):
+        """(is_zero, N0 per row, ones-parity per row, rank of each position
+        among the row's zeros) of binary rows; N0 and the parity keep a
+        length-1 axis."""
         is_zero = zs == 0
         n_zeros = is_zero.sum(axis=-1, keepdims=True)
-        rank = np.cumsum(is_zero, axis=-1, dtype=np.int32) - is_zero
+        rank = np.cumsum(is_zero, axis=-1, dtype=np.int32)
+        rank -= is_zero
+        return is_zero, n_zeros, (zs.shape[-1] - n_zeros) % 2 == 1, rank
+
+    def _count(self, n_zeros: np.ndarray) -> np.ndarray:
+        """floor(delta * N0), the number of marked zeros, per row."""
+        return np.floor(self.delta * n_zeros).astype(np.int32)
+
+    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
+        is_zero, n_zeros, odd, rank = self._zeros_and_ranks(zs)
+        return (is_zero & (rank < self._count(n_zeros)) & odd).astype(zs.dtype)
+
+    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
+        is_zero, n_zeros, odd, rank = self._zeros_and_ranks(zs)
         # a = 1 always yields 0; a = 0 yields 1 on the resulting odd-parity
         # sequences at the marked leading zero positions.  Setting z_i = 0
         # leaves N0 zeros where z_i is 0 and N0 + 1 where it is 1, so each
         # row has only two counts floor(delta * (N0 - is_zero + 1)).
-        counts = np.where(
-            is_zero,
-            np.floor(self.delta * n_zeros).astype(np.int32),
-            np.floor(self.delta * (n_zeros + 1)).astype(np.int32),
-        )
+        # floor(delta * N0) never exceeds floor(delta * (N0 + 1)), so a zero
+        # position is marked when its rank is below both counts
+        marked = rank < self._count(n_zeros + 1)
+        marked &= ~is_zero | (rank < self._count(n_zeros))
         tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
-        tab[..., 0] = (_odd(zs) ^ ~is_zero) & (rank < counts)
+        tab[..., 0] = (odd ^ ~is_zero) & marked
         return tab
 
 
@@ -285,6 +295,10 @@ EXACT_MASK_LIMIT = 20
 
 #: Most entries of a table, mask set or state space the library builds.
 ENUMERATION_LIMIT = 10**7
+
+#: Most mask x position entries of one chunk of a mask set, so that the
+#: per-chunk temporaries of the smoothed quantities stay in cache.
+MASK_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -332,14 +346,37 @@ def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndar
     return rng.uniforms(n) < cfg.resolve_q(n)
 
 
+def mask_chunks(m: int, n: int):
+    """Row slices of an (m, n) mask set, in order: at most
+    MASK_CHUNK_ENTRIES // n rows each, and never fewer than one."""
+    rows = max(1, MASK_CHUNK_ENTRIES // n)
+    return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
 def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
-    """The cfg.m Monte Carlo masks of an estimator call, bool of shape (m, n)."""
-    return rng.generator().random((cfg.m, n)) < cfg.resolve_q(n)
+    """The cfg.m Monte Carlo masks of an estimator call, bool of shape (m, n).
+
+    Bit for bit ``rng.generator().random((m, n)) < q``.  A uniform draw is
+    (r >> 11) * 2^-53 of the generator's next raw 64-bit word r, so it is
+    below q exactly when r is below ceil(q * 2^53) * 2^11; comparing the raw
+    words, drawn chunk by chunk in the same order, skips forming the doubles.
+    """
+    limit = math.ceil(cfg.resolve_q(n) * 2.0**53) << 11
+    bits = rng.generator().bit_generator
+    masks = np.empty((cfg.m, n), dtype=bool)
+    for rows in mask_chunks(cfg.m, n):
+        np.less(bits.random_raw((rows.stop - rows.start, n)), limit, out=masks[rows])
+    return masks
 
 
 def enumerate_masks(n: int) -> np.ndarray:
-    """All 2^n binary masks, shape (2^n, n), in lexicographic counter order."""
-    return (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    """All 2^n binary masks, bool of shape (2^n, n), in lexicographic counter
+    order (bit j of mask b is bit j of b)."""
+    codes = np.arange(1 << n, dtype=np.int64)
+    masks = np.empty((1 << n, n), dtype=bool)
+    for j in range(n):
+        masks[:, j] = (codes >> j) & 1
+    return masks
 
 
 def exact_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
@@ -373,10 +410,10 @@ def stratified_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
 def mask_set(cfg: SmoothingConfig, n: int, rng: RngStream | None):
     """(masks, weights) per the config mode; MC weights are parity-stratified.
 
-    Monte Carlo masks are bool and drawn from ``rng``; exact mode enumerates
-    all 2^n masks and needs no stream.  Every smoothed quantity takes such a
-    pair, so a set drawn once can be shared by every quantity and denoiser
-    that uses the same stream.
+    Masks are bool in both modes: Monte Carlo masks are drawn from ``rng``;
+    exact mode enumerates all 2^n masks and needs no stream.  Every smoothed
+    quantity takes such a pair, so a set drawn once can be shared by every
+    quantity and denoiser that uses the same stream.
     """
     cfg.check_length(n)
     q = cfg.resolve_q(n)
@@ -398,5 +435,6 @@ def smoothed_expected_output(d: Denoiser, drawn, z, i: int) -> float:
     if not 0 <= i < len(zs):
         raise IndexError(f"position {i} out of range for length {len(zs)}")
     masks, weights = drawn
-    outs = d.denoise_batch(zs[None, :] ^ masks)[:, i]
+    outs = np.concatenate([d.denoise_batch(zs[None, :] ^ masks[rows])[:, i]
+                           for rows in mask_chunks(*masks.shape)])
     return float(weights @ outs)

@@ -567,11 +567,13 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
 
     ``f`` is the underlying batch functional ({0,1}^n rows -> reals); its
     smoothed version fbar(z) = E_W f(z xor W) is evaluated per ``cfg``.
-    Exact mode returns (value, 0.0).  Monte Carlo mode shares one mask set
-    across all flips and reports, as the error scale, the sum of the
-    per-coordinate standard errors of the signed differences -- a
-    conservative bound, since taking absolute values folds that noise into
-    the estimate itself.
+    Exact mode returns (value, 0.0); it evaluates the n + 1 sequences (z and
+    its single flips) against all 2^n masks, as many sequences per call as
+    fit in ENUMERATION_LIMIT entries and at least one.  Monte Carlo mode
+    shares one mask set across all flips and reports, as the error scale,
+    the sum of the per-coordinate standard errors of the signed differences
+    -- a conservative bound, since taking absolute values folds that noise
+    into the estimate itself.
     """
     zs = check_sequence(z, 2, "sequence")
     n = len(zs)
@@ -579,8 +581,12 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
     if cfg.mode == "exact":
         rows = np.tile(zs, (n + 1, 1))
         rows[np.arange(1, n + 1), np.arange(n)] ^= 1
-        big = (rows[:, None, :] ^ masks[None, :, :]).reshape(-1, n)
-        fbar = np.asarray(f(big), dtype=np.float64).reshape(n + 1, -1) @ weights
+        per_call = max(1, ENUMERATION_LIMIT // masks.size)
+        chunks = (rows[start:start + per_call] for start in range(0, n + 1, per_call))
+        fbar = np.concatenate([
+            np.asarray(f((chunk[:, None, :] ^ masks).reshape(-1, n)),
+                       dtype=np.float64).reshape(len(chunk), -1) @ weights
+            for chunk in chunks])
         return float(np.abs(fbar[0] - fbar[1:]).sum()), 0.0
 
     m = masks.shape[0]

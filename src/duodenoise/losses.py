@@ -13,6 +13,14 @@ array of noisy sequences and trust it, as ``denoise_batch`` does.  The
 one-sequence forms validate their arguments; :func:`estimate_loss` then runs
 as a batch of one.
 
+The smoothed quantities take one (masks, weights) set from
+``denoisers.mask_set``; masks are bool in both exact and Monte Carlo mode.
+They walk the set in chunks of at most ``denoisers.MASK_CHUNK_ENTRIES``
+mask x position entries through the denoiser's batch methods, so their
+temporaries stay cache-sized.  For the whole set they hold only the masks,
+per-mask scalars and, for the per-symbol estimates, one table of the picked
+substituted outputs at one byte per entry.
+
 Position sums use compensated (math.fsum) accumulation in index order, so
 results do not depend on scheduling or vectorization details.  The one
 exception is :func:`smoothed_conditional_loss`, which sums each mask's row
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, HMatrix, check_sequence, is_bec
-from .denoisers import Denoiser
+from .denoisers import Denoiser, mask_chunks
 from .spec import build, read_typed
 
 
@@ -210,11 +218,12 @@ def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     masks, weights = drawn
-    outs = d.denoise_batch(zs.astype(np.uint8)[None, :] ^ masks)     # (B, n)
-    # binary outputs: each position's loss is one of its two loss entries
+    z8 = zs.astype(np.uint8)
     lam_x = lm.lam[xs]
-    per_mask = np.where(outs, lam_x[:, 1], lam_x[:, 0]).sum(axis=1) / len(zs)
-    return float(weights @ per_mask)
+    # binary outputs: each position's loss is one of its two loss entries
+    sums = [np.where(d.denoise_batch(z8 ^ masks[rows]), lam_x[:, 1], lam_x[:, 0]).sum(axis=1)
+            for rows in mask_chunks(*masks.shape)]
+    return float(weights @ (np.concatenate(sums) / len(zs)))
 
 
 def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
@@ -226,24 +235,30 @@ def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
     on one mask set by construction.  The set is shared across all
     positions and substituted symbols: a substituted-then-flipped evaluation
     equals a flipped-then-substituted one with the substituted symbol XORed
-    by the mask bit, so each mask costs one substituted-output table.  Monte
-    Carlo masks are bool and the flipped inputs uint8, so the parity
-    denoisers' per-mask tables take one byte per entry.
+    by the mask bit, so each mask costs one substituted-output table.  The
+    masks go through the denoiser in chunks of rows (``mask_chunks``), and
+    each chunk's picked entries land in one (m, n, 2) table of one byte per
+    entry.
 
-    The mask-weighted mean is one ``einsum`` over the mask axis, which adds
-    the masks in index order: its bits do not depend on the table's integer
-    dtype (a BLAS product or chunked partial sums would move low-order bits).
+    The mask-weighted mean is one ``einsum`` over the mask axis of that
+    whole table, which adds the masks in index order: its bits do not depend
+    on the table's integer dtype (a BLAS product or chunked partial sums
+    would move low-order bits).
     """
     _binary_check(d)
     if ch.input_size != 2 or ch.output_size != 2:
         raise ValueError("smoothed estimation targets binary channels")
     zs = check_sequence(z, 2, "noisy sequence")
     masks, weights = drawn
-    tabs = d.substituted_outputs_batch(zs.astype(np.uint8)[None, :] ^ masks)  # (B, n, 2)
-    # entry [b, i, a] of the flipped table answers symbol a ^ masks[b, i]
-    picked = np.empty_like(tabs)
-    picked[..., 0] = np.where(masks, tabs[..., 1], tabs[..., 0])
-    picked[..., 1] = np.where(masks, tabs[..., 0], tabs[..., 1])
+    z8 = zs.astype(np.uint8)
+    picked = np.empty(masks.shape + (2,), dtype=np.uint8)
+    for rows in mask_chunks(*masks.shape):
+        block = picked[rows]
+        block[...] = d.substituted_outputs_batch(z8 ^ masks[rows])
+        # entry [b, i, a] of the flipped table answers symbol a ^ masks[b, i]:
+        # where the mask is set, swap the two bytes of each position's pair
+        pairs = block.view(np.uint16)[..., 0]
+        np.copyto(pairs, pairs.byteswap(), where=masks[rows])
     mean_out = np.einsum("b,bia->ia", weights, picked)
     # binary outputs: expected loss is a mixture of the two loss columns
     exp_loss = (

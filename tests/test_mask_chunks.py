@@ -1,0 +1,126 @@
+"""The smoothing kernels and the mask draw across chunk boundaries.
+
+Every smoothed quantity walks its mask set in chunks of at most
+``MASK_CHUNK_ENTRIES // n`` mask rows.  At the library's chunk size the
+property cases of ``test_smoothing_kernel`` (n <= 300, m <= 64) fit in one
+chunk, so here the size is patched down to one entry, to one row, and to a
+size that leaves a short last chunk.  Chunking is only a speed-up if every
+bit stays: the kernels must be ``==`` to the int64 reference kernels, and
+the chunked draw must equal the one-shot ``random((m, n)) < q``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from duodenoise import denoisers
+from duodenoise.channel import compute_h, make_bsc
+from duodenoise.denoisers import (
+    ConstantDenoiser,
+    IdentityDenoiser,
+    ParityCopyDenoiser,
+    ParityMarkedZerosDenoiser,
+    SlidingWindowDenoiser,
+    SmoothingConfig,
+    draw_smoothing_masks,
+    enumerate_masks,
+    make_sliding_window,
+    mask_chunks,
+    mask_set,
+    smoothed_expected_output,
+)
+from duodenoise.losses import (
+    LossMatrix,
+    estimate_smoothed_loss,
+    smoothed_conditional_loss,
+    smoothed_per_symbol_estimates,
+)
+from duodenoise.rng import RngStream
+from test_smoothing_kernel import (
+    reference_conditional_loss,
+    reference_mask_set,
+    reference_per_symbol,
+)
+
+DENOISERS = {
+    "window": SlidingWindowDenoiser(1, np.array([0, 1, 1, 0, 1, 0, 0, 1])),
+    "majority": make_sliding_window(2, "majority"),
+    "identity": IdentityDenoiser(),
+    "constant": ConstantDenoiser(1),
+    "parity_copy": ParityCopyDenoiser(),
+    "marked_zeros": ParityMarkedZerosDenoiser(0.2),
+    "marked_zeros_029": ParityMarkedZerosDenoiser(0.29),
+}
+
+# (config, n); every mask count leaves a remainder when split into 3 rows
+SETS = {
+    "exact": (SmoothingConfig(q=0.15, mode="exact"), 7),
+    "monte_carlo_q": (SmoothingConfig(q=0.1, m=13), 50),
+    "monte_carlo_nu": (SmoothingConfig(nu=0.5, m=40), 97),
+}
+
+# chunk sizes in entries, as a function of n
+CHUNKS = {"one_entry": lambda n: 1, "one_row": lambda n: n, "short_last": lambda n: 3 * n}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+@pytest.mark.parametrize("case", SETS.values(), ids=SETS.keys())
+@pytest.mark.parametrize("d", DENOISERS.values(), ids=DENOISERS.keys())
+def test_chunked_kernels_match_int64_reference(d, case, chunk, monkeypatch):
+    cfg, n = case
+    monkeypatch.setattr(denoisers, "MASK_CHUNK_ENTRIES", chunk(n))
+    m = 1 << n if cfg.mode == "exact" else cfg.m
+    sizes = [rows.stop - rows.start for rows in mask_chunks(m, n)]
+    assert len(sizes) > 1 and sum(sizes) == m
+
+    ch = make_bsc(0.2)
+    h = compute_h(ch)
+    lm = LossMatrix([[0.0, 2.5], [0.7, 0.1]])
+    gen = RngStream(n).generator()
+    x = (gen.random(n) < 0.5).astype(np.int64)
+    z = (gen.random(n) < 0.3).astype(np.int64)
+    z[0] = 1 - z[1:].sum() % 2      # odd parity, where the parity pairs differ
+    stream = RngStream(41).derive("estimation-masks")
+
+    drawn = mask_set(cfg, n, stream)
+    ref = reference_per_symbol(ch, h, lm, d, cfg, z, stream)
+    assert np.array_equal(smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z), ref)
+    assert estimate_smoothed_loss(ch, h, lm, d, drawn, z) == math.fsum(ref) / n
+    assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
+        reference_conditional_loss(lm, d, cfg, x, z, stream)
+    ref_masks, ref_weights = reference_mask_set(cfg, n, stream)
+    ref_outs = d.denoise_batch(z[None, :] ^ ref_masks)
+    for i in (0, n // 2, n - 1):
+        assert smoothed_expected_output(d, drawn, z, i) == float(ref_weights @ ref_outs[:, i])
+
+
+@pytest.mark.parametrize("m, n, q", [
+    (1, 1, 0.3), (5, 7, 0.1), (64, 300, 0.45), (128, 4096, 4096 ** -0.75),
+    (17, 1000, 0.02), (3, 70000, 0.2), (4, 33, 0.0), (6, 40, 0.5 - 2**-54),
+])
+@pytest.mark.parametrize("entries", [None, 1, 2500])
+def test_chunked_draw_equals_one_shot_draw(m, n, q, entries, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(denoisers, "MASK_CHUNK_ENTRIES", entries)
+    stream = RngStream(2020, m * n)
+    masks = draw_smoothing_masks(SmoothingConfig(q=q, m=m), n, stream)
+    assert masks.dtype == np.bool_
+    assert np.array_equal(masks, stream.generator().random((m, n)) < q)
+
+
+def test_chunks_cover_the_rows_in_order(monkeypatch):
+    monkeypatch.setattr(denoisers, "MASK_CHUNK_ENTRIES", 3 * 100 + 7)
+    assert mask_chunks(10, 100) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+    assert mask_chunks(2, 10) == [slice(0, 2)]
+    assert mask_chunks(2, 1000) == [slice(0, 1), slice(1, 2)]   # a row above the size
+
+
+def test_exact_masks_are_bool_in_counter_order():
+    n = 9
+    masks = enumerate_masks(n)
+    assert masks.dtype == np.bool_
+    codes = np.arange(1 << n, dtype=np.int64)[:, None]
+    assert np.array_equal(masks, (codes >> np.arange(n)) & 1)
