@@ -353,6 +353,27 @@ def mask_chunks(m: int, n: int):
     return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
 
 
+def functional_values(values, rows: int) -> np.ndarray:
+    """A batch functional's result on ``rows`` sequences, as float64; the
+    functional maps (B, n) to B reals, so any shape but (rows,) raises
+    ``ValueError``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (rows,):
+        raise ValueError(f"functional returned shape {values.shape} for a batch of "
+                         f"{rows} states; expected ({rows},)")
+    return values
+
+
+def masked_values(f, masks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The batch functional f on z xor each mask, float64 of length m in
+    mask order: one call of f per ``mask_chunks`` slice, on the rows
+    ``z ^ masks[slice]``."""
+    values = np.empty(len(masks))
+    for rows in mask_chunks(*masks.shape):
+        values[rows] = functional_values(f(z ^ masks[rows]), rows.stop - rows.start)
+    return values
+
+
 def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
     """The cfg.m Monte Carlo masks of an estimator call, bool of shape (m, n).
 
@@ -435,6 +456,4 @@ def smoothed_expected_output(d: Denoiser, drawn, z, i: int) -> float:
     if not 0 <= i < len(zs):
         raise IndexError(f"position {i} out of range for length {len(zs)}")
     masks, weights = drawn
-    outs = np.concatenate([d.denoise_batch(zs[None, :] ^ masks[rows])[:, i]
-                           for rows in mask_chunks(*masks.shape)])
-    return float(weights @ outs)
+    return float(weights @ masked_values(lambda rows: d.denoise_batch(rows)[:, i], masks, zs))

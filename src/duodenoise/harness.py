@@ -42,10 +42,12 @@ from .denoisers import (
     Denoiser,
     IdentityDenoiser,
     SmoothingConfig,
+    functional_values,
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
     make_sliding_window,
     mask_set,
+    masked_values,
 )
 from .losses import (
     LossMatrix,
@@ -58,13 +60,10 @@ from .rng import RngStream
 from .spec import ConfigError, build, load, read, read_typed
 
 #: States per functional call of the exact oracle.
-ENUMERATION_CHUNK = 1024
+ENUMERATION_CHUNK = 512
 
 #: Trial x position entries per block of plain trials.
 TRIAL_BLOCK_ENTRIES = 2048
-
-#: Flips evaluated per batch call in Monte Carlo pointwise influence.
-INFLUENCE_CHUNK = 64
 
 #: Rate exponent of a randomized combiner that names neither q nor nu.
 DEFAULT_NU = 0.75
@@ -497,11 +496,7 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
             z, weights = z[weights > 0.0], weights[weights > 0.0]
             if not len(z):
                 return []
-        values = np.asarray(functional(z), dtype=np.float64)
-        if values.shape != weights.shape:
-            raise ValueError(f"functional returned shape {values.shape} for a batch "
-                             f"of {len(z)} states; expected {weights.shape}")
-        return (weights * values).tolist()
+        return (weights * functional_values(functional(z), len(z))).tolist()
 
     return math.fsum(itertools.chain.from_iterable(
         map(chunk, range(0, states, ENUMERATION_CHUNK))))
@@ -556,7 +551,7 @@ def empirical_influence(f, x, ch: Channel, samples: int,
         zt = sample_output(ch, xs, stream.derive("resample"))
         rows = np.tile(z, (n + 1, 1))
         rows[np.arange(1, n + 1), np.arange(n)] = zt
-        vals = np.asarray(f(rows), dtype=np.float64)
+        vals = functional_values(f(rows), n + 1)
         totals[s] = np.abs(vals[0] - vals[1:]).sum()
     return _mean_se(totals)
 
@@ -566,38 +561,29 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
     """Sum over single-coordinate flips of the smoothed functional's change.
 
     ``f`` is the underlying batch functional ({0,1}^n rows -> reals); its
-    smoothed version fbar(z) = E_W f(z xor W) is evaluated per ``cfg``.
-    Exact mode returns (value, 0.0); it evaluates the n + 1 sequences (z and
-    its single flips) against all 2^n masks, as many sequences per call as
-    fit in ENUMERATION_LIMIT entries and at least one.  Monte Carlo mode
-    shares one mask set across all flips and reports, as the error scale,
-    the sum of the per-coordinate standard errors of the signed differences
-    -- a conservative bound, since taking absolute values folds that noise
-    into the estimate itself.
+    smoothed version fbar(z) = E_W f(z xor W) is evaluated per ``cfg`` on
+    one mask set shared by z and its n single flips, each sequence walking
+    the set through ``masked_values``.  Exact mode returns the sum of
+    |fbar(z) - fbar(z with j flipped)| over the exact mask weights, and
+    0.0.  Monte Carlo mode weighs the m drawn masks by plain 1/m, not by
+    the stratified weights of ``mask_set``, and reports, as the error
+    scale, the sum of the per-coordinate standard errors of the signed
+    differences -- a conservative bound, since taking absolute values folds
+    that noise into the estimate itself.
     """
     zs = check_sequence(z, 2, "sequence")
     n = len(zs)
     masks, weights = mask_set(cfg, n, rng)
-    if cfg.mode == "exact":
-        rows = np.tile(zs, (n + 1, 1))
-        rows[np.arange(1, n + 1), np.arange(n)] ^= 1
-        per_call = max(1, ENUMERATION_LIMIT // masks.size)
-        chunks = (rows[start:start + per_call] for start in range(0, n + 1, per_call))
-        fbar = np.concatenate([
-            np.asarray(f((chunk[:, None, :] ^ masks).reshape(-1, n)),
-                       dtype=np.float64).reshape(len(chunk), -1) @ weights
-            for chunk in chunks])
-        return float(np.abs(fbar[0] - fbar[1:]).sum()), 0.0
+    base = masked_values(f, masks, zs)
 
-    m = masks.shape[0]
-    base = np.asarray(f(zs[None, :] ^ masks), dtype=np.float64)
-    value_terms, se_terms = [], []
-    for start in range(0, n, INFLUENCE_CHUNK):
-        js = np.arange(start, min(start + INFLUENCE_CHUNK, n))
-        flipped = np.repeat((zs[None, :] ^ masks)[None, :, :], len(js), axis=0)
-        flipped[np.arange(len(js)), :, js] ^= 1
-        vals = np.asarray(f(flipped.reshape(-1, n)), dtype=np.float64)
-        diffs = base[None, :] - vals.reshape(len(js), m)
-        value_terms.append(np.abs(diffs.mean(axis=1)).sum())
-        se_terms.append((diffs.std(axis=1, ddof=1) / math.sqrt(m)).sum())
-    return float(math.fsum(value_terms)), float(math.fsum(se_terms))
+    def diffs(j: int) -> np.ndarray:
+        flipped = zs.copy()
+        flipped[j] ^= 1
+        return base - masked_values(f, masks, flipped)
+
+    if cfg.mode == "exact":
+        return math.fsum(abs(diffs(j) @ weights) for j in range(n)), 0.0
+    root_m = math.sqrt(len(masks))
+    value_terms, se_terms = zip(*((abs(d.mean()), d.std(ddof=1) / root_m)
+                                  for d in map(diffs, range(n))))
+    return math.fsum(value_terms), math.fsum(se_terms)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, HMatrix, check_sequence, is_bec
-from .denoisers import Denoiser, mask_chunks
+from .denoisers import Denoiser, mask_chunks, masked_values
 from .spec import build, read_typed
 
 
@@ -93,15 +93,6 @@ def _estimates_from_table(ch: Channel, h: HMatrix, z: np.ndarray,
     has the table's middle shape, (n,) or a (B, n) batch."""
     inner = np.einsum("x...a,xa->x...", lam_tab, ch.pi)
     return (h.h[:, z] * inner).sum(axis=0)
-
-
-def per_symbol_estimate(ch: Channel, h: HMatrix, lm: LossMatrix,
-                        d: Denoiser, z, i: int) -> float:
-    """Estimated loss incurred at position i, from the noisy sequence alone."""
-    estimates = per_symbol_estimates(ch, h, lm, d, z)
-    if not 0 <= i < len(estimates):
-        raise IndexError(f"position {i} out of range for length {len(estimates)}")
-    return float(estimates[i])
 
 
 def per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
@@ -218,12 +209,12 @@ def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     masks, weights = drawn
-    z8 = zs.astype(np.uint8)
     lam_x = lm.lam[xs]
     # binary outputs: each position's loss is one of its two loss entries
-    sums = [np.where(d.denoise_batch(z8 ^ masks[rows]), lam_x[:, 1], lam_x[:, 0]).sum(axis=1)
-            for rows in mask_chunks(*masks.shape)]
-    return float(weights @ (np.concatenate(sums) / len(zs)))
+    sums = masked_values(
+        lambda rows: np.where(d.denoise_batch(rows), lam_x[:, 1], lam_x[:, 0]).sum(axis=1),
+        masks, zs.astype(np.uint8))
+    return float(weights @ (sums / len(zs)))
 
 
 def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,

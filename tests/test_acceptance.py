@@ -58,7 +58,7 @@ from duodenoise.losses import (
     erasure_estimate_loss,
     estimate_loss,
     joint_type_counts,
-    per_symbol_estimate,
+    per_symbol_estimates,
     smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
@@ -129,9 +129,9 @@ def test_criterion_02_conditional_unbiasedness():
                         for b in range(m):
                             zb = z.copy()
                             zb[i] = b
-                            est += row[b] * per_symbol_estimate(
-                                ch, h, HAMMING, d, zb, i
-                            )
+                            est += row[b] * per_symbol_estimates(
+                                ch, h, HAMMING, d, zb
+                            )[i]
                             loss += row[b] * HAMMING.lam[x_i, d.denoise(zb)[i]]
                         assert est == pytest.approx(loss, abs=1e-10)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise import harness
+from duodenoise import denoisers, harness
 from duodenoise.channel import (
     canonical_erasure_h,
     compute_h,
@@ -422,10 +423,21 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("functional", [
         lambda z: z.sum(), lambda z: z.sum(axis=1)[:, None], lambda z: z.sum(axis=1)[:-1],
-    ], ids=["scalar", "column", "short"])
+        lambda z: np.repeat(z.sum(axis=1)[:, None], 2, axis=1),
+    ], ids=["scalar", "column", "short", "pair"])
     def test_functional_must_return_one_value_per_state(self, functional):
-        with pytest.raises(ValueError, match="functional returned shape"):
-            enumerate_expectation(make_bsc(0.25), np.zeros(4, dtype=np.int64), functional)
+        # the oracle, both modes of pointwise influence and empirical
+        # influence share one check of the (B, n) -> B contract
+        z = np.zeros(4, dtype=np.int64)
+        for call in (
+            lambda: enumerate_expectation(make_bsc(0.25), z, functional),
+            lambda: pointwise_influence(functional, SmoothingConfig(q=0.1, mode="exact"), z),
+            lambda: pointwise_influence(functional, SmoothingConfig(q=0.1, m=8), z,
+                                        RngStream(33)),
+            lambda: empirical_influence(functional, z, make_bsc(0.25), 2, RngStream(34)),
+        ):
+            with pytest.raises(ValueError, match="functional returned shape"):
+                call()
 
     @pytest.mark.parametrize("zs, message", [
         ([0, 1, 1], r"\(B, n\) sequences"),
@@ -445,7 +457,7 @@ class TestEnumeration:
 
     def test_chunks_cover_the_support_only(self):
         # a BEC output is never the flipped symbol: 2^11 states instead of 3^11,
-        # in two chunks of at most ENUMERATION_CHUNK
+        # in chunks of ENUMERATION_CHUNK but for a shorter last one
         sizes = []
 
         def count(z):
@@ -454,7 +466,9 @@ class TestEnumeration:
 
         x = np.arange(11) % 2
         assert enumerate_expectation(make_bec(0.3), x, count) == pytest.approx(1.0)
-        assert sizes == [harness.ENUMERATION_CHUNK, 2**11 - harness.ENUMERATION_CHUNK]
+        assert sum(sizes) == 2**11
+        assert all(size == harness.ENUMERATION_CHUNK for size in sizes[:-1])
+        assert 0 < sizes[-1] <= harness.ENUMERATION_CHUNK
 
     def test_whole_sequence_smoothed_unbiasedness(self):
         """E_Z of the smoothed estimate equals E_Z of the smoothed loss over
@@ -569,6 +583,60 @@ def parity_functional(rows):
     return np.atleast_2d(np.asarray(rows)).sum(axis=1) % 2
 
 
+def sine_functional(rows):
+    """A functional that is not a function of parity alone."""
+    return np.sin(rows @ np.linspace(0.3, 1.7, rows.shape[1])) + parity_functional(rows)
+
+
+def reference_pointwise_influence(f, cfg, z, rng=None):
+    """The former two-branch body of ``pointwise_influence``: exact mode
+    evaluates z and its n flips against all 2^n masks in calls of at most
+    10^7 entries; Monte Carlo mode evaluates 64 flips against every mask
+    per call."""
+    zs = np.asarray(z, dtype=np.int64)
+    n = len(zs)
+    masks, weights = mask_set(cfg, n, rng)
+    if cfg.mode == "exact":
+        rows = np.tile(zs, (n + 1, 1))
+        rows[np.arange(1, n + 1), np.arange(n)] ^= 1
+        per_call = max(1, ENUMERATION_LIMIT // masks.size)
+        chunks = (rows[start:start + per_call] for start in range(0, n + 1, per_call))
+        fbar = np.concatenate([
+            np.asarray(f((chunk[:, None, :] ^ masks).reshape(-1, n)),
+                       dtype=np.float64).reshape(len(chunk), -1) @ weights
+            for chunk in chunks])
+        return float(np.abs(fbar[0] - fbar[1:]).sum()), 0.0
+
+    m = masks.shape[0]
+    base = np.asarray(f(zs[None, :] ^ masks), dtype=np.float64)
+    value_terms, se_terms = [], []
+    for start in range(0, n, 64):
+        js = np.arange(start, min(start + 64, n))
+        flipped = np.repeat((zs[None, :] ^ masks)[None, :, :], len(js), axis=0)
+        flipped[np.arange(len(js)), :, js] ^= 1
+        vals = np.asarray(f(flipped.reshape(-1, n)), dtype=np.float64)
+        diffs = base[None, :] - vals.reshape(len(js), m)
+        value_terms.append(np.abs(diffs.mean(axis=1)).sum())
+        se_terms.append((diffs.std(axis=1, ddof=1) / math.sqrt(m)).sum())
+    return float(math.fsum(value_terms)), float(math.fsum(se_terms))
+
+
+# (config, n) of the influence calls checked against the former body
+INFLUENCE_CASES = (
+    (SmoothingConfig(q=0.2, mode="exact"), 1),
+    (SmoothingConfig(q=0.1, mode="exact"), 5),
+    (SmoothingConfig(q=0.3, mode="exact"), 9),
+    (SmoothingConfig(q=0.05, mode="exact"), 12),
+    (SmoothingConfig(q=0.3, m=16), 1),
+    (SmoothingConfig(q=0.1, m=13), 7),
+    (SmoothingConfig(nu=0.5, m=40), 97),
+    (SmoothingConfig(q=0.02, m=64), 300),
+)
+
+# mask chunk sizes in entries, as a function of n
+CHUNKS = {"one_entry": lambda n: 1, "one_row": lambda n: n, "short_last": lambda n: 3 * n}
+
+
 class TestInfluence:
     def test_empirical_single_coordinate_function(self):
         # f(z) = z_0: only coordinate 0 contributes, E|Z_0 - Z~_0| = 2 d (1-d)
@@ -589,35 +657,51 @@ class TestInfluence:
                 assert value == pytest.approx(n * (1 - 2 * q) ** n, abs=1e-12)
 
     def test_pointwise_exact_calls_stay_within_the_limit(self):
-        n, q = 16, 0.1
-        sizes = []
+        # both modes: z and each flip walk the mask set in mask chunks
+        for cfg, n in ((SmoothingConfig(q=0.1, mode="exact"), 16),
+                       (SmoothingConfig(q=0.1, m=128), 256)):
+            sizes = []
 
-        def recording(rows):
-            sizes.append(rows.size)
-            return parity_functional(rows)
+            def recording(rows):
+                sizes.append(rows.size)
+                return parity_functional(rows)
 
-        value, _ = pointwise_influence(recording, SmoothingConfig(q=q, mode="exact"),
-                                       np.zeros(n, dtype=np.int64))
-        assert max(sizes) <= max(ENUMERATION_LIMIT, 2**n * n)
-        assert sum(sizes) == (n + 1) * 2**n * n
-        assert value == pytest.approx(n * (1 - 2 * q) ** n, abs=1e-12)
+            value, _ = pointwise_influence(recording, cfg, np.zeros(n, dtype=np.int64),
+                                           RngStream(32))
+            m = 2**n if cfg.mode == "exact" else cfg.m
+            assert max(sizes) <= max(denoisers.MASK_CHUNK_ENTRIES, n)
+            assert sum(sizes) == (n + 1) * m * n
+            if cfg.mode == "exact":
+                assert value == pytest.approx(n * (1 - 2 * cfg.q) ** n, abs=1e-12)
 
-    @pytest.mark.parametrize("limit", [1, 3 * 2**9 * 9, ENUMERATION_LIMIT])
-    def test_pointwise_exact_chunks_keep_values(self, limit, monkeypatch):
-        monkeypatch.setattr(harness, "ENUMERATION_LIMIT", limit)
-        w = np.linspace(0.3, 1.7, 12)
-        f = lambda rows: np.sin(rows @ w[:rows.shape[1]]) + parity_functional(rows)
-        for n, q in ((1, 0.2), (5, 0.1), (9, 0.3), (12, 0.05)):
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+    def test_pointwise_exact_chunks_keep_values(self, chunk, monkeypatch):
+        """Value and SE within 1e-12 relative of the former body, in both
+        modes, at mask chunks that leave several calls per sequence.  The
+        former exact body subtracts two smoothed values of size up to 2, so
+        each of its n terms may be a few ulps of 2 off: where the terms
+        nearly cancel (parity at q = 0.3), n * 1e-14 absolute is allowed."""
+        for (cfg, n), f in itertools.product(INFLUENCE_CASES,
+                                             (parity_functional, sine_functional)):
             z = (RngStream(n).generator().random(n) < 0.5).astype(np.int64)
-            cfg = SmoothingConfig(q=q, mode="exact")
-            masks, weights = mask_set(cfg, n, None)
-            rows = np.tile(z, (n + 1, 1))
-            rows[np.arange(1, n + 1), np.arange(n)] ^= 1
-            big = (rows[:, None, :] ^ masks[None, :, :]).reshape(-1, n)
-            fbar = f(big).reshape(n + 1, -1) @ weights
-            expected = np.abs(fbar[0] - fbar[1:]).sum()
-            value, se = pointwise_influence(f, cfg, z)
-            assert se == 0.0 and value == pytest.approx(expected, abs=1e-12)
+            expected = reference_pointwise_influence(f, cfg, z, RngStream(35))
+            with monkeypatch.context() as patch:
+                patch.setattr(denoisers, "MASK_CHUNK_ENTRIES", chunk(n))
+                got = pointwise_influence(f, cfg, z, RngStream(35))
+            assert got == pytest.approx(expected, rel=1e-12, abs=n * 1e-14)
+
+    def test_pointwise_monte_carlo_memory_peak(self):
+        # chunk-sized calls: about 1.6 MB, against 136 MB for 64 flips
+        # against every mask per call
+        cfg = SmoothingConfig(nu=0.75, m=128)
+        z = np.zeros(1024, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            pointwise_influence(parity_functional, cfg, z, RngStream(36))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
     def test_pointwise_monte_carlo_needs_stream(self):
         cfg = SmoothingConfig(q=0.1)
