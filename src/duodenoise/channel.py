@@ -9,7 +9,6 @@ minimum-norm choice and the conventional erasure-channel choice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ class Channel:
     """A DMC given by its K x M row-stochastic transition matrix."""
 
     pi: np.ndarray
-    kind: str = "dmc"
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=np.float64)
@@ -76,40 +74,21 @@ class Channel:
     def output_size(self) -> int:
         return self.pi.shape[1]
 
-    def to_json(self) -> str:
-        if self.kind == "bsc":
-            return json.dumps({"type": "bsc", "delta": float(self.pi[0, 1])})
-        if self.kind == "bec":
-            return json.dumps({"type": "bec", "epsilon": float(self.pi[0, 2])})
-        return json.dumps({"type": "dmc", "pi": self.pi.tolist()})
 
-
-@dataclass(frozen=True, eq=False)
-class HMatrix:
-    """A K x M real matrix h with sum_z pi(x,z) h(x',z) = 1(x = x')."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=np.float64)
-        if h.ndim != 2:
-            raise ValueError("h must be a 2-d matrix")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
-
-
-def h_defect(channel: Channel, h: HMatrix) -> float:
+def h_defect(channel: Channel, h: np.ndarray) -> float:
     """max |pi @ h.T - I|, the violation of the defining identity."""
     k = channel.input_size
-    return float(np.abs(channel.pi @ h.h.T - np.eye(k)).max())
+    return float(np.abs(channel.pi @ h.T - np.eye(k)).max())
 
 
-def _check_h(channel: Channel, h: np.ndarray) -> HMatrix:
-    hm = HMatrix(h)
-    defect = h_defect(channel, hm)
+def _check_h(channel: Channel, h: np.ndarray) -> np.ndarray:
+    """h as a read-only float64 K x M array, once it satisfies pi @ h.T = I."""
+    h = np.array(h, dtype=np.float64)
+    defect = h_defect(channel, h)
     if defect > H_IDENTITY_TOL:
         raise ValueError(f"h fails pi @ h.T = I by {defect:g} (> {H_IDENTITY_TOL:g})")
-    return hm
+    h.flags.writeable = False
+    return h
 
 
 def make_bsc(delta: float) -> Channel:
@@ -119,7 +98,7 @@ def make_bsc(delta: float) -> Channel:
             f"degenerate channel: BSC crossover must lie in (0, 1/2), got {delta}"
         )
     pi = [[1.0 - delta, delta], [delta, 1.0 - delta]]
-    return Channel(pi, kind="bsc")
+    return Channel(pi)
 
 
 def make_bec(epsilon: float) -> Channel:
@@ -127,12 +106,12 @@ def make_bec(epsilon: float) -> Channel:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"erasure probability must lie in (0, 1), got {epsilon}")
     pi = [[1.0 - epsilon, 0.0, epsilon], [0.0, 1.0 - epsilon, epsilon]]
-    return Channel(pi, kind="bec")
+    return Channel(pi)
 
 
 def make_dmc(pi) -> Channel:
     """General DMC from an explicit row-stochastic matrix."""
-    return Channel(pi, kind="dmc")
+    return Channel(pi)
 
 
 def channel_from_json(text_or_dict, path: str = "channel") -> Channel:
@@ -174,7 +153,7 @@ def outputs_from_uniforms(channel: Channel, xs: np.ndarray, u: np.ndarray) -> np
     return np.minimum(z, channel.output_size - 1).astype(np.int64)
 
 
-def compute_h(channel: Channel) -> HMatrix:
+def compute_h(channel: Channel) -> np.ndarray:
     """Solve pi @ h.T = I for h.
 
     Square invertible pi gives the unique transpose-inverse; a wide full-rank
@@ -192,7 +171,7 @@ def compute_h(channel: Channel) -> HMatrix:
     return _check_h(channel, h)
 
 
-def canonical_erasure_h(channel: Channel) -> HMatrix:
+def canonical_erasure_h(channel: Channel) -> np.ndarray:
     """The conventional erasure-channel h: 1(x = z)/(1 - eps), zero at erasures.
 
     Differs from the minimum-norm solution yet satisfies the same identity;
@@ -207,7 +186,7 @@ def canonical_erasure_h(channel: Channel) -> HMatrix:
 
 
 def h_from_choice(channel: Channel, choice: str | None = None,
-                  path: str = "h") -> tuple[str, HMatrix]:
+                  path: str = "h") -> tuple[str, np.ndarray]:
     """(choice, h) for a named h; without a choice, ``canonical_erasure`` on
     a binary erasure channel and ``min_norm`` otherwise."""
     if choice is None:

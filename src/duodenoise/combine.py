@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, HMatrix, check_sequence
+from .channel import Channel, check_sequence
 from .denoisers import Denoiser, SmoothingConfig, draw_smoothing_mask, mask_set
 from .losses import LossMatrix, estimate_loss, estimate_smoothed_loss
 from .rng import RngStream
@@ -37,7 +37,7 @@ def select_min_estimate(e1: float, e2: float) -> Selection:
     return Selection(chosen, (float(e1), float(e2)), tie=abs(e1 - e2) <= TIE_TOL)
 
 
-def combined_denoise(d1: Denoiser, d2: Denoiser, ch: Channel, h: HMatrix,
+def combined_denoise(d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray,
                      lm: LossMatrix, z) -> tuple[np.ndarray, Selection]:
     """Denoise with whichever candidate has the smaller estimated loss."""
     zs = check_sequence(z, ch.output_size, "noisy sequence")
@@ -49,7 +49,7 @@ def combined_denoise(d1: Denoiser, d2: Denoiser, ch: Channel, h: HMatrix,
 
 
 def randomized_combined_denoise(
-    d1: Denoiser, d2: Denoiser, ch: Channel, h: HMatrix, lm: LossMatrix,
+    d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray, lm: LossMatrix,
     cfg: SmoothingConfig, z, rng: RngStream,
 ) -> tuple[np.ndarray, Selection, np.ndarray]:
     """Smoothed-estimate selection followed by one realized mask flip.

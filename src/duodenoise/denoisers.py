@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -341,11 +341,6 @@ class SmoothingConfig:
                              f"{ENUMERATION_LIMIT} mask entries")
 
 
-def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
-    """One i.i.d. Bernoulli-q flip mask of length n, as bool."""
-    return rng.uniforms(n) < cfg.resolve_q(n)
-
-
 def mask_chunks(m: int, n: int):
     """Row slices of an (m, n) mask set, in order: at most
     MASK_CHUNK_ENTRIES // n rows each, and never fewer than one."""
@@ -388,6 +383,12 @@ def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.nda
     for rows in mask_chunks(cfg.m, n):
         np.less(bits.random_raw((rows.stop - rows.start, n)), limit, out=masks[rows])
     return masks
+
+
+def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
+    """One i.i.d. Bernoulli-q flip mask of length n, as bool: the single
+    mask of a one-mask draw, bit for bit ``rng.uniforms(n) < q``."""
+    return draw_smoothing_masks(replace(cfg, m=1), n, rng)[0]
 
 
 def enumerate_masks(n: int) -> np.ndarray:

@@ -7,7 +7,7 @@ worker count and execution order.  Plain trials run in blocks through the
 denoisers' batch paths in the calling thread; only randomized trials use
 `DUO_THREADS` threads, which change speed only.  The module also
 provides exact expectations by state-space enumeration (the unbiasedness
-oracle) and empirical/pointwise total-influence measurements.
+oracle) and pointwise total-influence measurements.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ import numpy as np
 from . import __version__
 from .channel import (
     Channel,
-    HMatrix,
     channel_from_json,
     check_sequence,
     h_from_choice,
     is_bec,
     outputs_from_uniforms,
-    sample_output,
 )
 from .combine import randomized_combined_denoise, select_min_estimate
 from .denoisers import (
@@ -162,7 +160,7 @@ class ExperimentConfig:
     """A fully parsed, immutable experiment description."""
 
     channel: Channel
-    h: HMatrix
+    h: np.ndarray
     h_choice: str
     lm: LossMatrix
     n: int
@@ -524,7 +522,7 @@ def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
     return functional
 
 
-def estimate_functional(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser):
+def estimate_functional(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser):
     """Batch functional: row z -> estimate_loss(ch, h, lm, d, z), the
     estimated normalized loss of d."""
     return lambda zs: estimate_losses(ch, h, lm, d, _check_batch(zs, ch.output_size))
@@ -532,28 +530,6 @@ def estimate_functional(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser):
 
 # --------------------------------------------------------------------------
 # total influence
-
-
-def empirical_influence(f, x, ch: Channel, samples: int,
-                        rng: RngStream) -> tuple[float, float]:
-    """Monte Carlo total influence of f under the channel law at input x.
-
-    One sample draws an i.i.d. pair (Z, Z~) and sums |f(Z) - f(Z with
-    coordinate j resampled)| over j.  ``f`` must accept a (B, n) batch and
-    return a length-B array.  Returns (estimate, standard error).
-    """
-    xs = check_sequence(x, ch.input_size, "clean sequence")
-    n = len(xs)
-    totals = np.empty(samples)
-    for s in range(samples):
-        stream = rng.derive(f"influence/{s}")
-        z = sample_output(ch, xs, stream.derive("z"))
-        zt = sample_output(ch, xs, stream.derive("resample"))
-        rows = np.tile(z, (n + 1, 1))
-        rows[np.arange(1, n + 1), np.arange(n)] = zt
-        vals = functional_values(f(rows), n + 1)
-        totals[s] = np.abs(vals[0] - vals[1:]).sum()
-    return _mean_se(totals)
 
 
 def pointwise_influence(f, cfg: SmoothingConfig, z,

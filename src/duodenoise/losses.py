@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ERASURE, Channel, HMatrix, check_sequence, is_bec
+from .channel import ERASURE, Channel, check_sequence, is_bec
 from .denoisers import Denoiser, mask_chunks, masked_values
 from .spec import build, read_typed
 
@@ -85,17 +85,17 @@ def cumulative_loss(lm: LossMatrix, x, xhat) -> float:
     return math.fsum(lm.lam[xs, hs]) / len(xs)
 
 
-def _estimates_from_table(ch: Channel, h: HMatrix, z: np.ndarray,
+def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
                           lam_tab: np.ndarray) -> np.ndarray:
     """Per-symbol estimates from the (K, ..., n, M) loss table
     lam_tab[x, ..., i, a]: the (expected) loss against clean symbol x of the
     output at position i once the noisy symbol there is replaced by a.  ``z``
     has the table's middle shape, (n,) or a (B, n) batch."""
     inner = np.einsum("x...a,xa->x...", lam_tab, ch.pi)
-    return (h.h[:, z] * inner).sum(axis=0)
+    return (h[:, z] * inner).sum(axis=0)
 
 
-def per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
+def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
                          d: Denoiser, z) -> np.ndarray:
     """All n per-symbol estimates (one substituted-output table pass)."""
     zs = check_sequence(z, ch.output_size, "noisy sequence")
@@ -114,14 +114,14 @@ def true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> 
     return _row_means(lm.lam[xs, d.denoise_batch(zs)])
 
 
-def estimate_losses(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
+def estimate_losses(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
                     zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
     tabs = d.substituted_outputs_batch(zs)
     return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
 
 
-def estimate_loss(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser, z) -> float:
+def estimate_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser, z) -> float:
     """Unbiased estimate of the normalized cumulative loss of d on z.
 
     May be negative; no clamping is performed.
@@ -217,7 +217,7 @@ def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float
     return float(weights @ (sums / len(zs)))
 
 
-def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
+def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
                                   d: Denoiser, drawn, z) -> np.ndarray:
     """Per-symbol estimates of the smoothed denoiser's expected loss.
 
@@ -259,7 +259,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: HMatrix, lm: LossMatrix,
     return _estimates_from_table(ch, h, zs, exp_loss)
 
 
-def estimate_smoothed_loss(ch: Channel, h: HMatrix, lm: LossMatrix, d: Denoiser,
+def estimate_smoothed_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
                            drawn, z) -> float:
     """Unbiased estimate of the smoothed denoiser's expected normalized loss
     over the (masks, weights) pair ``drawn``."""

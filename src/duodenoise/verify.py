@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    H_IDENTITY_TOL,
     Channel,
     canonical_erasure_h,
     compute_h,
@@ -32,7 +33,6 @@ from .harness import (
 from .losses import LossMatrix
 
 UNBIASED_TOL = 1e-10
-H_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def check_h_identity(channel: Channel) -> CheckResult:
     if is_bec(channel):
         defect = max(defect, h_defect(channel, canonical_erasure_h(channel)))
     return CheckResult(
-        "h-identity", defect <= H_TOL, f"max defect {defect:.3g} (tol {H_TOL:g})"
+        "h-identity", defect <= H_IDENTITY_TOL,
+        f"max defect {defect:.3g} (tol {H_IDENTITY_TOL:g})",
     )
 
 

@@ -12,6 +12,7 @@ from duodenoise.channel import (
     check_sequence,
     compute_h,
     h_defect,
+    h_from_choice,
     is_bec,
     make_bec,
     make_bsc,
@@ -57,12 +58,12 @@ class TestValidation:
 class TestDualMatrix:
     def test_bsc_quarter_h_is_known_matrix(self):
         # inverse-transpose of [[.75,.25],[.25,.75]]
-        h = compute_h(make_bsc(0.25)).h
+        h = compute_h(make_bsc(0.25))
         np.testing.assert_allclose(h, [[1.5, -0.5], [-0.5, 1.5]], atol=1e-12)
 
     def test_bsc_h_closed_form(self):
         for delta in (0.1, 0.2, 0.3, 0.49):
-            h = compute_h(make_bsc(delta)).h
+            h = compute_h(make_bsc(delta))
             r = 1.0 - 2.0 * delta
             expected = np.array(
                 [[(1 - delta) / r, -delta / r], [-delta / r, (1 - delta) / r]]
@@ -71,13 +72,13 @@ class TestDualMatrix:
 
     def test_bec_min_norm_h(self):
         # minimum-Frobenius-norm solution at epsilon = 1/2
-        h = compute_h(make_bec(0.5)).h
+        h = compute_h(make_bec(0.5))
         expected = [[4 / 3, -2 / 3, 2 / 3], [-2 / 3, 4 / 3, 2 / 3]]
         np.testing.assert_allclose(h, expected, atol=1e-12)
 
     def test_canonical_erasure_h(self):
         ch = make_bec(0.5)
-        h = canonical_erasure_h(ch).h
+        h = canonical_erasure_h(ch)
         np.testing.assert_allclose(h, [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert h_defect(ch, canonical_erasure_h(ch)) <= 1e-12
 
@@ -92,6 +93,21 @@ class TestDualMatrix:
         with pytest.raises(ValueError, match="no valid h exists"):
             compute_h(ch)
 
+    @pytest.mark.parametrize("make", [
+        lambda: compute_h(make_bsc(0.2)),
+        lambda: compute_h(make_bec(0.3)),
+        lambda: canonical_erasure_h(make_bec(0.3)),
+        lambda: h_from_choice(make_bec(0.3))[1],
+        lambda: h_from_choice(make_bsc(0.2), "min_norm")[1],
+    ], ids=["bsc", "bec_min_norm", "bec_canonical", "bec_auto", "bsc_min_norm"])
+    def test_h_is_a_read_only_float64_array(self, make):
+        h = make()
+        assert type(h) is np.ndarray and h.dtype == np.float64 and h.ndim == 2
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            h += 1.0
+
     def test_canonical_h_requires_bec(self):
         with pytest.raises(ValueError, match="erasure"):
             canonical_erasure_h(make_bsc(0.2))
@@ -103,12 +119,14 @@ class TestStructure:
         assert not is_bec(make_bsc(0.3))
         assert not is_bec(make_dmc([[0.5, 0.2, 0.3], [0.0, 0.7, 0.3]]))
 
-    def test_json_round_trip(self):
-        for ch in (make_bsc(0.2), make_bec(0.4),
-                   make_dmc([[0.9, 0.1], [0.3, 0.7]])):
-            again = channel_from_json(ch.to_json())
-            np.testing.assert_allclose(again.pi, ch.pi)
-            assert again.kind == ch.kind
+    def test_specs_build_the_factory_channels(self):
+        dmc = [[0.9, 0.1], [0.3, 0.7]]
+        for spec, ch in (({"type": "bsc", "delta": 0.2}, make_bsc(0.2)),
+                         ({"type": "bec", "epsilon": 0.4}, make_bec(0.4)),
+                         ({"type": "dmc", "pi": dmc}, make_dmc(dmc))):
+            assert np.array_equal(channel_from_json(spec).pi, ch.pi)
+        # the channel type is structural: a dmc spec of a BEC matrix is a BEC
+        assert is_bec(channel_from_json({"type": "dmc", "pi": make_bec(0.4).pi.tolist()}))
 
     def test_unknown_channel_type(self):
         with pytest.raises(ValueError, match="unknown channel"):

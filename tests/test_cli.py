@@ -104,3 +104,28 @@ def test_bad_channel_json_exits_one(capsys):
         "--denoiser", '{"type": "identity"}', "--sequence", "0,1",
     ])
     assert code == 1
+
+
+def test_estimate_reads_a_sequence_file(tmp_path, capsys):
+    seq = tmp_path / "z.txt"
+    seq.write_text("0\n1\n1\n0\n")
+    args = ["estimate", "--channel", '{"type": "bsc", "delta": 0.25}',
+            "--denoiser", '{"type": "identity"}', "--sequence"]
+    assert main(args + ["0,1,1,0"]) == 0
+    inline = capsys.readouterr().out
+    assert main(args + [f"@{seq}"]) == 0
+    assert capsys.readouterr().out == inline
+
+
+def test_influence_sequence_equals_block_length(capsys):
+    smoothing = ["--q", "0.1", "--mode", "exact"]
+    assert main(["influence", "--sequence", "0,0,0,0"] + smoothing) == 0
+    from_sequence = capsys.readouterr().out
+    assert main(["influence", "--n", "4"] + smoothing) == 0
+    assert capsys.readouterr().out == from_sequence
+    assert json.loads(from_sequence) == {"influence": 4 * 0.8 ** 4, "se": 0.0}
+
+
+def test_influence_rejects_empty_block(capsys):
+    assert main(["influence", "--n", "0"]) == 1
+    assert "--n: block length must be >= 1" in capsys.readouterr().err

@@ -5,7 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,7 +47,6 @@ from duodenoise.harness import (
     aggregate,
     denoiser_from_spec,
     deviation_probability,
-    empirical_influence,
     enumerate_expectation,
     estimate_functional,
     pointwise_influence,
@@ -105,7 +108,7 @@ class TestConfigParsing:
             denoisers={"type": "bec_parity_pair"},
         ))
         assert cfg.h_choice == "canonical_erasure"
-        assert cfg.h.h[0, 2] == 0.0
+        assert cfg.h[0, 2] == 0.0
 
     def test_bsc_defaults_to_min_norm_h(self):
         assert ExperimentConfig.from_json(PLAIN_SPEC).h_choice == "min_norm"
@@ -242,6 +245,38 @@ class TestTrials:
         assert path.exists() and summary["trials"] == 5
         assert summary["version"].startswith("duodenoise ")
         assert "0.05" in summary["deviation_probability"]
+
+    @pytest.mark.parametrize("combiner", [
+        {"type": "plain"}, {"type": "randomized", "nu": 0.75, "m": 8},
+    ], ids=["plain", "randomized"])
+    def test_json_output_holds_the_csv_rows(self, tmp_path, combiner):
+        # one object per trial; the CSV's columns are its keys, in order, and
+        # a plain run's JSON also carries the smoothed fields, as null
+        path = tmp_path / "out.json"
+        cfg = ExperimentConfig.from_json(spec_with(
+            n=16, trials=5, combiner=combiner, output={"path": str(path), "format": "json"}))
+        run_experiment(cfg)
+        rows = json.loads(path.read_text())
+        header, *lines = records_csv_text(run_trials(cfg)).splitlines()
+        header = header.split(",")
+        assert len(rows) == len(lines) == 5
+        for row, line in zip(rows, lines):
+            assert list(row)[:len(header)] == header
+            assert all(row[key] is None for key in list(row)[len(header):])
+            assert [str(row[key]) for key in header] == line.split(",")
+        assert (len(rows[0]) == len(header)) == cfg.randomized
+
+    @pytest.mark.parametrize("combiner", [
+        {"type": "plain"}, {"type": "randomized", "nu": 0.75, "m": 16},
+    ], ids=["plain", "randomized"])
+    def test_clean_file_of_zeros_equals_all_zeros(self, tmp_path, combiner):
+        # neither source draws from the trial's "clean" stream
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n" * 32)
+        texts = [records_csv_text(run_trials(ExperimentConfig.from_json(spec_with(
+            n=32, trials=6, combiner=combiner, clean_source=source))))
+            for source in ({"type": "all_zeros"}, {"type": "file", "path": str(path)})]
+        assert texts[0] == texts[1]
 
 
 def scalar_estimate(ch, h, lm, d, z) -> float:
@@ -400,6 +435,40 @@ class TestAggregates:
         assert 0.0 <= agg["chosen_2_fraction"] <= 1.0
 
 
+# The oracles of one oracle_n14 benchmark pass: two warm-up passes, then
+# print the minor faults of a third.
+ORACLE_PASS_FAULTS = """
+import resource
+import numpy as np
+from duodenoise import harness, verify
+from duodenoise.denoisers import SmoothingConfig
+
+cfg = harness.ExperimentConfig.from_json({
+    "channel": {"type": "bsc", "delta": 0.25}, "n": 14, "trials": 1, "master_seed": 7,
+    "denoisers": {"type": "pair", "second": {"type": "identity"},
+                  "first": {"type": "sliding_window", "k": 1, "rule": "majority"}}})
+gen = np.random.default_rng(7)
+x, z = gen.integers(0, 2, 14), gen.integers(0, 2, 12)
+
+def one_pass():
+    for d in (cfg.d1, cfg.d2):
+        harness.enumerate_expectation(
+            cfg.channel, x, harness.estimate_functional(cfg.channel, cfg.h, cfg.lm, d))
+        harness.enumerate_expectation(
+            cfg.channel, x, harness.true_loss_functional(cfg.lm, d, x))
+    verify.check_parity_counterexample(10)
+    for q in (0.1, 0.25):
+        harness.pointwise_influence(lambda rows: rows.sum(axis=1) % 2,
+                                    SmoothingConfig(q=q, mode="exact"), z)
+
+one_pass()
+one_pass()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+one_pass()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestEnumeration:
     def test_matches_direct_sum_tiny_case(self):
         ch = make_bsc(0.25)
@@ -426,15 +495,14 @@ class TestEnumeration:
         lambda z: np.repeat(z.sum(axis=1)[:, None], 2, axis=1),
     ], ids=["scalar", "column", "short", "pair"])
     def test_functional_must_return_one_value_per_state(self, functional):
-        # the oracle, both modes of pointwise influence and empirical
-        # influence share one check of the (B, n) -> B contract
+        # the oracle and both modes of pointwise influence share one check
+        # of the (B, n) -> B contract
         z = np.zeros(4, dtype=np.int64)
         for call in (
             lambda: enumerate_expectation(make_bsc(0.25), z, functional),
             lambda: pointwise_influence(functional, SmoothingConfig(q=0.1, mode="exact"), z),
             lambda: pointwise_influence(functional, SmoothingConfig(q=0.1, m=8), z,
                                         RngStream(33)),
-            lambda: empirical_influence(functional, z, make_bsc(0.25), 2, RngStream(34)),
         ):
             with pytest.raises(ValueError, match="functional returned shape"):
                 call()
@@ -454,6 +522,19 @@ class TestEnumeration:
                 f(np.array(zs))
         with pytest.raises(ValueError, match="length mismatch"):
             true_loss_functional(lm, IdentityDenoiser(), [0, 1, 0])(np.zeros((2, 4), int))
+
+    def test_oracle_pass_takes_no_page_faults(self):
+        """Chunk temporaries small enough for glibc to reuse: a warmed-up
+        ``oracle_n14`` pass of the benchmark takes 0-3 minor faults at
+        ENUMERATION_CHUNK = 512 and thousands at 1024.  A fresh interpreter,
+        because earlier large frees of this process raise glibc's trim and
+        mmap thresholds and hide the faults."""
+        pytest.importorskip("resource")
+        proc = subprocess.run([sys.executable, "-c", ORACLE_PASS_FAULTS], env={
+            **os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 200
 
     def test_chunks_cover_the_support_only(self):
         # a BEC output is never the flipped symbol: 2^11 states instead of 3^11,
@@ -638,14 +719,6 @@ CHUNKS = {"one_entry": lambda n: 1, "one_row": lambda n: n, "short_last": lambda
 
 
 class TestInfluence:
-    def test_empirical_single_coordinate_function(self):
-        # f(z) = z_0: only coordinate 0 contributes, E|Z_0 - Z~_0| = 2 d (1-d)
-        ch = make_bsc(0.2)
-        f = lambda rows: np.atleast_2d(rows)[:, 0].astype(float)
-        x = np.zeros(8, dtype=np.int64)
-        value, se = empirical_influence(f, x, ch, 4000, RngStream(30))
-        assert abs(value - 2 * 0.2 * 0.8) <= 4 * se + 1e-9
-
     def test_pointwise_exact_parity_closed_form(self):
         for n in (4, 9):
             for q in (0.0, 0.1, 0.25):

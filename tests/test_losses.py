@@ -207,3 +207,9 @@ class TestSmoothedLosses:
         with pytest.raises(ValueError, match="binary"):
             smoothed_conditional_loss(HAMMING, IdentityDenoiser(2, 3), drawn,
                                       [0, 1], [0, 2])
+
+    def test_conditional_loss_rejects_length_mismatch(self):
+        drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 4"):
+            smoothed_conditional_loss(HAMMING, IdentityDenoiser(), drawn,
+                                      [0, 1, 0], [0, 1, 1, 0])

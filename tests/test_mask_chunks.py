@@ -5,8 +5,9 @@ Every smoothed quantity walks its mask set in chunks of at most
 property cases of ``test_smoothing_kernel`` (n <= 300, m <= 64) fit in one
 chunk, so here the size is patched down to one entry, to one row, and to a
 size that leaves a short last chunk.  Chunking is only a speed-up if every
-bit stays: the kernels must be ``==`` to the int64 reference kernels, and
-the chunked draw must equal the one-shot ``random((m, n)) < q``.
+bit stays: the kernels must be ``==`` to the int64 reference kernels, the
+chunked draw must equal the one-shot ``random((m, n)) < q``, and the
+one-mask draw of the emitted mask must equal ``uniforms(n) < q``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from duodenoise.denoisers import (
     ParityMarkedZerosDenoiser,
     SlidingWindowDenoiser,
     SmoothingConfig,
+    draw_smoothing_mask,
     draw_smoothing_masks,
     enumerate_masks,
     make_sliding_window,
@@ -109,6 +111,10 @@ def test_chunked_draw_equals_one_shot_draw(m, n, q, entries, monkeypatch):
     masks = draw_smoothing_masks(SmoothingConfig(q=q, m=m), n, stream)
     assert masks.dtype == np.bool_
     assert np.array_equal(masks, stream.generator().random((m, n)) < q)
+    # the emitted mask is a one-mask draw: bit for bit its former float body
+    single = draw_smoothing_mask(SmoothingConfig(q=q), n, stream)
+    assert single.dtype == np.bool_
+    assert np.array_equal(single, stream.uniforms(n) < q)
 
 
 def test_chunks_cover_the_rows_in_order(monkeypatch):

@@ -60,7 +60,7 @@ def reference_per_symbol(ch, h, lm, d, cfg, z, rng):
         + lm.lam[:, 1][:, None, None] * mean_out[None, :, :]
     )
     inner = np.einsum("xia,xa->xi", exp_loss, ch.pi)
-    return (h.h[:, zs] * inner).sum(axis=0)
+    return (h[:, zs] * inner).sum(axis=0)
 
 
 def reference_conditional_loss(lm, d, cfg, x, z, rng):
