@@ -24,6 +24,20 @@ H_IDENTITY_TOL = 1e-9
 ERASURE = 2
 
 
+def parse_symbols(text: str) -> np.ndarray:
+    """The symbols written in ``text`` as int64: ASCII decimal integers
+    separated by commas and/or whitespace, newlines included.  Any other
+    token (a sign, an underscore, a non-ASCII digit) raises ValueError."""
+    tokens = text.replace(",", " ").split()
+    for token in tokens:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"not a decimal symbol: {token!r}")
+    try:
+        return np.array(list(map(int, tokens)), dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"symbol out of range: {exc}") from exc
+
+
 def check_sequence(seq, alphabet_size: int, name: str = "sequence") -> np.ndarray:
     """Validate and return seq as an int64 array with symbols < alphabet_size."""
     arr = np.asarray(seq)
@@ -109,11 +123,6 @@ def make_bec(epsilon: float) -> Channel:
     return Channel(pi)
 
 
-def make_dmc(pi) -> Channel:
-    """General DMC from an explicit row-stochastic matrix."""
-    return Channel(pi)
-
-
 def channel_from_json(text_or_dict, path: str = "channel") -> Channel:
     """Parse a channel spec, given as a dict or as JSON text."""
     values = read_typed(text_or_dict, path, "channel type", {
@@ -121,7 +130,7 @@ def channel_from_json(text_or_dict, path: str = "channel") -> Channel:
         "bec": ({"epsilon": float}, {}),
         "dmc": ({"pi": [[float]]}, {}),
     })
-    make = {"bsc": make_bsc, "bec": make_bec, "dmc": make_dmc}[values.pop("type")]
+    make = {"bsc": make_bsc, "bec": make_bec, "dmc": Channel}[values.pop("type")]
     return build(path, make, *values.values())
 
 

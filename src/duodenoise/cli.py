@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .channel import channel_from_json, h_from_choice
+from .channel import channel_from_json, h_from_choice, parse_symbols
 from .combine import combined_denoise, randomized_combined_denoise
 from .denoisers import ENUMERATION_LIMIT
 from .harness import (
@@ -35,9 +35,11 @@ from .verify import default_battery
 
 
 def _parse_sequence(arg: str) -> np.ndarray:
+    """The symbols of ``--sequence``, or of the file named after its ``@``."""
     if arg.startswith("@"):
-        return np.loadtxt(arg[1:], dtype=np.int64, ndmin=1)
-    return np.array([int(s) for s in arg.replace(",", " ").split()], dtype=np.int64)
+        with open(arg[1:]) as fh:
+            arg = fh.read()
+    return parse_symbols(arg)
 
 
 def _combiner_spec(args) -> dict:
@@ -106,7 +108,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_influence(args) -> int:
     cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
-    if args.sequence:
+    if args.sequence is not None:
         z = _parse_sequence(args.sequence)
     else:
         if args.n < 1:
@@ -115,7 +117,7 @@ def cmd_influence(args) -> int:
         z = np.zeros(args.n, dtype=np.int64)
 
     def parity(rows: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(rows).sum(axis=1) % 2
+        return rows.sum(axis=1) % 2
 
     value, se = pointwise_influence(parity, cfg, z, RngStream(args.seed))
     print(json.dumps({"influence": value, "se": se}))
@@ -146,11 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="Monte Carlo mask count (default 128)")
         p.add_argument("--seed", type=int, default=0)
 
+    sequence_help = ("symbols: decimal integers separated by commas and/or whitespace, "
+                     "or @file for a file of symbols in the same syntax")
+
     p = sub.add_parser("estimate", help="estimate a denoiser's loss on a sequence")
     channel_opts(p)
     p.add_argument("--denoiser", required=True, help="denoiser JSON")
-    p.add_argument("--sequence", required=True,
-                   help="comma/space separated symbols, or @file")
+    p.add_argument("--sequence", required=True, help=sequence_help)
     p.add_argument("--erasure-form", action="store_true",
                    help="use the hypothetical-erasure shortcut (BEC only)")
     p.set_defaults(func=cmd_estimate)
@@ -158,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("combine", help="combine two denoisers on a sequence")
     channel_opts(p)
     p.add_argument("--pair", required=True, help="denoiser pair JSON")
-    p.add_argument("--sequence", required=True)
+    p.add_argument("--sequence", required=True, help=sequence_help)
     p.add_argument("--randomized", action="store_true")
     smoothing_opts(p)
     p.set_defaults(func=cmd_combine)
@@ -170,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("influence",
                        help="total influence of the smoothed parity functional")
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--sequence", default=None)
+    p.add_argument("--sequence", default=None, help=sequence_help)
     smoothing_opts(p)
     p.set_defaults(func=cmd_influence)
     return parser

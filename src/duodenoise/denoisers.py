@@ -42,10 +42,6 @@ class Denoiser(ABC):
         """Per row, the table t[i, a] = denoise(row with position i set to
         a)[i], shape (B, n, input_size)."""
 
-    def spec(self) -> dict:
-        """The JSON spec that ``harness.denoiser_from_spec`` reads back."""
-        raise NotImplementedError(f"{type(self).__name__} has no JSON spec")
-
     def denoise(self, z) -> np.ndarray:
         """Full reconstruction of the noisy sequence z."""
         return self.denoise_batch(check_sequence(z, self.input_size, "noisy sequence")[None])[0]
@@ -63,9 +59,6 @@ class IdentityDenoiser(Denoiser):
     def __init__(self, output_size: int = 2, input_size: int | None = None):
         self.output_size = output_size
         self.input_size = output_size if input_size is None else input_size
-
-    def spec(self) -> dict:
-        return {"type": "identity"}
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.where(zs < self.output_size, zs, 0)
@@ -85,9 +78,6 @@ class ConstantDenoiser(Denoiser):
         self.output_size = output_size
         self.input_size = output_size if input_size is None else input_size
 
-    def spec(self) -> dict:
-        return {"type": "constant", "symbol": self.symbol}
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
         return np.full(zs.shape, self.symbol, dtype=np.int64)
 
@@ -100,7 +90,7 @@ class SlidingWindowDenoiser(Denoiser):
     symbols centred there; boundaries are padded with symbol 0."""
 
     def __init__(self, k: int, table: np.ndarray, input_size: int = 2,
-                 output_size: int = 2, rule_name: str | None = None):
+                 output_size: int = 2):
         if k < 0:
             raise ValueError("window half-width must be nonnegative")
         width = 2 * k + 1
@@ -116,14 +106,8 @@ class SlidingWindowDenoiser(Denoiser):
         self.table = table
         self.input_size = input_size
         self.output_size = output_size
-        self.rule_name = rule_name
         # window code = sum_t z[i-k+t] * B^(2k-t); centre digit weighs B^k
         self._weights = input_size ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-    def spec(self) -> dict:
-        if self.rule_name is not None:
-            return {"type": "sliding_window", "k": self.k, "rule": self.rule_name}
-        return {"type": "sliding_window", "k": self.k, "table": self.table.tolist()}
 
     def _codes(self, zs: np.ndarray) -> np.ndarray:
         k = self.k
@@ -169,8 +153,7 @@ def make_sliding_window(k: int, rule, input_size: int = 2,
     if isinstance(rule, str):
         if rule != "majority":
             raise ValueError(f"unknown sliding-window rule {rule!r}")
-        return SlidingWindowDenoiser(k, _majority_table(k, input_size),
-                                     input_size, output_size, rule_name="majority")
+        rule = _majority_table(k, input_size)
     return SlidingWindowDenoiser(k, rule, input_size, output_size)
 
 

@@ -32,6 +32,7 @@ from .channel import (
     h_from_choice,
     is_bec,
     outputs_from_uniforms,
+    parse_symbols,
 )
 from .combine import randomized_combined_denoise, select_min_estimate
 from .denoisers import (
@@ -138,8 +139,8 @@ def clean_source_from_spec(spec, channel: Channel, n: int, path: str = "clean_so
     if source["type"] != "file":
         return source, None
     try:
-        clean = check_sequence(np.loadtxt(source["path"], dtype=np.int64, ndmin=1),
-                               channel.input_size, "clean file")
+        with open(source["path"]) as fh:
+            clean = check_sequence(parse_symbols(fh.read()), channel.input_size, "clean file")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}.path: {exc}") from exc
     if len(clean) != n:
@@ -351,15 +352,19 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
         return list(pool.map(lambda t: _run_trial(cfg, t), ids))
 
 
-def records_to_csv(records: list[TrialRecord], fh) -> None:
-    """Write the trial CSV: one column per :class:`TrialRecord` field, in
-    field order; the smoothed fields (those defaulting to None) only for
-    randomized-combiner runs."""
+def _table(records: list[TrialRecord]):
+    """(header, rows) of the trial output: one column per
+    :class:`TrialRecord` field, in field order; the smoothed fields (those
+    defaulting to None) only for randomized-combiner runs."""
     randomized = records and records[0].sm_est_d1 is not None
     header = [f.name for f in fields(TrialRecord) if randomized or f.default is not None]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(attrgetter(*header), records))
+    return header, map(attrgetter(*header), records)
+
+
+def records_to_csv(records: list[TrialRecord], fh) -> None:
+    """Write the trial CSV, one row per record under the header."""
+    header, rows = _table(records)
+    csv.writer(fh, lineterminator="\n").writerows(itertools.chain([header], rows))
 
 
 def records_csv_text(records: list[TrialRecord]) -> str:
@@ -449,12 +454,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all trials, write the configured output file, return the aggregate."""
     records = run_trials(cfg)
     if cfg.output_path:
-        if cfg.output_format == "csv":
-            with open(cfg.output_path, "w") as fh:
+        with open(cfg.output_path, "w") as fh:
+            if cfg.output_format == "csv":
                 records_to_csv(records, fh)
-        else:
-            with open(cfg.output_path, "w") as fh:
-                json.dump([r.__dict__ for r in records], fh, indent=1)
+            else:
+                header, rows = _table(records)
+                json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
     return aggregate(records, cfg)
 
 

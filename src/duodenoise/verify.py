@@ -53,14 +53,12 @@ def check_h_identity(channel: Channel) -> CheckResult:
     )
 
 
-def check_unbiasedness(channel: Channel, d: Denoiser, x,
-                       h=None, lm: LossMatrix | None = None) -> CheckResult:
-    """E[estimate] equals E[true loss] exactly, by output-space enumeration."""
+def check_unbiasedness(channel: Channel, d: Denoiser, x, h=None) -> CheckResult:
+    """E[estimate] equals E[Hamming loss] exactly, by output-space enumeration."""
     xs = np.asarray(x, dtype=np.int64)
     if h is None:
         h = compute_h(channel)
-    if lm is None:
-        lm = LossMatrix.hamming(channel.input_size)
+    lm = LossMatrix.hamming(channel.input_size)
     e_est = enumerate_expectation(channel, xs, estimate_functional(channel, h, lm, d))
     e_loss = enumerate_expectation(channel, xs, true_loss_functional(lm, d, xs))
     gap = abs(e_est - e_loss)

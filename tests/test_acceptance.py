@@ -10,7 +10,7 @@ Criteria, in order:
  7. randomized (smoothed-selection) combiner recovers the better denoiser
  8. total influence of smoothed parity: closed form and Monte Carlo
  9. finite-n trends: concentration and smoothing-gap behavior in n
-10. determinism: identical CSVs across thread counts
+10. determinism: identical CSVs across blockings and thread counts
 
 Every Monte Carlo quantity uses fixed master seeds, so each test is
 deterministic end to end.
@@ -373,12 +373,17 @@ def test_criterion_09c_smoothed_concentration_trend(bsc_randomized_runs):
         assert non_increasing_within_2se(probs, ses), f"denoiser {j} probs {probs}"
 
 
-def test_criterion_10_thread_count_determinism(monkeypatch):
-    """Byte-identical CSVs with 1 and 8 workers, plain and randomized."""
-    for spec in (BSC_PLAIN_SPEC, bsc_randomized_spec(256)):
-        outputs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("DUO_THREADS", threads)
-            _, records = run_config(spec)
-            outputs.append(records_csv_text(records))
-        assert outputs[0] == outputs[1]
+def test_criterion_10_thread_count_determinism(monkeypatch, bsc_plain_run,
+                                               bsc_randomized_runs):
+    """Byte-identical CSVs whatever the blocking and thread count.
+
+    Plain trials run one to a block in ``bsc_plain_run`` (n = 4096) and here
+    three to a block, the last block ragged; randomized trials run on every
+    usable CPU in ``bsc_randomized_runs`` and here on one thread.
+    """
+    monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 3 * N_BIG)
+    monkeypatch.setenv("DUO_THREADS", "1")
+    for spec, (_, expected) in ((BSC_PLAIN_SPEC, bsc_plain_run),
+                                (bsc_randomized_spec(256), bsc_randomized_runs[256])):
+        _, records = run_config(spec)
+        assert records_csv_text(records) == records_csv_text(expected)

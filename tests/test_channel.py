@@ -16,7 +16,6 @@ from duodenoise.channel import (
     is_bec,
     make_bec,
     make_bsc,
-    make_dmc,
     sample_output,
 )
 from duodenoise.rng import RngStream
@@ -83,13 +82,13 @@ class TestDualMatrix:
         assert h_defect(ch, canonical_erasure_h(ch)) <= 1e-12
 
     @pytest.mark.parametrize("ch", [make_bsc(0.1), make_bec(0.3),
-                                    make_dmc([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7],
-                                              [0.25, 0.5, 0.25]])])
+                                    Channel([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7],
+                                             [0.25, 0.5, 0.25]])])
     def test_defining_identity(self, ch):
         assert h_defect(ch, compute_h(ch)) <= 1e-9
 
     def test_rank_deficient_channel_has_no_h(self):
-        ch = make_dmc([[0.5, 0.5], [0.5, 0.5]])
+        ch = Channel([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="no valid h exists"):
             compute_h(ch)
 
@@ -117,13 +116,13 @@ class TestStructure:
     def test_is_bec(self):
         assert is_bec(make_bec(0.3))
         assert not is_bec(make_bsc(0.3))
-        assert not is_bec(make_dmc([[0.5, 0.2, 0.3], [0.0, 0.7, 0.3]]))
+        assert not is_bec(Channel([[0.5, 0.2, 0.3], [0.0, 0.7, 0.3]]))
 
     def test_specs_build_the_factory_channels(self):
         dmc = [[0.9, 0.1], [0.3, 0.7]]
         for spec, ch in (({"type": "bsc", "delta": 0.2}, make_bsc(0.2)),
                          ({"type": "bec", "epsilon": 0.4}, make_bec(0.4)),
-                         ({"type": "dmc", "pi": dmc}, make_dmc(dmc))):
+                         ({"type": "dmc", "pi": dmc}, Channel(dmc))):
             assert np.array_equal(channel_from_json(spec).pi, ch.pi)
         # the channel type is structural: a dmc spec of a BEC matrix is a BEC
         assert is_bec(channel_from_json({"type": "dmc", "pi": make_bec(0.4).pi.tolist()}))

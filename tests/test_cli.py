@@ -7,6 +7,7 @@ import json
 import pytest
 
 from duodenoise.cli import main
+from duodenoise.harness import ConfigError, ExperimentConfig
 
 
 def test_verify_passes(capsys):
@@ -129,3 +130,41 @@ def test_influence_sequence_equals_block_length(capsys):
 def test_influence_rejects_empty_block(capsys):
     assert main(["influence", "--n", "0"]) == 1
     assert "--n: block length must be >= 1" in capsys.readouterr().err
+
+
+# an identity pair outputs the symbols it read
+COMBINE_IDENTITY = ["combine", "--channel", '{"type": "bsc", "delta": 0.2}', "--pair",
+                    '{"type": "pair", "first": {"type": "identity"}, '
+                    '"second": {"type": "identity"}}', "--sequence"]
+
+
+def clean_file_config(path, n: int) -> dict:
+    return {"channel": {"type": "bsc", "delta": 0.2}, "n": n,
+            "denoisers": {"type": "bsc_counterexample_pair", "delta": 0.2},
+            "trials": 1, "master_seed": 0,
+            "clean_source": {"type": "file", "path": str(path)}}
+
+
+@pytest.mark.parametrize("text", ["0,1,1,0", "0 1\n1 0", "0\n1\n1\n0\n"],
+                         ids=["commas", "two_lines", "one_per_line"])
+def test_every_sequence_path_reads_the_same_symbols(tmp_path, capsys, text):
+    # --sequence TEXT, --sequence @file and a clean_source file holding TEXT
+    path = tmp_path / "z.txt"
+    path.write_text(text)
+    for arg in (text, f"@{path}"):
+        assert main(COMBINE_IDENTITY + [arg]) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == [0, 1, 1, 0]
+    cfg = ExperimentConfig.from_json(clean_file_config(path, 4))
+    assert cfg.clean_file.tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("text", ["0_1,0", "+1", "1,\u0660", "", "99999999999999999999"],
+                         ids=["underscore", "sign", "non_ascii_digit", "empty", "beyond_int64"])
+def test_every_sequence_path_rejects_a_malformed_text(tmp_path, capsys, text):
+    path = tmp_path / "z.txt"
+    path.write_text(text)
+    for arg in (text, f"@{path}"):
+        assert main(COMBINE_IDENTITY + [arg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ConfigError, match=r"^config\.clean_source\.path: "):
+        ExperimentConfig.from_json(clean_file_config(path, 2))

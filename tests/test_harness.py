@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from duodenoise import denoisers, harness
 from duodenoise.channel import (
+    Channel,
     canonical_erasure_h,
     compute_h,
     is_bec,
     make_bec,
     make_bsc,
-    make_dmc,
     sample_output,
 )
 from duodenoise.combine import select_min_estimate
@@ -148,8 +148,10 @@ class TestConfigParsing:
             "first": {"type": "identity"},
             "second": {"type": "sliding_window", "k": 1, "rule": "majority"},
         }))
-        assert cfg.d1.spec()["type"] == "identity"
-        assert cfg.d2.spec()["rule"] == "majority"
+        assert type(cfg.d1) is IdentityDenoiser
+        assert type(cfg.d2) is SlidingWindowDenoiser and cfg.d2.k == 1
+        # majority of the three window symbols, window code 4a + 2b + c
+        assert cfg.d2.table.tolist() == [0, 0, 0, 1, 0, 1, 1, 1]
 
     def test_unknown_denoiser_type(self):
         ch = make_bsc(0.2)
@@ -250,8 +252,7 @@ class TestTrials:
         {"type": "plain"}, {"type": "randomized", "nu": 0.75, "m": 8},
     ], ids=["plain", "randomized"])
     def test_json_output_holds_the_csv_rows(self, tmp_path, combiner):
-        # one object per trial; the CSV's columns are its keys, in order, and
-        # a plain run's JSON also carries the smoothed fields, as null
+        # one object per trial, whose keys are the CSV's header, in order
         path = tmp_path / "out.json"
         cfg = ExperimentConfig.from_json(spec_with(
             n=16, trials=5, combiner=combiner, output={"path": str(path), "format": "json"}))
@@ -261,10 +262,8 @@ class TestTrials:
         header = header.split(",")
         assert len(rows) == len(lines) == 5
         for row, line in zip(rows, lines):
-            assert list(row)[:len(header)] == header
-            assert all(row[key] is None for key in list(row)[len(header):])
-            assert [str(row[key]) for key in header] == line.split(",")
-        assert (len(rows[0]) == len(header)) == cfg.randomized
+            assert list(row) == header
+            assert [str(value) for value in row.values()] == line.split(",")
 
     @pytest.mark.parametrize("combiner", [
         {"type": "plain"}, {"type": "randomized", "nu": 0.75, "m": 16},
@@ -347,7 +346,7 @@ def plain_trial_cases(draw):
             row = [draw(st.floats(0.0, 0.5)) for _ in range(3)]
             row[i] = draw(st.floats(2.0, 3.0))
             rows.append([v / sum(row) for v in row])
-        ch = make_dmc(rows)
+        ch = Channel(rows)
         h, lm = compute_h(ch), LossMatrix([[0.0, 1.0, 3.0], [0.5, 0.0, 2.0], [1.5, 1.0, 0.0]])
         parity_pair = None
     m, k_out = ch.output_size, ch.input_size
@@ -622,7 +621,7 @@ def oracle_cases(draw):
             row[i] = draw(st.floats(2.0, 3.0))
             row[(i + 1 + draw(st.integers(0, 1))) % 3] = 0.0
             rows.append([v / sum(row) for v in row])
-        ch = make_dmc(rows)
+        ch = Channel(rows)
         h, lm = compute_h(ch), LossMatrix.hamming(3)
         d = draw(st.sampled_from([
             IdentityDenoiser(3), ConstantDenoiser(2, 3), window(3, 3)]))

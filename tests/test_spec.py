@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duodenoise import combine, harness, losses
-from duodenoise.channel import make_bec, make_bsc, make_dmc
+from duodenoise.channel import Channel, make_bec, make_bsc
 from duodenoise.cli import main
 from duodenoise.denoisers import (
     ConstantDenoiser,
@@ -262,6 +262,7 @@ def test_thread_count(monkeypatch):
     ["influence", "--n", "4096", "--m", "1000000000"],
     ["influence", "--n", "1000000000000", "--q", "0.1"],
     ["verify", "--n", "1000000000000"],
+    ["influence", "--sequence", "", "--q", "0.1"],
 ])
 def test_cli_rejects_malformed_input(argv, capsys):
     assert main(argv) == 1
@@ -336,18 +337,27 @@ def test_mutated_config_runs_or_is_rejected_while_parsing(spec):
     aggregate(run_trials(cfg), cfg)
 
 
+TABLE_2 = np.random.default_rng(1).integers(0, 2, 8)
+TABLE_3 = np.random.default_rng(2).integers(0, 3, 27)
+
+
 @pytest.mark.parametrize("channel, d", [
-    (make_bsc(0.2), IdentityDenoiser()),
-    (make_bec(0.3), IdentityDenoiser(2, 3)),
-    (make_bsc(0.2), ConstantDenoiser(1)),
-    (make_dmc(DMC3["pi"]), ConstantDenoiser(2, 3)),
-    (make_bsc(0.2), make_sliding_window(1, "majority")),
-    (make_bsc(0.2), make_sliding_window(1, np.random.default_rng(1).integers(0, 2, 8))),
-    (make_dmc(DMC3["pi"]), make_sliding_window(1, np.random.default_rng(2).integers(0, 3, 27),
-                                               3, 3)),
+    (make_bsc(0.2), ({"type": "identity"}, IdentityDenoiser())),
+    (make_bec(0.3), ({"type": "identity"}, IdentityDenoiser(2, 3))),
+    (make_bsc(0.2), ({"type": "constant", "symbol": 1}, ConstantDenoiser(1))),
+    (Channel(DMC3["pi"]), ({"type": "constant", "symbol": 2}, ConstantDenoiser(2, 3))),
+    (make_bsc(0.2), ({"type": "sliding_window", "k": 1, "rule": "majority"},
+                     make_sliding_window(1, "majority"))),
+    (make_bsc(0.2), ({"type": "sliding_window", "k": 1, "table": TABLE_2.tolist()},
+                     make_sliding_window(1, TABLE_2))),
+    (Channel(DMC3["pi"]), ({"type": "sliding_window", "k": 1, "table": TABLE_3.tolist()},
+                           make_sliding_window(1, TABLE_3, 3, 3))),
 ])
 def test_denoiser_spec_round_trips(channel, d):
-    again = denoiser_from_spec(d.spec(), channel)
+    # d is a (spec, denoiser) pair: the spec, read against the channel,
+    # builds a denoiser that acts as the one constructed directly
+    spec, d = d
+    again = denoiser_from_spec(spec, channel)
     for seed in range(3):
         z = np.random.default_rng(seed).integers(0, channel.output_size, 20)
         np.testing.assert_array_equal(again.denoise(z), d.denoise(z))
