@@ -156,10 +156,15 @@ def sample_output(channel: Channel, x, rng: RngStream) -> np.ndarray:
 
 def outputs_from_uniforms(channel: Channel, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The inverse-CDF outputs of :func:`sample_output` for clean symbols xs
-    and uniforms u of the same shape, e.g. a (B, n) block of trials."""
+    and uniforms u of the same shape, e.g. a (B, n) block of trials: the
+    number of the first M - 1 cumulative probabilities of row xs that u
+    reaches.  The rows of ``cum`` are nondecreasing, so a u at or above a
+    last entry that rounds below 1 still gives symbol M - 1."""
     cum = np.cumsum(channel.pi, axis=1)
-    z = (u[..., None] >= cum[xs]).sum(axis=-1)
-    return np.minimum(z, channel.output_size - 1).astype(np.int64)
+    z = np.zeros(u.shape, np.int64)
+    for column in cum[:, :-1].T:
+        z += u >= column[xs]
+    return z
 
 
 def compute_h(channel: Channel) -> np.ndarray:

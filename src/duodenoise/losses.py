@@ -21,11 +21,13 @@ temporaries stay cache-sized.  For the whole set they hold only the masks,
 per-mask scalars and, for the per-symbol estimates, one table of the picked
 substituted outputs at one byte per entry.
 
-Position sums use compensated (math.fsum) accumulation in index order, so
-results do not depend on scheduling or vectorization details.  The one
-exception is :func:`smoothed_conditional_loss`, which sums each mask's row
-with numpy: a per-mask fsum over (m, n) = (128, 4096) entries would run in
-Python, and the randomized golden trial CSVs pin the bits of numpy's sum.
+Position sums are correctly rounded, bit for bit ``math.fsum``, so results
+do not depend on scheduling or vectorization details.  They run in numpy, by
+the error-free extraction of Rump, Ogita and Oishi ("Accurate floating-point
+summation, part I", SIAM J. Sci. Comput. 2008), one batch of rows at a time;
+see :func:`_row_means`.  The one exception is
+:func:`smoothed_conditional_loss`, which sums each mask's row with plain
+numpy addition: the randomized golden trial CSVs pin the bits of that sum.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def cumulative_loss(lm: LossMatrix, x, xhat) -> float:
     hs = check_sequence(xhat, lm.size, "reconstruction")
     if len(xs) != len(hs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(hs)}")
-    return math.fsum(lm.lam[xs, hs]) / len(xs)
+    return float(_row_means(lm.lam[xs, hs][None])[0])
 
 
 def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
@@ -92,7 +94,10 @@ def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
     output at position i once the noisy symbol there is replaced by a.  ``z``
     has the table's middle shape, (n,) or a (B, n) batch."""
     inner = np.einsum("x...a,xa->x...", lam_tab, ch.pi)
-    return (h[:, z] * inner).sum(axis=0)
+    # in place, one clean symbol at a time: no (K, ..., n) temporary
+    for x, h_x in enumerate(h):
+        inner[x] *= h_x[z]
+    return inner.sum(axis=0)
 
 
 def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
@@ -103,9 +108,49 @@ def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
 
 
 def _row_means(terms: np.ndarray) -> np.ndarray:
-    """Each row's correctly rounded sum over its n terms, divided by n."""
-    sums = np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
-    return sums / terms.shape[1]
+    """Each row's correctly rounded sum over its n terms, divided by n: bit
+    for bit ``math.fsum(row) / n``.  ``terms`` is a (B, n) float64 temporary
+    of the caller, which this overwrites.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 2008): with 2^b >= n + 2 and
+    sigma the power of two 2^(e+b) for the block's max |p| < 2^e, each term
+    p splits into q = (sigma + p) - sigma and the remainder p - q, both
+    exact.  The q are multiples of ulp(sigma)/2 whose every partial sum
+    stays below sigma, so numpy sums each row of them exactly in any order,
+    and the remainders are at most sigma / 2^53.  Repeating on the
+    remainders until they are all zero leaves each row's exact sum as a few
+    level sums: one level is that sum, two round correctly in one IEEE
+    addition, and more go to ``math.fsum``.  A row that holds a non-finite
+    term, or one so large that sigma would overflow, goes to ``math.fsum``
+    whole, which keeps its results and its exceptions.
+    """
+    n = terms.shape[1]
+    b = (n + 1).bit_length()                    # 2**b >= n + 2
+    limit = 2.0 ** (1023 - b)                   # sigma is finite for |p| < limit
+    top = max(terms.max(), -terms.min())
+    fallback = {}
+    if not top < limit:                         # a term too large, infinite or NaN
+        wide = np.flatnonzero(~(np.abs(terms) < limit).all(axis=1))
+        fallback = {r: math.fsum(terms[r].tolist()) for r in wide}
+        terms[wide] = 0.0
+        top = max(terms.max(), -terms.min())
+    q = np.empty_like(terms)
+    levels = []
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + b)    # every |p| < sigma / 2**b
+        np.add(terms, sigma, out=q)
+        q -= sigma
+        terms -= q
+        levels.append(q.sum(axis=1))
+        top = max(terms.max(), -terms.min())
+    sums = sum(levels[:2], np.zeros(len(terms)))     # exact, or one rounding
+    if len(levels) > 2:                                # rows of 3+ nonzero levels
+        for r in np.flatnonzero(np.any(levels[2:], axis=0)):
+            sums[r] = math.fsum(level[r] for level in levels)
+    for r, value in fallback.items():
+        sums[r] = value
+    return sums / n
 
 
 def true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -117,8 +162,10 @@ def true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> 
 def estimate_losses(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
                     zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
-    tabs = d.substituted_outputs_batch(zs)
-    return _row_means(_estimates_from_table(ch, h, zs, lm.lam[:, tabs]))
+    # no name for the substituted table, so it is freed before the estimate
+    # temporaries exist: the oracle's 512-state chunks stay small
+    lam_tab = lm.lam[:, d.substituted_outputs_batch(zs)]
+    return _row_means(_estimates_from_table(ch, h, zs, lam_tab))
 
 
 def estimate_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser, z) -> float:
@@ -144,7 +191,9 @@ def erasure_estimate_loss(ch: Channel, lm: LossMatrix, d: Denoiser, z) -> float:
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     tab = d.substituted_outputs(zs)[:, ERASURE]
     unerased = zs != ERASURE
-    return math.fsum(lm.lam[zs[unerased], tab[unerased]]) / len(zs)
+    terms = np.zeros(len(zs))
+    terms[unerased] = lm.lam[zs[unerased], tab[unerased]]
+    return float(_row_means(terms[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +297,9 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
         block[...] = d.substituted_outputs_batch(z8 ^ masks[rows])
         # entry [b, i, a] of the flipped table answers symbol a ^ masks[b, i]:
         # where the mask is set, swap the two bytes of each position's pair
-        pairs = block.view(np.uint16)[..., 0]
-        np.copyto(pairs, pairs.byteswap(), where=masks[rows])
+        pairs = block.view(np.uint16).reshape(-1)
+        flips = np.flatnonzero(masks[rows])
+        pairs[flips] = pairs[flips].byteswap()
     mean_out = np.einsum("b,bia->ia", weights, picked)
     # binary outputs: expected loss is a mixture of the two loss columns
     exp_loss = (
@@ -264,4 +314,4 @@ def estimate_smoothed_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denois
     """Unbiased estimate of the smoothed denoiser's expected normalized loss
     over the (masks, weights) pair ``drawn``."""
     vals = smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z)
-    return math.fsum(vals) / len(vals)
+    return float(_row_means(vals[None])[0])

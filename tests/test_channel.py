@@ -16,6 +16,7 @@ from duodenoise.channel import (
     is_bec,
     make_bec,
     make_bsc,
+    outputs_from_uniforms,
     sample_output,
 )
 from duodenoise.rng import RngStream
@@ -156,3 +157,39 @@ class TestSampling:
         z1 = sample_output(ch, x, RngStream(1, 2))
         z2 = sample_output(ch, x, RngStream(1, 3))
         assert (z1 != z2).any()
+
+
+def _former_outputs(channel, xs, u):
+    """The inverse-CDF sampler as one (..., M) comparison, clipped to M - 1."""
+    cum = np.cumsum(channel.pi, axis=1)
+    z = (u[..., None] >= cum[xs]).sum(axis=-1)
+    return np.minimum(z, channel.output_size - 1).astype(np.int64)
+
+
+# the third row's cumulative sum ends at 0.9999999999999999
+DMC3 = Channel([[0.7, 0.2, 0.1], [0.25, 0.5, 0.25], [0.3, 0.15, 1 - 0.3 - 0.15]])
+
+
+@pytest.mark.parametrize("channel", [make_bsc(0.2), make_bec(0.3), DMC3],
+                         ids=["bsc", "bec", "dmc3"])
+def test_outputs_from_uniforms_match_the_former_sampler(channel):
+    cum = np.cumsum(channel.pi, axis=1)
+    k = channel.input_size
+    # every cumulative entry exactly, one ulp on either side, the gap between
+    # a last entry that rounds below 1 and 1, and uniforms from a stream
+    edges = np.concatenate([cum.ravel(), np.nextafter(cum.ravel(), 0.0),
+                            np.nextafter(cum.ravel(), 2.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = np.concatenate([edges, RngStream(21).uniforms(4000)])
+    u = u[u < 1.0]
+    xs = np.arange(len(u)) % k
+    blocks = [(xs, u), (np.tile(xs, (3, 1)), np.tile(u, (3, 1)))]
+    for x, uu in blocks:
+        got = outputs_from_uniforms(channel, x, uu)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _former_outputs(channel, x, uu))
+
+
+def test_uniform_past_a_last_cumulative_below_one_gives_the_last_symbol():
+    last = np.cumsum(DMC3.pi[2])[-1]
+    assert last == np.nextafter(1.0, 0.0)      # the largest uniform below 1
+    assert outputs_from_uniforms(DMC3, np.array([2]), np.array([last])).tolist() == [2]

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duodenoise.channel import canonical_erasure_h, compute_h, make_bec, make_bsc
 from duodenoise.denoisers import (
@@ -21,10 +23,12 @@ from duodenoise.denoisers import (
 from duodenoise.losses import (
     JointTypeCounts,
     LossMatrix,
+    _row_means,
     bsc_estimate_from_type,
     cumulative_loss,
     erasure_estimate_loss,
     estimate_loss,
+    estimate_losses,
     estimate_smoothed_loss,
     joint_type_counts,
     per_symbol_estimates,
@@ -91,6 +95,92 @@ class TestEstimator:
         z = RngStream(5).generator().integers(0, 2, size=64)
         vals = per_symbol_estimates(ch, h, HAMMING, d, z)
         assert math.fsum(vals) / 64 == estimate_loss(ch, h, HAMMING, d, z)
+
+
+def _fsum_means(terms: np.ndarray) -> np.ndarray:
+    """The reference: each row's math.fsum over its n terms, divided by n."""
+    return np.array([math.fsum(row) / terms.shape[1] for row in terms.tolist()])
+
+
+@st.composite
+def _term_blocks(draw):
+    """(B, n) float64 blocks whose rows take one extraction level (small
+    integers), two (terms of like magnitude), three or more (exponents
+    spread wide), or none (all +0.0 or all -0.0), and subnormal rows and
+    rows too large for any level, which go to math.fsum whole."""
+    shape = draw(st.sampled_from([(1, 1), (4, 1), (1, 2), (3, 17), (8, 256),
+                                  (1, 4096), (600, 14)]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integers", "like", "spread", "zeros", "negative zeros",
+                                 "subnormal", "huge", "mixed"]))
+    if kind == "integers":
+        return gen.integers(-1000, 1000, shape).astype(np.float64)
+    if kind == "like":
+        return gen.choice([-0.2 / 0.6, 0.2, 0.8, 0.8 / 0.6, 0.0], shape)
+    if kind == "spread":
+        return gen.standard_normal(shape) * np.exp2(gen.integers(-1074, 1000, shape))
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "negative zeros":
+        return np.full(shape, -0.0)
+    if kind == "subnormal":
+        return gen.integers(-2**20, 2**20, shape) * 5e-324
+    if kind == "huge":
+        return gen.choice([1e308, -1e308, 1.5e307, -2.0**1020], shape)
+    # each row of its own kind, so one block mixes fast and fallback rows
+    rows = [draw(st.sampled_from([0.1, -1e-300, 2.0**1020, 5e-324, -0.0, 1.0]))
+            * gen.standard_normal(shape[1]) for _ in range(shape[0])]
+    return np.array(rows)
+
+
+class TestExactRowSums:
+    """losses._row_means is math.fsum(row) / n bit for bit, in numpy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_term_blocks())
+    def test_equals_fsum_bytewise(self, terms):
+        try:
+            want = _fsum_means(terms)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _row_means(terms.copy())
+            return
+        assert _row_means(terms.copy()).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40), st.integers(1, 3))
+    def test_any_floats_give_fsums_result_or_exception(self, row, copies):
+        terms = np.array([row] * copies)
+        try:
+            want = _fsum_means(terms)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _row_means(terms.copy())
+            return
+        assert _row_means(terms.copy()).tobytes() == want.tobytes()
+
+    def test_signed_zero_rows_sum_to_positive_zero(self):
+        terms = np.array([[-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]])
+        assert _row_means(terms).tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 256), (1, 4096)])
+    def test_bsc_blocks_never_call_fsum(self, shape, monkeypatch):
+        # a BSC estimate term is one of -delta/(1-2delta), delta, 1-delta and
+        # (1-delta)/(1-2delta), all within a factor 8 of each other, so each
+        # row takes at most two levels and no Python summation
+        ch = make_bsc(0.2)
+        h = compute_h(ch)
+        zs = RngStream(14).generator().integers(0, 2, shape)
+        pairs = [(d, _fsum_means(np.array([per_symbol_estimates(ch, h, HAMMING, d, z)
+                                           for z in zs])))
+                 for d in (*make_bsc_counterexample_pair(0.2), make_sliding_window(1, "majority"))]
+
+        def no_fsum(values):
+            raise AssertionError("math.fsum called")
+
+        monkeypatch.setattr(math, "fsum", no_fsum)
+        for d, want in pairs:
+            assert estimate_losses(ch, h, HAMMING, d, zs).tobytes() == want.tobytes()
 
 
 class TestErasureShortcut:
