@@ -218,34 +218,52 @@ class ParityMarkedZerosDenoiser(Denoiser):
             raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
         self.delta = float(delta)
 
-    def _zeros_and_ranks(self, zs: np.ndarray):
-        """(is_zero, N0 per row, ones-parity per row, rank of each position
-        among the row's zeros) of binary rows; N0 and the parity keep a
-        length-1 axis."""
-        is_zero = zs == 0
-        n_zeros = is_zero.sum(axis=-1, keepdims=True)
-        rank = np.cumsum(is_zero, axis=-1, dtype=np.int32)
-        rank -= is_zero
-        return is_zero, n_zeros, (zs.shape[-1] - n_zeros) % 2 == 1, rank
-
     def _count(self, n_zeros: np.ndarray) -> np.ndarray:
         """floor(delta * N0), the number of marked zeros, per row."""
-        return np.floor(self.delta * n_zeros).astype(np.int32)
+        return np.floor(self.delta * n_zeros).astype(np.int64)
+
+    def _zeros(self, zs: np.ndarray):
+        """(is_zero, N0 per row, ones-parity per row with a length-1 axis,
+        column lookup) of binary rows.  The lookup maps a rank per row to
+        the column of the row's zero of that rank (ranks count from 0 in
+        ascending column order), or to -1 where the rank is -1, with a
+        length-1 axis: every row's zeros come from one scan of the batch."""
+        is_zero = zs == 0
+        b, n = zs.shape
+        zero_at = np.flatnonzero(is_zero)
+        # row r's zeros are zero_at[bounds[r]:bounds[r + 1]]
+        bounds = np.searchsorted(zero_at, np.arange(0, (b + 1) * n, n))
+        n_zeros = np.diff(bounds)
+
+        def column(rank):
+            rows = np.flatnonzero(rank >= 0)
+            col = np.full(b, -1, dtype=np.int64)
+            col[rows] = zero_at[bounds[rows] + rank[rows]] - rows * n
+            return col[:, None]
+
+        return is_zero, n_zeros, ((n - n_zeros) % 2 == 1)[:, None], column
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        is_zero, n_zeros, odd, rank = self._zeros_and_ranks(zs)
-        return (is_zero & (rank < self._count(n_zeros)) & odd).astype(zs.dtype)
+        is_zero, n_zeros, odd, column = self._zeros(zs)
+        # the marked zeros are those left of the zero of rank floor(delta * N0),
+        # which exists when N0 > 0 since delta < 1/2
+        below = np.arange(zs.shape[1]) < column(self._count(n_zeros) - (n_zeros == 0))
+        return (is_zero & below & odd).astype(zs.dtype)
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        is_zero, n_zeros, odd, rank = self._zeros_and_ranks(zs)
+        is_zero, n_zeros, odd, column = self._zeros(zs)
         # a = 1 always yields 0; a = 0 yields 1 on the resulting odd-parity
         # sequences at the marked leading zero positions.  Setting z_i = 0
-        # leaves N0 zeros where z_i is 0 and N0 + 1 where it is 1, so each
-        # row has only two counts floor(delta * (N0 - is_zero + 1)).
-        # floor(delta * N0) never exceeds floor(delta * (N0 + 1)), so a zero
-        # position is marked when its rank is below both counts
-        marked = rank < self._count(n_zeros + 1)
-        marked &= ~is_zero | (rank < self._count(n_zeros))
+        # leaves N0 zeros where z_i is 0, so a zero is marked when it lies
+        # left of the zero of rank c0 = floor(delta * N0); it makes N0 + 1
+        # zeros where z_i is 1, so a one is marked when fewer than
+        # c1 = floor(delta * (N0 + 1)) zeros lie left of it.  c1 is c0 or
+        # c0 + 1.  If c0 + 1, both rules mark the columns left of the zero
+        # of rank c0; if c0, the columns up to and including the zero of
+        # rank c0 - 1 (no column when c0 = 0)
+        c0 = self._count(n_zeros)
+        same = c0 == self._count(n_zeros + 1)
+        marked = np.arange(zs.shape[1]) < column(c0 - same) + same[:, None]
         tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
         tab[..., 0] = (odd ^ ~is_zero) & marked
         return tab

@@ -7,6 +7,14 @@ would incur under every hypothetical value of that noisy symbol.  Estimates
 are never clamped; negative values are meaningful (they are what drives the
 estimate-minimizing combiner astray on the parity pairs).
 
+A position's estimate depends on the position only through its context:
+the noisy symbol z_i and the substituted outputs t_i(0), ..., t_i(M-1).  So
+the plain estimator evaluates the per-symbol kernel once over all M * K^M
+contexts and each position reads its context's entry (eight entries for a
+binary channel, whatever the block length); only when there are more
+contexts than positions, as for a large-alphabet DMC on a short block, does
+the kernel run per position.  Either way the entries are the same floats.
+
 Like the denoisers, the estimator and the true loss have one batch form each,
 :func:`estimate_losses` and :func:`true_losses`: they take a (B, n) integer
 array of noisy sequences and trust it, as ``denoise_batch`` does.  The
@@ -92,7 +100,8 @@ def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
     """Per-symbol estimates from the (K, ..., n, M) loss table
     lam_tab[x, ..., i, a]: the (expected) loss against clean symbol x of the
     output at position i once the noisy symbol there is replaced by a.  ``z``
-    has the table's middle shape, (n,) or a (B, n) batch."""
+    has the table's middle shape: (n,), a (B, n) batch, or the enumerated
+    contexts of :func:`_context_estimates`."""
     inner = np.einsum("x...a,xa->x...", lam_tab, ch.pi)
     # in place, one clean symbol at a time: no (K, ..., n) temporary
     for x, h_x in enumerate(h):
@@ -100,11 +109,37 @@ def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
     return inner.sum(axis=0)
 
 
+def _context_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix, z: np.ndarray,
+                       tab: np.ndarray) -> np.ndarray:
+    """Per-symbol estimates of the positions with noisy symbols ``z``, of any
+    shape, and substituted outputs ``tab``, of z's shape plus (M,).
+
+    A position's estimate depends on it only through its context (z_i,
+    t_i(0), ..., t_i(M-1)), so ``_estimates_from_table`` runs once over all
+    M * K^M contexts, enumerated in the order of the code
+    ((z_i * K + t_i(0)) * K + t_i(1)) ..., and each position reads its
+    context's entry: the same float operations as per position, so the
+    same bits.  When there are more contexts than positions, the positions
+    themselves go through the kernel.
+    """
+    k, m = lm.size, tab.shape[-1]
+    shape = (m,) + (k,) * m
+    if math.prod(shape) > z.size:
+        return _estimates_from_table(ch, h, z, lm.lam[:, tab])
+    contexts = np.indices(shape).reshape(m + 1, -1)
+    table = _estimates_from_table(ch, h, contexts[0], lm.lam[:, contexts[1:].T])
+    code = z.astype(np.int64)
+    for a in range(m):
+        code *= k
+        code += tab[..., a]
+    return table[code]
+
+
 def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
                          d: Denoiser, z) -> np.ndarray:
     """All n per-symbol estimates (one substituted-output table pass)."""
     zs = check_sequence(z, ch.output_size, "noisy sequence")
-    return _estimates_from_table(ch, h, zs, lm.lam[:, d.substituted_outputs(zs)])
+    return _context_estimates(ch, h, lm, zs, d.substituted_outputs(zs))
 
 
 def _row_means(terms: np.ndarray) -> np.ndarray:
@@ -162,10 +197,9 @@ def true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> 
 def estimate_losses(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
                     zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
-    # no name for the substituted table, so it is freed before the estimate
-    # temporaries exist: the oracle's 512-state chunks stay small
-    lam_tab = lm.lam[:, d.substituted_outputs_batch(zs)]
-    return _row_means(_estimates_from_table(ch, h, zs, lam_tab))
+    # the terms are gathered from the context table into a fresh (B, n)
+    # array, which _row_means overwrites; the table itself is left intact
+    return _row_means(_context_estimates(ch, h, lm, zs, d.substituted_outputs_batch(zs)))
 
 
 def estimate_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser, z) -> float:
@@ -225,7 +259,11 @@ def joint_type_counts(z, d: Denoiser) -> JointTypeCounts:
 def bsc_estimate_from_type(delta: float, t: JointTypeCounts, n: int) -> float:
     """Closed-form BSC loss estimate (Hamming loss) from the joint type.
 
-    Algebraically identical to :func:`estimate_loss` on the same (z, d).
+    Algebraically identical to :func:`estimate_loss` on the same (z, d): it
+    is the closed form of the estimator's context table, whose binary
+    contexts (z_i, t_i(0), t_i(1)) the counts tally, with t_i(z_i) the
+    denoised symbol and t_i(1 - z_i) the flipped one.  It sums in another
+    order, so its bits may differ from the estimator's.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
@@ -258,10 +296,11 @@ def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     masks, weights = drawn
-    lam_x = lm.lam[xs]
-    # binary outputs: each position's loss is one of its two loss entries
+    # binary outputs: each position's loss is one of its two loss entries;
+    # np.where selects fastest from contiguous columns on a bool condition
+    lam0, lam1 = np.ascontiguousarray(lm.lam[xs].T)
     sums = masked_values(
-        lambda rows: np.where(d.denoise_batch(rows), lam_x[:, 1], lam_x[:, 0]).sum(axis=1),
+        lambda rows: np.where(d.denoise_batch(rows).astype(bool), lam1, lam0).sum(axis=1),
         masks, zs.astype(np.uint8))
     return float(weights @ (sums / len(zs)))
 

@@ -308,3 +308,43 @@ def test_marked_zeros_batch_keeps_float_floor(delta, dtype):
         for row, tab in zip(rows, batch):
             np.testing.assert_array_equal(tab, d.substituted_outputs(row))
             np.testing.assert_array_equal(tab, brute_force_table(d, row))
+
+
+def _marked_zeros_edge_rows() -> np.ndarray:
+    """Rows of n = 12 and 13 (both ones-parities for each zero count) with
+    every zero count N0 from 0 (all ones) to n (all zeros), so both deltas
+    below meet c0 = floor(delta * N0) = 0 and floor(delta * (N0 + 1)) =
+    c0 + 1 as well as c0 (0.49 at N0 = 2: 0 and 1); zeros sit at random
+    columns, and again at the row's start and end."""
+    gen = RngStream(16).generator()
+    rows = []
+    for n in (12, 13):
+        for n0 in range(n + 1):
+            for cols in (gen.permutation(n)[:n0], np.arange(n0), np.arange(n - n0, n)):
+                row = np.ones(n, dtype=np.int64)
+                row[cols] = 0
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.49])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_marked_zeros_edge_rows_match_reference(delta, dtype):
+    d = ParityMarkedZerosDenoiser(delta)
+    rows = _marked_zeros_edge_rows()
+    counts = {sum(r == 0) for r in rows}
+    assert counts == set(range(14))
+    assert any(math.floor(delta * c) == 0 and math.floor(delta * (c + 1)) == 1 for c in counts)
+    for n in (12, 13):
+        batch = np.stack([r for r in rows if len(r) == n])
+        zs = batch.astype(dtype)
+        np.testing.assert_array_equal(
+            d.denoise_batch(zs), np.stack([reference_denoise(d, r) for r in batch]))
+        np.testing.assert_array_equal(
+            d.substituted_outputs_batch(zs), np.stack([brute_force_table(d, r) for r in batch]))
+    # n = 1: a lone zero is even parity, a lone one odd with no zeros to mark
+    single = np.array([[0], [1]])
+    np.testing.assert_array_equal(d.denoise_batch(single.astype(dtype)), [[0], [0]])
+    np.testing.assert_array_equal(
+        d.substituted_outputs_batch(single.astype(dtype)),
+        np.stack([brute_force_table(d, r) for r in single]))

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise.channel import canonical_erasure_h, compute_h, make_bec, make_bsc
+from duodenoise.channel import Channel, canonical_erasure_h, compute_h, make_bec, make_bsc
 from duodenoise.denoisers import (
+    BecParityDenoiser,
     ConstantDenoiser,
     IdentityDenoiser,
     ParityCopyDenoiser,
+    ParityMarkedZerosDenoiser,
     SmoothingConfig,
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
@@ -23,6 +25,7 @@ from duodenoise.denoisers import (
 from duodenoise.losses import (
     JointTypeCounts,
     LossMatrix,
+    _estimates_from_table,
     _row_means,
     bsc_estimate_from_type,
     cumulative_loss,
@@ -95,6 +98,96 @@ class TestEstimator:
         z = RngStream(5).generator().integers(0, 2, size=64)
         vals = per_symbol_estimates(ch, h, HAMMING, d, z)
         assert math.fsum(vals) / 64 == estimate_loss(ch, h, HAMMING, d, z)
+
+
+def reference_per_symbol_estimates(ch, h, lm, d, zs) -> np.ndarray:
+    """The former estimator body: the (K, B, n, M) loss table of every
+    position goes through the kernel, with no context table."""
+    return _estimates_from_table(ch, h, zs, lm.lam[:, d.substituted_outputs_batch(zs)])
+
+
+def reference_estimate_losses(ch, h, lm, d, zs) -> np.ndarray:
+    return _row_means(reference_per_symbol_estimates(ch, h, lm, d, zs))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+_BSC = make_bsc(0.2)
+_BEC = make_bec(0.3)
+_DMC3 = Channel([[0.7, 0.2, 0.1], [0.15, 0.6, 0.25], [0.05, 0.25, 0.7]])
+_DMC5 = Channel(0.1 + 0.5 * np.eye(5))
+_LOSS3 = LossMatrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [3.0, 0.5, 0.0]])
+_LOSS5 = LossMatrix(np.abs(np.subtract.outer(np.arange(5), np.arange(5))) ** 1.5)
+
+# (id, channel, h, loss, denoisers): every denoiser kind on a channel it reads
+ESTIMATOR_CASES = [
+    ("bsc", _BSC, compute_h(_BSC), HAMMING,
+     [IdentityDenoiser(), ConstantDenoiser(1), make_sliding_window(1, "majority"),
+      make_sliding_window(2, "majority"), ParityCopyDenoiser(),
+      ParityMarkedZerosDenoiser(0.2), ParityMarkedZerosDenoiser(0.49)]),
+    *[(f"bec-{name}", _BEC, h, HAMMING,
+       [IdentityDenoiser(2, 3), ConstantDenoiser(1, 2, 3),
+        make_sliding_window(1, "majority", 3, 2),
+        BecParityDenoiser(complement=False), BecParityDenoiser(complement=True)])
+      for name, h in (("min_norm", compute_h(_BEC)), ("canonical", canonical_erasure_h(_BEC)))],
+    ("dmc3", _DMC3, compute_h(_DMC3), _LOSS3,
+     [IdentityDenoiser(3, 3), ConstantDenoiser(2, 3, 3), make_sliding_window(1, "majority", 3, 3)]),
+    # 5 * 5^5 = 15625 contexts: more than most batches here have positions
+    ("dmc5", _DMC5, compute_h(_DMC5), _LOSS5,
+     [IdentityDenoiser(5, 5), ConstantDenoiser(3, 5, 5), make_sliding_window(1, "majority", 5, 5)]),
+]
+
+
+def _assert_estimates_match_reference(ch, h, lm, d, zs):
+    want = reference_per_symbol_estimates(ch, h, lm, d, zs)
+    assert np.array_equal(_bits(estimate_losses(ch, h, lm, d, zs)),
+                          _bits(_row_means(want.copy())))
+    for row, z in enumerate(zs[:3]):
+        assert np.array_equal(_bits(per_symbol_estimates(ch, h, lm, d, z)), _bits(want[row]))
+        assert _bits(estimate_loss(ch, h, lm, d, z)) == _bits(reference_estimate_losses(
+            ch, h, lm, d, z[None])[0])
+
+
+class TestContextTable:
+    """The estimator reads each position's estimate from a table over the
+    M * K^M contexts (z_i, t_i(0..M-1)); its results equal the per-position
+    kernel's bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(ESTIMATOR_CASES), st.data())
+    def test_equals_per_position_kernel_bitwise(self, case, data):
+        _, ch, h, lm, denoisers = case
+        d = data.draw(st.sampled_from(denoisers), label="denoiser")
+        shape = data.draw(st.sampled_from([(1, 1), (3, 1), (1, 2), (7, 33), (2, 300),
+                                           (1, 4096), (512, 14)]), label="shape")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        zs = np.random.default_rng(seed).integers(0, ch.output_size, shape)
+        _assert_estimates_match_reference(ch, h, lm, d, zs)
+
+    @pytest.mark.parametrize("case,shape,table", [
+        ("bsc", (1, 1), False),         # 8 contexts, one position
+        ("bsc", (1, 8), True),
+        ("dmc5", (2, 9), False),        # 15625 contexts, 18 positions
+        ("dmc5", (4, 4096), True),
+    ])
+    def test_both_sides_of_the_size_rule(self, case, shape, table, monkeypatch):
+        _, ch, h, lm, denoisers = next(c for c in ESTIMATOR_CASES if c[0] == case)
+        zs = RngStream(15).generator().integers(0, ch.output_size, shape)
+        context_rows = []
+
+        def kernel(ch_, h_, z, lam_tab):
+            context_rows.append(z.shape == (ch.output_size * lm.size ** ch.output_size,))
+            return _estimates_from_table(ch_, h_, z, lam_tab)
+
+        for d in denoisers:
+            want = reference_estimate_losses(ch, h, lm, d, zs)
+            with monkeypatch.context() as patch:
+                patch.setattr("duodenoise.losses._estimates_from_table", kernel)
+                got = estimate_losses(ch, h, lm, d, zs)
+            assert np.array_equal(_bits(got), _bits(want))
+        assert context_rows == [table] * len(denoisers)
 
 
 def _fsum_means(terms: np.ndarray) -> np.ndarray:
