@@ -1,7 +1,8 @@
 """Denoisers: block maps from noisy sequences to reconstructions.
 
-Besides the obvious ones (identity, constant, sliding window), this module
-holds the two parity-driven pairs whose global sensitivity defeats plain loss
+Besides sliding windows, whose zero padding is virtual, and identity and
+constant, the windows of half-width 0, this module holds the two
+parity-driven pairs whose global sensitivity defeats plain loss
 estimation, plus Bernoulli smoothing machinery.  Every denoiser is two batch
 methods over (B, n) arrays: the reconstruction, and the substituted-output
 table -- at each position i, the output there after replacing the noisy
@@ -52,42 +53,11 @@ class Denoiser(ABC):
         return self.substituted_outputs_batch(zs[None])[0]
 
 
-class IdentityDenoiser(Denoiser):
-    """Copies each noisy symbol; symbols outside the clean alphabet (e.g. the
-    erasure of a BEC) map to 0.  Copy-preserving on erasure channels."""
-
-    def __init__(self, output_size: int = 2, input_size: int | None = None):
-        self.output_size = output_size
-        self.input_size = output_size if input_size is None else input_size
-
-    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        return np.where(zs < self.output_size, zs, 0)
-
-    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        symbols = np.arange(self.input_size, dtype=np.int64)
-        return np.tile(self.denoise_batch(symbols), zs.shape + (1,))
-
-
-class ConstantDenoiser(Denoiser):
-    """Always outputs one fixed clean symbol."""
-
-    def __init__(self, symbol: int, output_size: int = 2, input_size: int | None = None):
-        if not 0 <= symbol < output_size:
-            raise ValueError(f"constant symbol {symbol} outside clean alphabet")
-        self.symbol = symbol
-        self.output_size = output_size
-        self.input_size = output_size if input_size is None else input_size
-
-    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        return np.full(zs.shape, self.symbol, dtype=np.int64)
-
-    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        return np.full(zs.shape + (self.input_size,), self.symbol, dtype=np.int64)
-
-
 class SlidingWindowDenoiser(Denoiser):
     """Each output symbol is a fixed function of the window of 2k+1 noisy
-    symbols centred there; boundaries are padded with symbol 0."""
+    symbols centred there: ``table`` at the base-``input_size`` window code,
+    first symbol most significant.  Boundaries are padded with symbol 0, but
+    virtually: no padded copy of the batch is built."""
 
     def __init__(self, k: int, table: np.ndarray, input_size: int = 2,
                  output_size: int = 2):
@@ -106,29 +76,55 @@ class SlidingWindowDenoiser(Denoiser):
         self.table = table
         self.input_size = input_size
         self.output_size = output_size
-        # window code = sum_t z[i-k+t] * B^(2k-t); centre digit weighs B^k
-        self._weights = input_size ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        # _rows[c, a] = table entry of the window whose 2k neighbours have
+        # code c (first neighbour most significant) and whose centre is a
+        half = input_size ** k
+        self._rows = table.reshape(half, input_size, half).transpose(0, 2, 1).reshape(-1, input_size)
+        self._offsets = [s for s in range(-k, k + 1) if s]
+        self._weights = input_size ** np.arange(2 * k - 1, -1, -1, dtype=np.int64)
 
     def _codes(self, zs: np.ndarray) -> np.ndarray:
-        k = self.k
-        pad = [(0, 0)] * (zs.ndim - 1) + [(k, k)]
-        zp = np.pad(zs, pad)
+        """(B, n) int64 neighbour codes: each position's row of ``_rows``.
+        Offset s adds only where position i + s lies inside the sequence."""
         n = zs.shape[-1]
         codes = np.zeros(zs.shape, dtype=np.int64)
-        for t, w in enumerate(self._weights):
-            codes += w * zp[..., t : t + n]
+        for s, w in zip(self._offsets, self._weights):
+            lo, hi = max(0, -s), min(n, n - s)
+            if lo < hi:
+                codes[..., lo:hi] += w * zs[..., lo + s : hi + s]
         return codes
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        return self.table[self._codes(zs)]
+        codes = self._codes(zs)
+        codes *= self.input_size
+        codes += zs
+        return np.take(self._rows, codes)
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        centre = self.input_size ** self.k
-        base = self._codes(zs) - zs * centre
-        out = np.empty(zs.shape + (self.input_size,), dtype=np.int64)
-        for a in range(self.input_size):
-            out[..., a] = self.table[base + a * centre]
-        return out
+        return np.take(self._rows, self._codes(zs), axis=0)
+
+
+class IdentityDenoiser(SlidingWindowDenoiser):
+    """Copies each noisy symbol; symbols outside the clean alphabet (e.g. the
+    erasure of a BEC) map to 0.  Copy-preserving on erasure channels.  The
+    window of half-width 0 whose table is that map."""
+
+    def __init__(self, output_size: int = 2, input_size: int | None = None):
+        input_size = output_size if input_size is None else input_size
+        symbols = np.arange(input_size)
+        super().__init__(0, np.where(symbols < output_size, symbols, 0), input_size, output_size)
+
+
+class ConstantDenoiser(SlidingWindowDenoiser):
+    """Always outputs one fixed clean symbol: the window of half-width 0
+    whose table holds only that symbol."""
+
+    def __init__(self, symbol: int, output_size: int = 2, input_size: int | None = None):
+        if not 0 <= symbol < output_size:
+            raise ValueError(f"constant symbol {symbol} outside clean alphabet")
+        self.symbol = symbol
+        input_size = output_size if input_size is None else input_size
+        super().__init__(0, np.full(input_size, symbol), input_size, output_size)
 
 
 def _majority_table(k: int, input_size: int) -> np.ndarray:
@@ -148,8 +144,14 @@ def make_sliding_window(k: int, rule, input_size: int = 2,
 
     ``rule`` is ``"majority"`` (vote among window symbols equal to 1 vs 0,
     ties and non-binary symbols resolving to 0) or a flat table indexed by
-    the base-``input_size`` window code.
+    the base-``input_size`` window code.  A window whose table would have
+    more than ENUMERATION_LIMIT entries is rejected before anything is built.
     """
+    width = 2 * k + 1
+    # input_size >= 2, so capping the exponent keeps a huge k cheap to reject
+    if input_size ** min(width, 64) > ENUMERATION_LIMIT:
+        raise ValueError(f"a window of width {width} over {input_size} symbols needs "
+                         f"{input_size}^{width} table entries, above {ENUMERATION_LIMIT}")
     if isinstance(rule, str):
         if rule != "majority":
             raise ValueError(f"unknown sliding-window rule {rule!r}")
@@ -449,11 +451,17 @@ def mask_set(cfg: SmoothingConfig, n: int, rng: RngStream | None):
     return masks, stratified_mask_weights(masks, q)
 
 
+def check_binary(d: Denoiser) -> None:
+    """Reject a denoiser whose input or output alphabet is not binary: a
+    smoothed denoiser flips binary symbols and mixes binary outputs."""
+    if d.input_size != 2 or d.output_size != 2:
+        raise ValueError("smoothing is defined for binary-alphabet denoisers")
+
+
 def smoothed_expected_output(d: Denoiser, drawn, z, i: int) -> float:
     """E_W of the denoiser output at position i on the mask-flipped input,
     over the (masks, weights) pair ``drawn`` from :func:`mask_set`."""
-    if d.input_size != 2 or d.output_size != 2:
-        raise ValueError("smoothing is defined for binary-alphabet denoisers")
+    check_binary(d)
     zs = check_sequence(z, d.input_size, "noisy sequence")
     if not 0 <= i < len(zs):
         raise IndexError(f"position {i} out of range for length {len(zs)}")

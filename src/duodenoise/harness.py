@@ -83,11 +83,6 @@ def denoiser_from_spec(spec, channel: Channel, path: str = "denoiser") -> Denois
         return build(path, ConstantDenoiser, v["symbol"], k, m)
     if (v["rule"] is None) == (v["table"] is None) or v["k"] < 0:
         raise ConfigError(f"{path}: sliding_window needs k >= 0 and one of rule and table")
-    width = 2 * v["k"] + 1
-    # m >= 2, so capping the exponent keeps a huge k cheap to reject
-    if m ** min(width, 64) > ENUMERATION_LIMIT:
-        raise ConfigError(f"{path}: a window of width {width} over {m} symbols needs "
-                          f"{m}^{width} table entries, above {ENUMERATION_LIMIT}")
     rule = v["rule"] if v["table"] is None else np.asarray(v["table"])
     return build(path, make_sliding_window, v["k"], rule, m, k)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, check_sequence, is_bec
-from .denoisers import Denoiser, mask_chunks, masked_values
+from .denoisers import Denoiser, check_binary, mask_chunks, masked_values
 from .spec import build, read_typed
 
 
@@ -279,18 +279,13 @@ def bsc_estimate_from_type(delta: float, t: JointTypeCounts, n: int) -> float:
     return float(total) / n
 
 
-def _binary_check(d: Denoiser):
-    if d.input_size != 2 or d.output_size != 2:
-        raise ValueError("smoothed losses are defined for binary alphabets")
-
-
 def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float:
     """Expected (over the flip mask) normalized loss of the smoothed denoiser.
 
     ``drawn`` is a (masks, weights) pair from :func:`denoisers.mask_set`;
     the expectation is the weighted sum over its masks.
     """
-    _binary_check(d)
+    check_binary(d)
     xs = check_sequence(x, lm.size, "clean sequence")
     zs = check_sequence(z, 2, "noisy sequence")
     if len(xs) != len(zs):
@@ -324,7 +319,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
     on the table's integer dtype (a BLAS product or chunked partial sums
     would move low-order bits).
     """
-    _binary_check(d)
+    check_binary(d)
     if ch.input_size != 2 or ch.output_size != 2:
         raise ValueError("smoothed estimation targets binary channels")
     zs = check_sequence(z, 2, "noisy sequence")

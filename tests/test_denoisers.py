@@ -44,7 +44,9 @@ from duodenoise.rng import RngStream
 
 def reference_denoise(d: Denoiser, z) -> np.ndarray:
     """One-sequence reconstruction written independently of the batch
-    paths; the parity denoisers' bodies are their former scalar methods."""
+    paths; the parity denoisers' bodies are their former scalar methods.
+    Identity and constant are windows of half-width 0, so their own
+    branches come first and do not read the window table."""
     z = np.asarray(z, dtype=np.int64)
     if isinstance(d, IdentityDenoiser):
         return np.array([s if s < d.output_size else 0 for s in z.tolist()], dtype=np.int64)
@@ -278,6 +280,31 @@ def test_narrow_batch_inputs_match_row_wise(d, dtype):
         d.substituted_outputs_batch(zs),
         np.stack([brute_force_table(d, r) for r in rows]),
     )
+
+
+# Every window half-width up to 3 on rows of 1 to 8 symbols, so that some
+# neighbours lie past one end, past both, or outside the row entirely; a
+# ternary k = 3 window reads codes up to 3^7 - 1 = 2186 from uint8 rows.
+WINDOW_EDGE_CASES = [(k, m, dtype) for k in range(4) for m in (2, 3)
+                     for dtype in (np.int64, np.uint8, np.bool_) if m == 2 or dtype is not np.bool_]
+
+
+@pytest.mark.parametrize(
+    "k,input_size,dtype", WINDOW_EDGE_CASES,
+    ids=[f"k{k}-m{m}-{np.dtype(t).name}" for k, m, t in WINDOW_EDGE_CASES],
+)
+def test_window_edges_match_reference(k, input_size, dtype):
+    gen = RngStream(17).generator()
+    table = gen.integers(0, input_size, input_size ** (2 * k + 1))
+    d = SlidingWindowDenoiser(k, table, input_size, input_size)
+    for n in range(1, 9):
+        rows = gen.integers(0, input_size, size=(6, n))
+        rows[0] = input_size - 1                # the largest code the row can reach
+        zs = rows.astype(dtype)
+        np.testing.assert_array_equal(
+            d.denoise_batch(zs), np.stack([reference_denoise(d, r) for r in rows]))
+        np.testing.assert_array_equal(
+            d.substituted_outputs_batch(zs), np.stack([brute_force_table(d, r) for r in rows]))
 
 
 # Zero counts N0 where delta * N0 lands on an integer (0.2 * 5k) or just

@@ -21,6 +21,7 @@ from duodenoise.denoisers import (
     make_bsc_counterexample_pair,
     make_sliding_window,
     mask_set,
+    smoothed_expected_output,
 )
 from duodenoise.losses import (
     JointTypeCounts,
@@ -36,6 +37,7 @@ from duodenoise.losses import (
     joint_type_counts,
     per_symbol_estimates,
     smoothed_conditional_loss,
+    smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
 
@@ -385,11 +387,23 @@ class TestSmoothedLosses:
         )
         assert mc == pytest.approx(exact, abs=0.02)
 
-    def test_binary_only(self):
+    @pytest.mark.parametrize("entry", ["expected_output", "conditional_loss", "per_symbol"])
+    @pytest.mark.parametrize("d", [IdentityDenoiser(3), IdentityDenoiser(2, 3),
+                                   IdentityDenoiser(3, 2)], ids=["3to3", "3to2", "2to3"])
+    def test_binary_only(self, entry, d):
+        # one check, with one message, ahead of every other argument check
+        ch = make_bsc(0.2)
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 2, None)
-        with pytest.raises(ValueError, match="binary"):
-            smoothed_conditional_loss(HAMMING, IdentityDenoiser(2, 3), drawn,
-                                      [0, 1], [0, 2])
+        call = {
+            "expected_output": lambda: smoothed_expected_output(d, drawn, [0, 1], 0),
+            "conditional_loss": lambda: smoothed_conditional_loss(HAMMING, d, drawn,
+                                                                  [0, 1], [0, 1]),
+            "per_symbol": lambda: smoothed_per_symbol_estimates(ch, compute_h(ch), HAMMING,
+                                                                d, drawn, [0, 1]),
+        }[entry]
+        with pytest.raises(ValueError, match="^smoothing is defined for binary-alphabet "
+                                             "denoisers$"):
+            call()
 
     def test_conditional_loss_rejects_length_mismatch(self):
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)

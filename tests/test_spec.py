@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise import combine, harness, losses
+from duodenoise import combine, denoisers, harness, losses
 from duodenoise.channel import Channel, make_bec, make_bsc
 from duodenoise.cli import main
 from duodenoise.denoisers import (
@@ -167,12 +167,20 @@ def test_infinite_numbers_are_rejected(delta, as_text):
         ExperimentConfig.from_json(json.dumps(spec) if as_text else spec)
 
 
-def test_window_table_is_bounded_before_it_is_built():
-    # 2^25 > 10^7 entries; a huge k is rejected without computing 2^(2k+1)
+def test_window_table_is_bounded_before_it_is_built(monkeypatch):
+    def no_table(k, input_size):
+        raise AssertionError(f"built a majority table of half-width {k}")
+
+    monkeypatch.setattr(denoisers, "_majority_table", no_table)
+    # 2^25 > 10^7 entries; a huge k is rejected without computing 2^(2k+1),
+    # by the library call as by the spec parser
     for k in (12, 10**12):
+        with pytest.raises(ValueError, match=rf"^a window of width {2 * k + 1} over 2 "):
+            make_sliding_window(k, "majority")
         with pytest.raises(ConfigError, match=r"denoiser: a window of width \d+ over 2"):
             denoiser_from_spec({"type": "sliding_window", "k": k, "rule": "majority"},
                                make_bsc(0.2))
+    monkeypatch.undo()
     # 3^15 > 10^7 on a ternary output alphabet, with a table as well
     with pytest.raises(ConfigError, match=r"3\^15 table entries"):
         denoiser_from_spec({"type": "sliding_window", "k": 7, "table": [0]},
