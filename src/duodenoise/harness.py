@@ -3,9 +3,9 @@
 Experiments are declared as JSON configs (channel, block length, clean
 source, denoiser pair, combiner, trial count, master seed).  Each trial gets
 its own derived random streams, so results are independent of blocking,
-worker count and execution order.  Plain trials run in blocks through the
-denoisers' batch paths in the calling thread; only randomized trials use
-`DUO_THREADS` threads, which change speed only.  The module also
+worker count and execution order.  Trials run in blocks through the
+denoisers' batch paths; plain blocks run in the calling thread, randomized
+blocks on `DUO_THREADS` threads, which change speed only.  The module also
 provides exact expectations by state-space enumeration (the unbiasedness
 oracle) and pointwise total-influence measurements.
 """
@@ -61,7 +61,7 @@ from .spec import ConfigError, build, load, read, read_typed
 #: States per functional call of the exact oracle.
 ENUMERATION_CHUNK = 512
 
-#: Trial x position entries per block of plain trials.
+#: Trial x position entries per block of trials.
 TRIAL_BLOCK_ENTRIES = 2048
 
 #: Rate exponent of a randomized combiner that names neither q nor nu.
@@ -258,12 +258,13 @@ def _parities(channel: Channel, zs: np.ndarray) -> np.ndarray:
     return np.full(len(zs), -1)
 
 
-def _plain_block(cfg: ExperimentConfig, ids: range):
-    """(x, z, plain-combiner records) of consecutive trials.
+def _block(cfg: ExperimentConfig, ids: range) -> list[TrialRecord]:
+    """The records of consecutive trials.
 
     Each trial draws its clean and channel uniforms from its own streams;
     the rows are stacked into (B, n) blocks, over which each denoiser makes
-    one ``denoise_batch`` and one ``substituted_outputs_batch`` pass.
+    one ``denoise_batch`` and one ``substituted_outputs_batch`` pass; a
+    randomized run then completes each row by :func:`_run_trial`.
     """
     root = RngStream(cfg.master_seed)
     trials = [root.derive(f"trial/{t}") for t in ids]
@@ -282,19 +283,20 @@ def _plain_block(cfg: ExperimentConfig, ids: range):
     records = []
     for row, parity in enumerate(_parities(cfg.channel, z).tolist()):
         chosen = select_min_estimate(ests[0][row], ests[1][row]).chosen_index
-        records.append(TrialRecord(
+        record = TrialRecord(
             trial=ids[row], seed=trials[row].stream_id, parity=parity,
             loss_d1=losses[0][row], loss_d2=losses[1][row],
             est_d1=ests[0][row], est_d2=ests[1][row],
             chosen=chosen, loss_combined=losses[chosen - 1][row],
-        ))
-    return x, z, records
+        )
+        records.append(_run_trial(cfg, ids[row], x[row], z[row], record)
+                       if cfg.randomized else record)
+    return records
 
 
-def _run_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
-    """One randomized-combiner trial: the plain columns of a block of one,
-    then the smoothed selection and losses."""
-    (x,), (z,), (plain,) = _plain_block(cfg, range(t, t + 1))
+def _run_trial(cfg: ExperimentConfig, t: int, x, z, plain: TrialRecord) -> TrialRecord:
+    """Trial t's plain record completed by the randomized combiner's smoothed
+    selection and losses on its clean row x and noisy row z."""
     trial = RngStream(cfg.master_seed, plain.seed)
     out, sel, mask = randomized_combined_denoise(
         cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
@@ -330,21 +332,18 @@ def _usable_cpus() -> int:
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """All trials of the experiment, in trial-id order.
 
-    Plain trials run in the calling thread, in blocks of consecutive ids of
-    about TRIAL_BLOCK_ENTRIES trial x position entries.  Randomized trials
-    run one by one on min(DUO_THREADS, trials, usable CPUs) threads.
+    Trials run in blocks of consecutive ids of about TRIAL_BLOCK_ENTRIES
+    trial x position entries.  Plain blocks run in the calling thread;
+    randomized blocks run on min(DUO_THREADS, blocks, usable CPUs) threads.
     """
-    workers = min(worker_count(), cfg.trials, _usable_cpus())
-    if not cfg.randomized:
-        size = max(1, TRIAL_BLOCK_ENTRIES // cfg.n)
-        blocks = (range(start, min(start + size, cfg.trials))
-                  for start in range(0, cfg.trials, size))
-        return [record for ids in blocks for record in _plain_block(cfg, ids)[2]]
-    ids = range(cfg.trials)
-    if workers == 1:
-        return [_run_trial(cfg, t) for t in ids]
+    size = max(1, TRIAL_BLOCK_ENTRIES // cfg.n)
+    blocks = [range(start, min(start + size, cfg.trials))
+              for start in range(0, cfg.trials, size)]
+    workers = min(worker_count(), len(blocks), _usable_cpus())
+    if workers == 1 or not cfg.randomized:
+        return [record for ids in blocks for record in _block(cfg, ids)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: _run_trial(cfg, t), ids))
+        return list(itertools.chain.from_iterable(pool.map(_block, [cfg] * len(blocks), blocks)))
 
 
 def _table(records: list[TrialRecord]):

@@ -378,8 +378,9 @@ def test_criterion_10_thread_count_determinism(monkeypatch, bsc_plain_run,
     """Byte-identical CSVs whatever the blocking and thread count.
 
     Plain trials run one to a block in ``bsc_plain_run`` (n = 4096) and here
-    three to a block, the last block ragged; randomized trials run on every
-    usable CPU in ``bsc_randomized_runs`` and here on one thread.
+    three to a block, the last block ragged.  Randomized trials at n = 256
+    run 8 to a block on every usable CPU in ``bsc_randomized_runs`` and here
+    48 to a block, the last block ragged, on one thread.
     """
     monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 3 * N_BIG)
     monkeypatch.setenv("DUO_THREADS", "1")

@@ -160,10 +160,13 @@ class TestConfigParsing:
 
 
 class TestTrials:
-    def test_reproducible_and_thread_invariant(self, monkeypatch):
+    @pytest.mark.parametrize("per_block", [1, 5, None])     # None: the default budget
+    def test_reproducible_and_thread_invariant(self, monkeypatch, per_block):
         cfg = ExperimentConfig.from_json(spec_with(
             combiner={"type": "randomized", "nu": 0.75, "m": 16}, trials=12
         ))
+        if per_block:       # blocks of 5 leave a ragged last block of 2
+            monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", per_block * cfg.n)
         monkeypatch.setenv("DUO_THREADS", "1")
         a = records_csv_text(run_trials(cfg))
         monkeypatch.setenv("DUO_THREADS", "8")
@@ -191,7 +194,7 @@ class TestTrials:
             chosen_loss = r.loss_d1 if r.chosen == 1 else r.loss_d2
             assert r.loss_combined == pytest.approx(chosen_loss, abs=1e-12)
 
-    def test_pool_is_capped_by_trials_and_cpus(self, monkeypatch):
+    def test_pool_is_capped_by_blocks_and_cpus(self, monkeypatch):
         sizes = []
 
         class SerialPool:
@@ -210,6 +213,7 @@ class TestTrials:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 16)     # one n = 16 trial a block
         monkeypatch.setenv("DUO_THREADS", "1000")
         randomized = {"type": "randomized", "nu": 0.75, "m": 8}
         for trials, expected in ((12, 3), (2, 2)):
@@ -217,7 +221,7 @@ class TestTrials:
             assert len(run_trials(cfg)) == trials
             assert sizes.pop() == expected
         assert len(run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12)))) == 12
-        assert sizes == []      # plain trials run in the calling thread
+        assert sizes == []      # plain blocks run in the calling thread
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12, combiner=randomized)))
         assert sizes == []      # one worker runs in the calling thread
@@ -229,10 +233,10 @@ class TestTrials:
         # smoothed quantity built whole-set temporaries
         cfg = ExperimentConfig.from_json(spec_with(
             n=4096, trials=2, combiner={"type": "randomized", "nu": 0.75, "m": 128}))
-        harness._run_trial(cfg, 0)          # first-call set-up outside the trace
+        harness._block(cfg, range(0, 1))    # first-call set-up outside the trace
         tracemalloc.start()
         try:
-            harness._run_trial(cfg, 1)
+            harness._block(cfg, range(1, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -247,6 +247,8 @@ def test_bad_thread_count_rejected(monkeypatch, value):
     monkeypatch.setenv("DUO_THREADS", value)
     with pytest.raises(ConfigError, match="DUO_THREADS"):
         worker_count()
+    with pytest.raises(ConfigError, match="DUO_THREADS"):     # a plain run checks it too
+        run_trials(ExperimentConfig.from_json(with_()))
 
 
 def test_thread_count(monkeypatch):
