@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
     smoothing_from_spec,
 )
-from .losses import LossMatrix, erasure_estimate_loss, estimate_loss
+from .losses import erasure_estimate_loss, estimate_loss, hamming_loss
 from .rng import RngStream
 from .spec import build
 from .verify import default_battery
@@ -63,7 +63,7 @@ def cmd_estimate(args) -> int:
     channel = channel_from_json(args.channel, "--channel")
     _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
     d = denoiser_from_spec(args.denoiser, channel, "--denoiser")
-    lm = LossMatrix.hamming(channel.input_size)
+    lm = hamming_loss(channel.input_size)
     z = _parse_sequence(args.sequence)
     if args.erasure_form:
         value = erasure_estimate_loss(channel, lm, d, z)
@@ -77,7 +77,7 @@ def cmd_combine(args) -> int:
     channel = channel_from_json(args.channel, "--channel")
     _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
     d1, d2 = denoiser_pair_from_spec(args.pair, channel, "--pair")
-    lm = LossMatrix.hamming(channel.input_size)
+    lm = hamming_loss(channel.input_size)
     z = _parse_sequence(args.sequence)
     if args.randomized:
         cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")

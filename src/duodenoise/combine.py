@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import Channel, check_sequence
 from .denoisers import Denoiser, SmoothingConfig, draw_smoothing_mask, mask_set
-from .losses import LossMatrix, estimate_loss, estimate_smoothed_loss
+from .losses import estimate_loss, estimate_smoothed_loss
 from .rng import RngStream
 
 TIE_TOL = 1e-12
@@ -38,7 +38,7 @@ def select_min_estimate(e1: float, e2: float) -> Selection:
 
 
 def combined_denoise(d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray,
-                     lm: LossMatrix, z) -> tuple[np.ndarray, Selection]:
+                     lm: np.ndarray, z) -> tuple[np.ndarray, Selection]:
     """Denoise with whichever candidate has the smaller estimated loss."""
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     sel = select_min_estimate(
@@ -49,7 +49,7 @@ def combined_denoise(d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray,
 
 
 def randomized_combined_denoise(
-    d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray, lm: LossMatrix,
+    d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray, lm: np.ndarray,
     cfg: SmoothingConfig, z, rng: RngStream,
 ) -> tuple[np.ndarray, Selection, np.ndarray]:
     """Smoothed-estimate selection followed by one realized mask flip.

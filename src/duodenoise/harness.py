@@ -49,9 +49,9 @@ from .denoisers import (
     masked_values,
 )
 from .losses import (
-    LossMatrix,
     cumulative_loss,
     estimate_losses,
+    loss_from_json,
     smoothed_conditional_loss,
     true_losses,
 )
@@ -158,7 +158,7 @@ class ExperimentConfig:
     channel: Channel
     h: np.ndarray
     h_choice: str
-    lm: LossMatrix
+    lm: np.ndarray
     n: int
     clean_source: dict
     clean_file: np.ndarray | None
@@ -210,8 +210,8 @@ class ExperimentConfig:
         if smoothing is not None:
             build("config.combiner", smoothing.check_length, n)
         h_choice, h = h_from_choice(channel, v["h"], "config.h")
-        lm = LossMatrix.from_json(v["loss"], channel.input_size, "config.loss")
-        if lm.size != channel.input_size:
+        lm = loss_from_json(v["loss"], channel.input_size, "config.loss")
+        if len(lm) != channel.input_size:
             raise ConfigError("config.loss: loss matrix size does not match the clean alphabet")
         output_path, output_format = output_from_spec(v["output"], "config.output")
         return cls(
@@ -507,10 +507,10 @@ def _check_batch(zs, alphabet_size: int) -> np.ndarray:
     return check_sequence(arr.ravel(), alphabet_size, "noisy batch").reshape(arr.shape)
 
 
-def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
+def true_loss_functional(lm: np.ndarray, d: Denoiser, x):
     """Batch functional: row z -> cumulative_loss(lm, x, d.denoise(z)), the
     realized normalized loss of d against the fixed clean x."""
-    xs = check_sequence(x, lm.size, "clean sequence")
+    xs = check_sequence(x, len(lm), "clean sequence")
 
     def functional(zs):
         zs = _check_batch(zs, d.input_size)
@@ -521,7 +521,7 @@ def true_loss_functional(lm: LossMatrix, d: Denoiser, x):
     return functional
 
 
-def estimate_functional(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser):
+def estimate_functional(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser):
     """Batch functional: row z -> estimate_loss(ch, h, lm, d, z), the
     estimated normalized loss of d."""
     return lambda zs: estimate_losses(ch, h, lm, d, _check_batch(zs, ch.output_size))
@@ -537,27 +537,30 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
 
     ``f`` is the underlying batch functional ({0,1}^n rows -> reals); its
     smoothed version fbar(z) = E_W f(z xor W) is evaluated per ``cfg`` on
-    one mask set shared by z and its n single flips, each sequence walking
-    the set through ``masked_values``.  Exact mode returns the sum of
-    |fbar(z) - fbar(z with j flipped)| over the exact mask weights, and
-    0.0.  Monte Carlo mode weighs the m drawn masks by plain 1/m, not by
-    the stratified weights of ``mask_set``, and reports, as the error
-    scale, the sum of the per-coordinate standard errors of the signed
-    differences -- a conservative bound, since taking absolute values folds
-    that noise into the estimate itself.
+    one mask set shared by z and its n single flips.  Exact mode returns the
+    sum of |fbar(z) - fbar(z with j flipped)| over the exact mask weights,
+    and 0.0, from one walk of the 2^n masks: z with bit j flipped, under mask
+    b, is z under mask b xor 2^j, so for a row-wise batch functional (a row's
+    value does not depend on its batch) this gives the bits of a walk per
+    flip.  Monte Carlo mode walks the m drawn masks for z and each flip,
+    weighs them by plain 1/m, not by the stratified weights of ``mask_set``,
+    and reports, as the error scale, the sum of the per-coordinate standard
+    errors of the signed differences -- a conservative bound, since taking
+    absolute values folds that noise into the estimate itself.
     """
     zs = check_sequence(z, 2, "sequence")
     n = len(zs)
     masks, weights = mask_set(cfg, n, rng)
     base = masked_values(f, masks, zs)
+    if cfg.mode == "exact":         # bit j of mask b is bit j of b (enumerate_masks)
+        b = np.arange(len(masks))
+        return math.fsum(abs((base - base[b ^ (1 << j)]) @ weights) for j in range(n)), 0.0
 
     def diffs(j: int) -> np.ndarray:
         flipped = zs.copy()
         flipped[j] ^= 1
         return base - masked_values(f, masks, flipped)
 
-    if cfg.mode == "exact":
-        return math.fsum(abs(diffs(j) @ weights) for j in range(n)), 0.0
     root_m = math.sqrt(len(masks))
     value_terms, se_terms = zip(*((abs(d.mean()), d.std(ddof=1) / root_m)
                                   for d in map(diffs, range(n))))

@@ -50,49 +50,41 @@ from .denoisers import Denoiser, check_binary, mask_chunks, masked_values
 from .spec import build, read_typed
 
 
-@dataclass(frozen=True, eq=False)
-class LossMatrix:
-    """Per-symbol loss lambda(clean, reconstruction), nonnegative entries."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.array(self.lam, dtype=np.float64)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise ValueError("loss matrix must be square")
-        if lam.min() < 0.0 or not np.isfinite(lam).all():
-            raise ValueError("losses must be finite and nonnegative")
-        lam.flags.writeable = False
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def size(self) -> int:
-        return self.lam.shape[0]
-
-    @classmethod
-    def hamming(cls, k: int = 2) -> "LossMatrix":
-        return cls(1.0 - np.eye(k))
-
-    @classmethod
-    def from_json(cls, text_or_dict, k: int = 2, path: str = "loss") -> "LossMatrix":
-        """Parse a loss spec (dict or JSON text); Hamming loss is over ``k``
-        symbols unless the spec names its own ``k``."""
-        values = read_typed(text_or_dict, path, "loss type", {
-            "hamming": ({}, {"k": (int, k)}),
-            "matrix": ({"lambda": [[float]]}, {}),
-        })
-        if values["type"] == "hamming":
-            return build(path, cls.hamming, values["k"])
-        return build(path, cls, values["lambda"])
+def loss_matrix(lam) -> np.ndarray:
+    """Per-symbol loss lambda(clean, reconstruction), a read-only float64 K x K array."""
+    lam = np.array(lam, dtype=np.float64)
+    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+        raise ValueError("loss matrix must be square")
+    if lam.min() < 0.0 or not np.isfinite(lam).all():
+        raise ValueError("losses must be finite and nonnegative")
+    lam.flags.writeable = False
+    return lam
 
 
-def cumulative_loss(lm: LossMatrix, x, xhat) -> float:
+def hamming_loss(k: int = 2) -> np.ndarray:
+    """The Hamming loss over ``k`` symbols."""
+    return loss_matrix(1.0 - np.eye(k))
+
+
+def loss_from_json(spec, k: int = 2, path: str = "loss") -> np.ndarray:
+    """Parse a loss spec (dict or JSON text); Hamming loss is over ``k``
+    symbols unless the spec names its own ``k``."""
+    values = read_typed(spec, path, "loss type", {
+        "hamming": ({}, {"k": (int, k)}),
+        "matrix": ({"lambda": [[float]]}, {}),
+    })
+    if values["type"] == "hamming":
+        return build(path, hamming_loss, values["k"])
+    return build(path, loss_matrix, values["lambda"])
+
+
+def cumulative_loss(lm: np.ndarray, x, xhat) -> float:
     """Normalized cumulative loss (1/n) sum_i lambda(x_i, xhat_i)."""
-    xs = check_sequence(x, lm.size, "clean sequence")
-    hs = check_sequence(xhat, lm.size, "reconstruction")
+    xs = check_sequence(x, len(lm), "clean sequence")
+    hs = check_sequence(xhat, len(lm), "reconstruction")
     if len(xs) != len(hs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(hs)}")
-    return float(_row_means(lm.lam[xs, hs][None])[0])
+    return float(_row_means(lm[xs, hs][None])[0])
 
 
 def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
@@ -109,7 +101,7 @@ def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
     return inner.sum(axis=0)
 
 
-def _context_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix, z: np.ndarray,
+def _context_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, z: np.ndarray,
                        tab: np.ndarray) -> np.ndarray:
     """Per-symbol estimates of the positions with noisy symbols ``z``, of any
     shape, and substituted outputs ``tab``, of z's shape plus (M,).
@@ -122,12 +114,12 @@ def _context_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix, z: np.ndarray
     same bits.  When there are more contexts than positions, the positions
     themselves go through the kernel.
     """
-    k, m = lm.size, tab.shape[-1]
+    k, m = len(lm), tab.shape[-1]
     shape = (m,) + (k,) * m
     if math.prod(shape) > z.size:
-        return _estimates_from_table(ch, h, z, lm.lam[:, tab])
+        return _estimates_from_table(ch, h, z, lm[:, tab])
     contexts = np.indices(shape).reshape(m + 1, -1)
-    table = _estimates_from_table(ch, h, contexts[0], lm.lam[:, contexts[1:].T])
+    table = _estimates_from_table(ch, h, contexts[0], lm[:, contexts[1:].T])
     code = z.astype(np.int64)
     for a in range(m):
         code *= k
@@ -135,7 +127,7 @@ def _context_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix, z: np.ndarray
     return table[code]
 
 
-def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
+def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
                          d: Denoiser, z) -> np.ndarray:
     """All n per-symbol estimates (one substituted-output table pass)."""
     zs = check_sequence(z, ch.output_size, "noisy sequence")
@@ -188,13 +180,13 @@ def _row_means(terms: np.ndarray) -> np.ndarray:
     return sums / n
 
 
-def true_losses(lm: LossMatrix, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def true_losses(lm: np.ndarray, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, cumulative_loss(lm, x, d.denoise(z));
     xs is one clean sequence or a (B, n) block of them."""
-    return _row_means(lm.lam[xs, d.denoise_batch(zs)])
+    return _row_means(lm[xs, d.denoise_batch(zs)])
 
 
-def estimate_losses(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
+def estimate_losses(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser,
                     zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
     # the terms are gathered from the context table into a fresh (B, n)
@@ -202,7 +194,7 @@ def estimate_losses(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
     return _row_means(_context_estimates(ch, h, lm, zs, d.substituted_outputs_batch(zs)))
 
 
-def estimate_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser, z) -> float:
+def estimate_loss(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser, z) -> float:
     """Unbiased estimate of the normalized cumulative loss of d on z.
 
     May be negative; no clamping is performed.
@@ -211,7 +203,7 @@ def estimate_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser, z) ->
     return float(estimate_losses(ch, h, lm, d, zs[None])[0])
 
 
-def erasure_estimate_loss(ch: Channel, lm: LossMatrix, d: Denoiser, z) -> float:
+def erasure_estimate_loss(ch: Channel, lm: np.ndarray, d: Denoiser, z) -> float:
     """Erasure-channel shortcut: for each unerased symbol, the loss the
     denoiser would incur there had that symbol been erased.
 
@@ -226,7 +218,7 @@ def erasure_estimate_loss(ch: Channel, lm: LossMatrix, d: Denoiser, z) -> float:
     tab = d.substituted_outputs(zs)[:, ERASURE]
     unerased = zs != ERASURE
     terms = np.zeros(len(zs))
-    terms[unerased] = lm.lam[zs[unerased], tab[unerased]]
+    terms[unerased] = lm[zs[unerased], tab[unerased]]
     return float(_row_means(terms[None])[0])
 
 
@@ -279,28 +271,28 @@ def bsc_estimate_from_type(delta: float, t: JointTypeCounts, n: int) -> float:
     return float(total) / n
 
 
-def smoothed_conditional_loss(lm: LossMatrix, d: Denoiser, drawn, x, z) -> float:
+def smoothed_conditional_loss(lm: np.ndarray, d: Denoiser, drawn, x, z) -> float:
     """Expected (over the flip mask) normalized loss of the smoothed denoiser.
 
     ``drawn`` is a (masks, weights) pair from :func:`denoisers.mask_set`;
     the expectation is the weighted sum over its masks.
     """
     check_binary(d)
-    xs = check_sequence(x, lm.size, "clean sequence")
+    xs = check_sequence(x, len(lm), "clean sequence")
     zs = check_sequence(z, 2, "noisy sequence")
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     masks, weights = drawn
     # binary outputs: each position's loss is one of its two loss entries;
     # np.where selects fastest from contiguous columns on a bool condition
-    lam0, lam1 = np.ascontiguousarray(lm.lam[xs].T)
+    lam0, lam1 = np.ascontiguousarray(lm[xs].T)
     sums = masked_values(
         lambda rows: np.where(d.denoise_batch(rows).astype(bool), lam1, lam0).sum(axis=1),
         masks, zs.astype(np.uint8))
     return float(weights @ (sums / len(zs)))
 
 
-def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
+def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
                                   d: Denoiser, drawn, z) -> np.ndarray:
     """Per-symbol estimates of the smoothed denoiser's expected loss.
 
@@ -337,13 +329,13 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: LossMatrix,
     mean_out = np.einsum("b,bia->ia", weights, picked)
     # binary outputs: expected loss is a mixture of the two loss columns
     exp_loss = (
-        lm.lam[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
-        + lm.lam[:, 1][:, None, None] * mean_out[None, :, :]
+        lm[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
+        + lm[:, 1][:, None, None] * mean_out[None, :, :]
     )                                               # (K, n, M)
     return _estimates_from_table(ch, h, zs, exp_loss)
 
 
-def estimate_smoothed_loss(ch: Channel, h: np.ndarray, lm: LossMatrix, d: Denoiser,
+def estimate_smoothed_loss(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser,
                            drawn, z) -> float:
     """Unbiased estimate of the smoothed denoiser's expected normalized loss
     over the (masks, weights) pair ``drawn``."""

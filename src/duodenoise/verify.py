@@ -30,7 +30,7 @@ from .harness import (
     estimate_functional,
     true_loss_functional,
 )
-from .losses import LossMatrix
+from .losses import hamming_loss
 
 UNBIASED_TOL = 1e-10
 
@@ -58,7 +58,7 @@ def check_unbiasedness(channel: Channel, d: Denoiser, x, h=None) -> CheckResult:
     xs = np.asarray(x, dtype=np.int64)
     if h is None:
         h = compute_h(channel)
-    lm = LossMatrix.hamming(channel.input_size)
+    lm = hamming_loss(channel.input_size)
     e_est = enumerate_expectation(channel, xs, estimate_functional(channel, h, lm, d))
     e_loss = enumerate_expectation(channel, xs, true_loss_functional(lm, d, xs))
     gap = abs(e_est - e_loss)
@@ -76,7 +76,7 @@ def check_parity_counterexample(n: int = 10) -> CheckResult:
     fill correctly; every other outcome fills every erasure wrongly)."""
     channel = make_bec(0.5)
     h = canonical_erasure_h(channel)
-    lm = LossMatrix.hamming(2)
+    lm = hamming_loss(2)
     d1, d2 = make_bec_parity_pair()
     x = np.zeros(n, dtype=np.int64)
     est1, est2 = (estimate_functional(channel, h, lm, d) for d in (d1, d2))

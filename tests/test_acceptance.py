@@ -53,17 +53,17 @@ from duodenoise.harness import (
     true_loss_functional,
 )
 from duodenoise.losses import (
-    LossMatrix,
     bsc_estimate_from_type,
     erasure_estimate_loss,
     estimate_loss,
+    hamming_loss,
     joint_type_counts,
     per_symbol_estimates,
     smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
 
-HAMMING = LossMatrix.hamming(2)
+HAMMING = hamming_loss(2)
 
 
 def channel_suite():
@@ -132,7 +132,7 @@ def test_criterion_02_conditional_unbiasedness():
                             est += row[b] * per_symbol_estimates(
                                 ch, h, HAMMING, d, zb
                             )[i]
-                            loss += row[b] * HAMMING.lam[x_i, d.denoise(zb)[i]]
+                            loss += row[b] * HAMMING[x_i, d.denoise(zb)[i]]
                         assert est == pytest.approx(loss, abs=1e-10)
 
                         if m != 2:

@@ -17,10 +17,10 @@ from duodenoise.denoisers import (
     SmoothingConfig,
     make_bsc_counterexample_pair,
 )
-from duodenoise.losses import LossMatrix
+from duodenoise.losses import hamming_loss
 from duodenoise.rng import RngStream
 
-HAMMING = LossMatrix.hamming(2)
+HAMMING = hamming_loss(2)
 
 
 class TestSelection:

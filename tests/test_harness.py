@@ -38,7 +38,9 @@ from duodenoise.denoisers import (
     SlidingWindowDenoiser,
     SmoothingConfig,
     make_bsc_counterexample_pair,
+    make_sliding_window,
     mask_set,
+    masked_values,
 )
 from duodenoise.harness import (
     ConfigError,
@@ -57,9 +59,10 @@ from duodenoise.harness import (
     true_loss_functional,
 )
 from duodenoise.losses import (
-    LossMatrix,
     cumulative_loss,
     estimate_smoothed_loss,
+    hamming_loss,
+    loss_matrix,
     per_symbol_estimates,
     smoothed_conditional_loss,
 )
@@ -337,12 +340,12 @@ def plain_trial_cases(draw):
 
     if kind == "bsc":
         ch = make_bsc(draw(st.floats(0.01, 0.49)))
-        h, lm = compute_h(ch), LossMatrix.hamming(2)
+        h, lm = compute_h(ch), hamming_loss(2)
         parity_pair = make_bsc_counterexample_pair(draw(st.sampled_from([0.2, 0.29, 0.49])))
     elif kind == "bec":
         ch = make_bec(draw(st.floats(0.01, 0.99)))
         h = draw(st.sampled_from([compute_h(ch), canonical_erasure_h(ch)]))
-        lm = LossMatrix([[0.0, 1.0], [2.5, 0.0]])
+        lm = loss_matrix([[0.0, 1.0], [2.5, 0.0]])
         parity_pair = (BecParityDenoiser(False), BecParityDenoiser(True))
     else:
         rows = []
@@ -351,7 +354,7 @@ def plain_trial_cases(draw):
             row[i] = draw(st.floats(2.0, 3.0))
             rows.append([v / sum(row) for v in row])
         ch = Channel(rows)
-        h, lm = compute_h(ch), LossMatrix([[0.0, 1.0, 3.0], [0.5, 0.0, 2.0], [1.5, 1.0, 0.0]])
+        h, lm = compute_h(ch), loss_matrix([[0.0, 1.0, 3.0], [0.5, 0.0, 2.0], [1.5, 1.0, 0.0]])
         parity_pair = None
     m, k_out = ch.output_size, ch.input_size
     if parity_pair is not None and draw(st.booleans()):
@@ -518,7 +521,7 @@ class TestEnumeration:
     ], ids=["one-sequence", "symbol-2", "symbol-minus-1", "floats"])
     def test_batch_functionals_reject_malformed_batches(self, zs, message):
         ch = make_bsc(0.2)
-        lm = LossMatrix.hamming(2)
+        lm = hamming_loss(2)
         for f in (estimate_functional(ch, compute_h(ch), lm, IdentityDenoiser()),
                   true_loss_functional(lm, IdentityDenoiser(), [0, 1, 0])):
             with pytest.raises(ValueError, match=message):
@@ -559,7 +562,7 @@ class TestEnumeration:
         the whole sequence, for one fixed Monte Carlo mask set."""
         ch = make_bsc(0.2)
         h = compute_h(ch)
-        lm = LossMatrix.hamming(2)
+        lm = hamming_loss(2)
         x = np.array([1, 0, 0] * 4)
         drawn = mask_set(SmoothingConfig(q=0.1, m=8), 12, RngStream(3))
         for d in make_bsc_counterexample_pair(0.2):
@@ -606,14 +609,14 @@ def oracle_cases(draw):
 
     if kind == "bsc":
         ch = make_bsc(draw(st.floats(0.01, 0.49)))
-        h, lm = compute_h(ch), LossMatrix.hamming(2)
+        h, lm = compute_h(ch), hamming_loss(2)
         d = draw(st.sampled_from([
             IdentityDenoiser(), ConstantDenoiser(1), window(2, 2), ParityCopyDenoiser(),
             ParityMarkedZerosDenoiser(draw(st.sampled_from([0.2, 0.29, 0.49])))]))
     elif kind == "bec":
         ch = make_bec(draw(st.floats(0.01, 0.99)))
         h = draw(st.sampled_from([compute_h(ch), canonical_erasure_h(ch)]))
-        lm = LossMatrix([[0.0, 1.0], [2.5, 0.0]])
+        lm = loss_matrix([[0.0, 1.0], [2.5, 0.0]])
         d = draw(st.sampled_from([
             IdentityDenoiser(2, 3), ConstantDenoiser(0, 2, 3), window(3, 2),
             BecParityDenoiser(False), BecParityDenoiser(True)]))
@@ -626,7 +629,7 @@ def oracle_cases(draw):
             row[(i + 1 + draw(st.integers(0, 1))) % 3] = 0.0
             rows.append([v / sum(row) for v in row])
         ch = Channel(rows)
-        h, lm = compute_h(ch), LossMatrix.hamming(3)
+        h, lm = compute_h(ch), hamming_loss(3)
         d = draw(st.sampled_from([
             IdentityDenoiser(3), ConstantDenoiser(2, 3), window(3, 3)]))
     x = np.array(draw(st.lists(st.integers(0, ch.input_size - 1), min_size=n, max_size=n)))
@@ -733,7 +736,8 @@ class TestInfluence:
                 assert value == pytest.approx(n * (1 - 2 * q) ** n, abs=1e-12)
 
     def test_pointwise_exact_calls_stay_within_the_limit(self):
-        # both modes: z and each flip walk the mask set in mask chunks
+        # both modes walk the mask set in mask chunks: exact mode once, for
+        # z, and Monte Carlo mode for z and again for each flip
         for cfg, n in ((SmoothingConfig(q=0.1, mode="exact"), 16),
                        (SmoothingConfig(q=0.1, m=128), 256)):
             sizes = []
@@ -746,9 +750,31 @@ class TestInfluence:
                                            RngStream(32))
             m = 2**n if cfg.mode == "exact" else cfg.m
             assert max(sizes) <= max(denoisers.MASK_CHUNK_ENTRIES, n)
-            assert sum(sizes) == (n + 1) * m * n
+            assert sum(sizes) == (1 if cfg.mode == "exact" else n + 1) * m * n
             if cfg.mode == "exact":
                 assert value == pytest.approx(n * (1 - 2 * cfg.q) ** n, abs=1e-12)
+
+    @pytest.mark.parametrize("f", [
+        parity_functional,
+        sine_functional,
+        estimate_functional(make_bsc(0.2), compute_h(make_bsc(0.2)), hamming_loss(2),
+                            make_sliding_window(1, "majority")),
+        estimate_functional(make_bsc(0.2), compute_h(make_bsc(0.2)), hamming_loss(2),
+                            ParityMarkedZerosDenoiser(0.2)),
+    ], ids=["parity", "sine", "majority_estimate", "marked_zeros_estimate"])
+    def test_pointwise_exact_equals_a_walk_per_flip(self, f):
+        """The one walk of exact mode gives the bits of walking the masks
+        again for each flipped sequence."""
+        for n, q in itertools.product((1, 5, 12), (0.0, 0.1, 0.25)):
+            cfg = SmoothingConfig(q=q, mode="exact")
+            z = (RngStream(n).generator().random(n) < 0.5).astype(np.int64)
+            masks, weights = mask_set(cfg, n, None)
+            base = masked_values(f, masks, z)
+            flipped = np.tile(z, (n, 1))
+            flipped[np.arange(n), np.arange(n)] ^= 1
+            want = math.fsum(abs((base - masked_values(f, masks, row)) @ weights)
+                             for row in flipped)
+            assert pointwise_influence(f, cfg, z) == (want, 0.0)
 
     @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
     def test_pointwise_exact_chunks_keep_values(self, chunk, monkeypatch):

@@ -1,4 +1,4 @@
-"""Loss matrices, the unbiased estimator, joint types, and smoothing."""
+"""Loss arrays, the unbiased estimator, joint types, and smoothing."""
 
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from duodenoise.denoisers import (
     mask_set,
     smoothed_expected_output,
 )
+from duodenoise.harness import ExperimentConfig
 from duodenoise.losses import (
     JointTypeCounts,
-    LossMatrix,
     _estimates_from_table,
     _row_means,
     bsc_estimate_from_type,
@@ -34,28 +34,52 @@ from duodenoise.losses import (
     estimate_loss,
     estimate_losses,
     estimate_smoothed_loss,
+    hamming_loss,
     joint_type_counts,
+    loss_from_json,
+    loss_matrix,
     per_symbol_estimates,
     smoothed_conditional_loss,
     smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
 
-HAMMING = LossMatrix.hamming(2)
+HAMMING = hamming_loss(2)
 
 
-class TestLossMatrix:
+class TestLoss:
     def test_hamming(self):
-        np.testing.assert_array_equal(HAMMING.lam, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(HAMMING, [[0, 1], [1, 0]])
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            LossMatrix([[0.0, -1.0], [1.0, 0.0]])
+            loss_matrix([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="square"):
+            loss_matrix([[0.0, 1.0]])
 
     def test_from_json(self):
-        lm = LossMatrix.from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]})
-        np.testing.assert_array_equal(lm.lam, [[0, 2], [3, 0]])
-        assert LossMatrix.from_json('{"type": "hamming", "k": 4}').size == 4
+        lm = loss_from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]})
+        np.testing.assert_array_equal(lm, [[0, 2], [3, 0]])
+        assert loss_from_json('{"type": "hamming", "k": 4}').shape == (4, 4)
+        assert loss_from_json({"type": "hamming"}, 3).shape == (3, 3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hamming_loss(2),
+        lambda: loss_matrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [3.0, 0.5, 0.0]]),
+        lambda: loss_from_json({"type": "hamming", "k": 3}),
+        lambda: loss_from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]}),
+        lambda: ExperimentConfig.from_json({
+            "channel": {"type": "bsc", "delta": 0.2}, "n": 4, "trials": 1,
+            "master_seed": 1, "denoisers": {"type": "bsc_counterexample_pair", "delta": 0.2},
+            "loss": {"type": "matrix", "lambda": [[0, 1], [2, 0]]}}).lm,
+    ], ids=["hamming", "matrix", "json_hamming", "json_matrix", "config"])
+    def test_loss_is_a_read_only_float64_array(self, make):
+        lm = make()
+        assert type(lm) is np.ndarray and lm.dtype == np.float64 and lm.ndim == 2
+        with pytest.raises(ValueError, match="read-only"):
+            lm[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            lm += 1.0
 
     def test_cumulative_loss(self):
         assert cumulative_loss(HAMMING, [0, 1, 1, 0], [0, 0, 1, 1]) == 0.5
@@ -105,7 +129,7 @@ class TestEstimator:
 def reference_per_symbol_estimates(ch, h, lm, d, zs) -> np.ndarray:
     """The former estimator body: the (K, B, n, M) loss table of every
     position goes through the kernel, with no context table."""
-    return _estimates_from_table(ch, h, zs, lm.lam[:, d.substituted_outputs_batch(zs)])
+    return _estimates_from_table(ch, h, zs, lm[:, d.substituted_outputs_batch(zs)])
 
 
 def reference_estimate_losses(ch, h, lm, d, zs) -> np.ndarray:
@@ -120,8 +144,8 @@ _BSC = make_bsc(0.2)
 _BEC = make_bec(0.3)
 _DMC3 = Channel([[0.7, 0.2, 0.1], [0.15, 0.6, 0.25], [0.05, 0.25, 0.7]])
 _DMC5 = Channel(0.1 + 0.5 * np.eye(5))
-_LOSS3 = LossMatrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [3.0, 0.5, 0.0]])
-_LOSS5 = LossMatrix(np.abs(np.subtract.outer(np.arange(5), np.arange(5))) ** 1.5)
+_LOSS3 = loss_matrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [3.0, 0.5, 0.0]])
+_LOSS5 = loss_matrix(np.abs(np.subtract.outer(np.arange(5), np.arange(5))) ** 1.5)
 
 # (id, channel, h, loss, denoisers): every denoiser kind on a channel it reads
 ESTIMATOR_CASES = [
@@ -180,7 +204,7 @@ class TestContextTable:
         context_rows = []
 
         def kernel(ch_, h_, z, lam_tab):
-            context_rows.append(z.shape == (ch.output_size * lm.size ** ch.output_size,))
+            context_rows.append(z.shape == (ch.output_size * len(lm) ** ch.output_size,))
             return _estimates_from_table(ch_, h_, z, lam_tab)
 
         for d in denoisers:

@@ -35,8 +35,8 @@ from duodenoise.denoisers import (
     smoothed_expected_output,
 )
 from duodenoise.losses import (
-    LossMatrix,
     estimate_smoothed_loss,
+    loss_matrix,
     smoothed_conditional_loss,
     smoothed_per_symbol_estimates,
 )
@@ -80,7 +80,7 @@ def test_chunked_kernels_match_int64_reference(d, case, chunk, monkeypatch):
 
     ch = make_bsc(0.2)
     h = compute_h(ch)
-    lm = LossMatrix([[0.0, 2.5], [0.7, 0.1]])
+    lm = loss_matrix([[0.0, 2.5], [0.7, 0.1]])
     gen = RngStream(n).generator()
     x = (gen.random(n) < 0.5).astype(np.int64)
     z = (gen.random(n) < 0.3).astype(np.int64)

@@ -29,8 +29,9 @@ from duodenoise.denoisers import (
     stratified_mask_weights,
 )
 from duodenoise.losses import (
-    LossMatrix,
     estimate_smoothed_loss,
+    hamming_loss,
+    loss_matrix,
     smoothed_conditional_loss,
     smoothed_per_symbol_estimates,
 )
@@ -56,8 +57,8 @@ def reference_per_symbol(ch, h, lm, d, cfg, z, rng):
         "b,bia->ia", weights, np.take_along_axis(tabs, sub_flip, axis=2).astype(float)
     )
     exp_loss = (
-        lm.lam[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
-        + lm.lam[:, 1][:, None, None] * mean_out[None, :, :]
+        lm[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
+        + lm[:, 1][:, None, None] * mean_out[None, :, :]
     )
     inner = np.einsum("xia,xa->xi", exp_loss, ch.pi)
     return (h[:, zs] * inner).sum(axis=0)
@@ -68,7 +69,7 @@ def reference_conditional_loss(lm, d, cfg, x, z, rng):
     n = len(zs)
     masks, weights = reference_mask_set(cfg, n, rng)
     outs = d.denoise_batch(zs[None, :] ^ masks)
-    per_mask = lm.lam[xs[None, :], outs].sum(axis=1) / n
+    per_mask = lm[xs[None, :], outs].sum(axis=1) / n
     return float(weights @ per_mask)
 
 
@@ -105,7 +106,7 @@ def smoothing_cases(draw):
     seq = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     x, z = np.array(draw(seq)), np.array(draw(seq))
     lam = draw(st.sampled_from([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.5], [0.7, 0.1]]]))
-    return cfg, x, z, LossMatrix(lam)
+    return cfg, x, z, loss_matrix(lam)
 
 
 @given(d=denoisers(), case=smoothing_cases(), delta=st.floats(0.05, 0.45),
@@ -130,7 +131,7 @@ def test_parity_pair_matches_reference_at_experiment_size():
     """n = 4096 and m = 128: the headline experiment's shape."""
     ch = make_bsc(0.2)
     h = compute_h(ch)
-    lm = LossMatrix.hamming(2)
+    lm = hamming_loss(2)
     cfg = SmoothingConfig(nu=0.75, m=128)
     gen = RngStream(2020).generator()
     x = np.zeros(4096, dtype=np.int64)

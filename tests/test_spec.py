@@ -113,6 +113,9 @@ class TestReader:
             read("{", "where", {})
 
 
+LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$"
+
+
 @pytest.mark.parametrize("spec, message", [
     (with_(combiner=RANDOMIZED, channel={"type": "bec", "epsilon": 0.5},
            denoisers={"type": "bec_parity_pair"}), "binary channel"),
@@ -139,6 +142,12 @@ class TestReader:
     (with_(n=10**12), r"^config\.n: a trial's substituted-output table"),
     (with_(n=3333334, channel={"type": "bec", "epsilon": 0.5},
            denoisers={"type": "bec_parity_pair"}), r"^config\.n: .* 3333334 x 3 entries"),
+    # a loss over another alphabet than the channel's clean one
+    (with_(loss={"type": "hamming", "k": 3}), LOSS_SIZE),
+    (with_(loss={"type": "matrix", "lambda": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}), LOSS_SIZE),
+    (with_(channel=DMC3, loss={"type": "matrix", "lambda": [[0, 1], [1, 0]]},
+           denoisers={"type": "pair", "first": {"type": "identity"},
+                      "second": {"type": "constant"}}), LOSS_SIZE),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -209,7 +218,7 @@ def test_default_loss_is_hamming_over_the_clean_alphabet(loss):
     if loss is not None:
         spec["loss"] = loss
     cfg = ExperimentConfig.from_json(spec)
-    assert cfg.lm.size == 3
+    assert cfg.lm.shape == (3, 3)
     summary = aggregate(run_trials(cfg), cfg)
     assert summary["trials"] == 3
 
