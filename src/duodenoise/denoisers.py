@@ -296,12 +296,14 @@ def make_bsc_counterexample_pair(
 #: Largest block length whose 2^n masks exact smoothing enumerates.
 EXACT_MASK_LIMIT = 20
 
-#: Most entries of a table, mask set or state space the library builds.
+#: Most entries of a table, Monte Carlo mask set or state space the library
+#: builds; exact mask sets are bounded by EXACT_MASK_LIMIT instead.
 ENUMERATION_LIMIT = 10**7
 
-#: Most mask x position entries of one chunk of a mask set, so that the
-#: per-chunk temporaries of the smoothed quantities stay in cache.
-MASK_CHUNK_ENTRIES = 1 << 16
+#: Most input bytes of one batch pass: a chunk of a mask set, a block of
+#: trials or a chunk of oracle states, so that per-pass temporaries stay in
+#: cache.
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -344,11 +346,12 @@ class SmoothingConfig:
                              f"{ENUMERATION_LIMIT} mask entries")
 
 
-def mask_chunks(m: int, n: int):
-    """Row slices of an (m, n) mask set, in order: at most
-    MASK_CHUNK_ENTRIES // n rows each, and never fewer than one."""
-    rows = max(1, MASK_CHUNK_ENTRIES // n)
-    return [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
+def blocks(count: int, row_bytes: int) -> list[slice]:
+    """Slices of ``count`` rows of ``row_bytes`` bytes each, in order: at
+    most BLOCK_BYTES // row_bytes rows each, and never fewer than one.  A
+    row of n bool masks takes n bytes, a row of n int64 symbols 8 * n."""
+    size = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def functional_values(values, rows: int) -> np.ndarray:
@@ -364,10 +367,10 @@ def functional_values(values, rows: int) -> np.ndarray:
 
 def masked_values(f, masks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The batch functional f on z xor each mask, float64 of length m in
-    mask order: one call of f per ``mask_chunks`` slice, on the rows
-    ``z ^ masks[slice]``."""
+    mask order: one call of f per ``blocks`` slice of the bool masks, on
+    the rows ``z ^ masks[slice]``."""
     values = np.empty(len(masks))
-    for rows in mask_chunks(*masks.shape):
+    for rows in blocks(*masks.shape):
         values[rows] = functional_values(f(z ^ masks[rows]), rows.stop - rows.start)
     return values
 
@@ -383,7 +386,7 @@ def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.nda
     limit = math.ceil(cfg.resolve_q(n) * 2.0**53) << 11
     bits = rng.generator().bit_generator
     masks = np.empty((cfg.m, n), dtype=bool)
-    for rows in mask_chunks(cfg.m, n):
+    for rows in blocks(cfg.m, n):
         np.less(bits.random_raw((rows.stop - rows.start, n)), limit, out=masks[rows])
     return masks
 

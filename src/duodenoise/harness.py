@@ -41,6 +41,7 @@ from .denoisers import (
     Denoiser,
     IdentityDenoiser,
     SmoothingConfig,
+    blocks,
     functional_values,
     make_bec_parity_pair,
     make_bsc_counterexample_pair,
@@ -57,12 +58,6 @@ from .losses import (
 )
 from .rng import RngStream
 from .spec import ConfigError, build, load, read, read_typed
-
-#: States per functional call of the exact oracle.
-ENUMERATION_CHUNK = 512
-
-#: Trial x position entries per block of trials.
-TRIAL_BLOCK_ENTRIES = 2048
 
 #: Rate exponent of a randomized combiner that names neither q nor nu.
 DEFAULT_NU = 0.75
@@ -332,18 +327,17 @@ def _usable_cpus() -> int:
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """All trials of the experiment, in trial-id order.
 
-    Trials run in blocks of consecutive ids of about TRIAL_BLOCK_ENTRIES
-    trial x position entries.  Plain blocks run in the calling thread;
+    Trials run in blocks of consecutive ids whose int64 noisy rows fill at
+    most ``denoisers.BLOCK_BYTES``, and of one trial at least
+    (``blocks(trials, 8 * n)``).  Plain blocks run in the calling thread;
     randomized blocks run on min(DUO_THREADS, blocks, usable CPUs) threads.
     """
-    size = max(1, TRIAL_BLOCK_ENTRIES // cfg.n)
-    blocks = [range(start, min(start + size, cfg.trials))
-              for start in range(0, cfg.trials, size)]
-    workers = min(worker_count(), len(blocks), _usable_cpus())
+    ids = [range(cfg.trials)[part] for part in blocks(cfg.trials, 8 * cfg.n)]
+    workers = min(worker_count(), len(ids), _usable_cpus())
     if workers == 1 or not cfg.randomized:
-        return [record for ids in blocks for record in _block(cfg, ids)]
+        return [record for block in ids for record in _block(cfg, block)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(itertools.chain.from_iterable(pool.map(_block, [cfg] * len(blocks), blocks)))
+        return list(itertools.chain.from_iterable(pool.map(_block, [cfg] * len(ids), ids)))
 
 
 def _table(records: list[TrialRecord]):
@@ -468,11 +462,11 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
     influence functionals; anything but shape (B,) raises ``ValueError``.
     Only outputs of positive weight are evaluated (each position ranges over
     its support pi[x_i, z] > 0, and a weight that underflows to 0.0 is
-    dropped), in lexicographic order with the last position fastest, at most
-    ENUMERATION_CHUNK states per call.  The weighted values go into one
-    correctly rounded ``math.fsum``, so the total does not depend on the
-    chunking.  At most ENUMERATION_LIMIT states keep this an oracle for
-    small n only.
+    dropped), in lexicographic order with the last position fastest, one
+    call per chunk of int64 states of at most ``denoisers.BLOCK_BYTES``
+    (``blocks(states, 8 * n)``).  The weighted values go into one correctly
+    rounded ``math.fsum``, so the total does not depend on the chunking.
+    At most ENUMERATION_LIMIT states keep this an oracle for small n only.
     """
     xs = check_sequence(x, ch.input_size, "clean sequence")
     rows = ch.pi[xs]
@@ -482,8 +476,8 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
         raise ValueError(f"state space of {states} outputs exceeds the enumeration "
                          f"limit {ENUMERATION_LIMIT}")
 
-    def chunk(start: int) -> list[float]:
-        index = np.arange(start, min(start + ENUMERATION_CHUNK, states))
+    def chunk(part: slice) -> list[float]:
+        index = np.arange(part.start, part.stop)
         z = np.empty((len(index), len(xs)), dtype=np.int64)
         for pos in range(len(xs) - 1, -1, -1):
             index, digit = np.divmod(index, len(support[pos]))
@@ -496,7 +490,7 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
         return (weights * functional_values(functional(z), len(z))).tolist()
 
     return math.fsum(itertools.chain.from_iterable(
-        map(chunk, range(0, states, ENUMERATION_CHUNK))))
+        map(chunk, blocks(states, 8 * len(xs)))))
 
 
 def _check_batch(zs, alphabet_size: int) -> np.ndarray:

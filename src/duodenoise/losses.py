@@ -23,11 +23,11 @@ as a batch of one.
 
 The smoothed quantities take one (masks, weights) set from
 ``denoisers.mask_set``; masks are bool in both exact and Monte Carlo mode.
-They walk the set in chunks of at most ``denoisers.MASK_CHUNK_ENTRIES``
-mask x position entries through the denoiser's batch methods, so their
-temporaries stay cache-sized.  For the whole set they hold only the masks,
-per-mask scalars and, for the per-symbol estimates, one table of the picked
-substituted outputs at one byte per entry.
+They walk the set in chunks of at most ``denoisers.BLOCK_BYTES`` bytes of
+bool masks (``denoisers.blocks``) through the denoiser's batch methods, so
+their temporaries stay cache-sized.  For the whole set they hold only the
+masks, per-mask scalars and, for the per-symbol estimates, one table of the
+picked substituted outputs at one byte per entry.
 
 Position sums are correctly rounded, bit for bit ``math.fsum``, so results
 do not depend on scheduling or vectorization details.  They run in numpy, by
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, check_sequence, is_bec
-from .denoisers import Denoiser, check_binary, mask_chunks, masked_values
+from .denoisers import Denoiser, blocks, check_binary, masked_values
 from .spec import build, read_typed
 
 
@@ -55,6 +55,8 @@ def loss_matrix(lam) -> np.ndarray:
     lam = np.array(lam, dtype=np.float64)
     if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
         raise ValueError("loss matrix must be square")
+    if not lam.size:
+        raise ValueError(f"loss matrix must not be empty, got shape {lam.shape}")
     if lam.min() < 0.0 or not np.isfinite(lam).all():
         raise ValueError("losses must be finite and nonnegative")
     lam.flags.writeable = False
@@ -63,6 +65,8 @@ def loss_matrix(lam) -> np.ndarray:
 
 def hamming_loss(k: int = 2) -> np.ndarray:
     """The Hamming loss over ``k`` symbols."""
+    if k < 1:
+        raise ValueError(f"Hamming loss needs k >= 1 symbols, got k = {k}")
     return loss_matrix(1.0 - np.eye(k))
 
 
@@ -302,7 +306,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
     positions and substituted symbols: a substituted-then-flipped evaluation
     equals a flipped-then-substituted one with the substituted symbol XORed
     by the mask bit, so each mask costs one substituted-output table.  The
-    masks go through the denoiser in chunks of rows (``mask_chunks``), and
+    masks go through the denoiser in chunks of rows (``blocks``), and
     each chunk's picked entries land in one (m, n, 2) table of one byte per
     entry.
 
@@ -318,7 +322,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
     masks, weights = drawn
     z8 = zs.astype(np.uint8)
     picked = np.empty(masks.shape + (2,), dtype=np.uint8)
-    for rows in mask_chunks(*masks.shape):
+    for rows in blocks(*masks.shape):
         block = picked[rows]
         block[...] = d.substituted_outputs_batch(z8 ^ masks[rows])
         # entry [b, i, a] of the flipped table answers symbol a ^ masks[b, i]:

@@ -99,7 +99,5 @@ def build(path: str, make, *args, **kwargs):
     rejected by the constructor of what it describes."""
     try:
         return make(*args, **kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

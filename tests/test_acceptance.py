@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from duodenoise import harness
+from duodenoise import denoisers, harness
 from duodenoise.channel import (
     canonical_erasure_h,
     compute_h,
@@ -377,12 +377,12 @@ def test_criterion_10_thread_count_determinism(monkeypatch, bsc_plain_run,
                                                bsc_randomized_runs):
     """Byte-identical CSVs whatever the blocking and thread count.
 
-    Plain trials run one to a block in ``bsc_plain_run`` (n = 4096) and here
+    Plain trials run two to a block in ``bsc_plain_run`` (n = 4096) and here
     three to a block, the last block ragged.  Randomized trials at n = 256
-    run 8 to a block on every usable CPU in ``bsc_randomized_runs`` and here
+    run 32 to a block on every usable CPU in ``bsc_randomized_runs`` and here
     48 to a block, the last block ragged, on one thread.
     """
-    monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 3 * N_BIG)
+    monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 3 * N_BIG)    # int64 rows
     monkeypatch.setenv("DUO_THREADS", "1")
     for spec, (_, expected) in ((BSC_PLAIN_SPEC, bsc_plain_run),
                                 (bsc_randomized_spec(256), bsc_randomized_runs[256])):

@@ -159,6 +159,10 @@ class TestSimpleDenoisers:
         with pytest.raises(ValueError, match="incomplete table"):
             make_sliding_window(1, np.zeros(4, dtype=np.int64))
 
+    def test_negative_half_width_rejected(self):
+        with pytest.raises(ValueError, match="^window half-width must be nonnegative$"):
+            SlidingWindowDenoiser(-1, np.zeros(1, dtype=np.int64))
+
 
 class TestParityPairs:
     def test_bec_pair_fills_by_zero_count_parity(self):
@@ -248,6 +252,8 @@ class TestSmoothing:
         z = np.array([0, 1, 0, 1])
         assert smoothed_expected_output(d, drawn, z, 0) == pytest.approx(0.1, abs=1e-12)
         assert smoothed_expected_output(d, drawn, z, 1) == pytest.approx(0.9, abs=1e-12)
+        with pytest.raises(IndexError, match="^position 4 out of range for length 4$"):
+            smoothed_expected_output(d, drawn, z, 4)
 
     def test_exact_mode_respects_threshold(self):
         cfg = SmoothingConfig(q=0.1, mode="exact")

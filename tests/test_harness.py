@@ -169,7 +169,7 @@ class TestTrials:
             combiner={"type": "randomized", "nu": 0.75, "m": 16}, trials=12
         ))
         if per_block:       # blocks of 5 leave a ragged last block of 2
-            monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", per_block * cfg.n)
+            monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * per_block * cfg.n)
         monkeypatch.setenv("DUO_THREADS", "1")
         a = records_csv_text(run_trials(cfg))
         monkeypatch.setenv("DUO_THREADS", "8")
@@ -216,7 +216,7 @@ class TestTrials:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 16)     # one n = 16 trial a block
+        monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 16)   # one n = 16 trial a block
         monkeypatch.setenv("DUO_THREADS", "1000")
         randomized = {"type": "randomized", "nu": 0.75, "m": 8}
         for trials, expected in ((12, 3), (2, 2)):
@@ -229,6 +229,13 @@ class TestTrials:
         run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12, combiner=randomized)))
         assert sizes == []      # one worker runs in the calling thread
         assert harness.worker_count() == 1000
+
+    def test_usable_cpus_without_affinity_masks(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert harness._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)     # undeterminable
+        assert harness._usable_cpus() == 1
 
     def test_randomized_trial_memory_peak(self):
         # the headline trial holds its mask sets, one 1-byte picked table and
@@ -383,7 +390,7 @@ def plain_trial_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_blocked_plain_trials_equal_per_trial_path(case):
     cfg, block = case
-    with mock.patch.object(harness, "TRIAL_BLOCK_ENTRIES", block * cfg.n):
+    with mock.patch.object(denoisers, "BLOCK_BYTES", 8 * block * cfg.n):
         records = run_trials(cfg)
     expected = [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
     assert records == expected
@@ -393,7 +400,7 @@ def test_blocked_plain_trials_equal_per_trial_path(case):
 @pytest.mark.parametrize("extra", [-1, 0, 3])
 def test_blocks_at_the_real_budget_equal_per_trial_path(extra):
     n = 16
-    block = harness.TRIAL_BLOCK_ENTRIES // n
+    block = denoisers.BLOCK_BYTES // (8 * n)
     cfg = ExperimentConfig.from_json({
         **PLAIN_SPEC, "n": n, "clean_source": {"type": "iid_bernoulli", "p": 0.3},
         "trials": block * (2 if extra > 0 else 1) + extra,
@@ -420,6 +427,11 @@ class TestAggregates:
     def test_regret_needs_records(self):
         with pytest.raises(ValueError):
             regret([])
+
+    def test_regret_of_one_record_has_no_error(self):
+        record = TrialRecord(trial=0, seed=0, parity=1, loss_d1=0.25, loss_d2=0.5,
+                             est_d1=0.5, est_d2=0.25, chosen=2, loss_combined=0.5)
+        assert regret([record]) == (0.25, 0.0)
 
     def test_deviation_probability_counts_threshold_crossings(self):
         recs = toy_records()
@@ -531,10 +543,12 @@ class TestEnumeration:
 
     def test_oracle_pass_takes_no_page_faults(self):
         """Chunk temporaries small enough for glibc to reuse: a warmed-up
-        ``oracle_n14`` pass of the benchmark takes 0-3 minor faults at
-        ENUMERATION_CHUNK = 512 and thousands at 1024.  A fresh interpreter,
-        because earlier large frees of this process raise glibc's trim and
-        mmap thresholds and hide the faults."""
+        ``oracle_n14`` pass of the benchmark takes 0 minor faults with state
+        chunks of 64 KiB, ``BLOCK_BYTES`` (585 states at n = 14), and 1 with
+        state chunks of 128 KiB.  With ``M_TRIM_THRESHOLD`` fixed at 128 KiB and
+        ``M_MMAP_THRESHOLD`` at 1 MiB it takes 160 and 3,769.  A fresh
+        interpreter, because earlier large frees of this process raise
+        glibc's trim and mmap thresholds and hide the faults."""
         pytest.importorskip("resource")
         proc = subprocess.run([sys.executable, "-c", ORACLE_PASS_FAULTS], env={
             **os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
@@ -544,7 +558,7 @@ class TestEnumeration:
 
     def test_chunks_cover_the_support_only(self):
         # a BEC output is never the flipped symbol: 2^11 states instead of 3^11,
-        # in chunks of ENUMERATION_CHUNK but for a shorter last one
+        # in chunks of BLOCK_BYTES of int64 states but for a shorter last one
         sizes = []
 
         def count(z):
@@ -554,8 +568,24 @@ class TestEnumeration:
         x = np.arange(11) % 2
         assert enumerate_expectation(make_bec(0.3), x, count) == pytest.approx(1.0)
         assert sum(sizes) == 2**11
-        assert all(size == harness.ENUMERATION_CHUNK for size in sizes[:-1])
-        assert 0 < sizes[-1] <= harness.ENUMERATION_CHUNK
+        size = denoisers.BLOCK_BYTES // (8 * 11)
+        assert all(s == size for s in sizes[:-1])
+        assert 0 < sizes[-1] <= size
+
+    def test_chunks_whose_weights_all_underflow_are_skipped(self, monkeypatch):
+        # weights 1, 1e-200 and 1e-400 -> 0.0: in chunks of two states the
+        # last chunk (1, 1, 0) and (1, 1, 1) has no state of positive weight
+        tiny = 1e-200
+        ch = Channel([[1.0 - tiny, tiny], [tiny, 1.0 - tiny]])
+        monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 3 * 2)
+        calls = []
+
+        def ones(z):
+            calls.append(z.tolist())
+            return z.sum(axis=1)
+
+        assert enumerate_expectation(ch, [0, 0, 0], ones) == pytest.approx(3 * tiny, rel=1e-15)
+        assert calls == [[[0, 0, 0], [0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]]]
 
     def test_whole_sequence_smoothed_unbiasedness(self):
         """E_Z of the smoothed estimate equals E_Z of the smoothed loss over
@@ -749,7 +779,7 @@ class TestInfluence:
             value, _ = pointwise_influence(recording, cfg, np.zeros(n, dtype=np.int64),
                                            RngStream(32))
             m = 2**n if cfg.mode == "exact" else cfg.m
-            assert max(sizes) <= max(denoisers.MASK_CHUNK_ENTRIES, n)
+            assert max(sizes) <= max(denoisers.BLOCK_BYTES, n)     # bool masks
             assert sum(sizes) == (1 if cfg.mode == "exact" else n + 1) * m * n
             if cfg.mode == "exact":
                 assert value == pytest.approx(n * (1 - 2 * cfg.q) ** n, abs=1e-12)
@@ -788,7 +818,7 @@ class TestInfluence:
             z = (RngStream(n).generator().random(n) < 0.5).astype(np.int64)
             expected = reference_pointwise_influence(f, cfg, z, RngStream(35))
             with monkeypatch.context() as patch:
-                patch.setattr(denoisers, "MASK_CHUNK_ENTRIES", chunk(n))
+                patch.setattr(denoisers, "BLOCK_BYTES", chunk(n))
                 got = pointwise_influence(f, cfg, z, RngStream(35))
             assert got == pytest.approx(expected, rel=1e-12, abs=n * 1e-14)
 

@@ -56,6 +56,11 @@ class TestLoss:
             loss_matrix([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="square"):
             loss_matrix([[0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^loss matrix must not be empty, got shape "
+                                             r"\(0, 0\)$"):
+            loss_matrix(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=r"^Hamming loss needs k >= 1 symbols, got k = 0$"):
+            hamming_loss(0)
 
     def test_from_json(self):
         lm = loss_from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]})
@@ -352,6 +357,12 @@ class TestJointType:
     def test_validation(self):
         with pytest.raises(ValueError, match="2x2x2"):
             JointTypeCounts(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^joint type counts are defined for binary "
+                                             "channels$"):
+            joint_type_counts([0, 2, 1], BecParityDenoiser(False))
+        t = joint_type_counts([0, 1], IdentityDenoiser())
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/2\), got 0\.5$"):
+            bsc_estimate_from_type(0.5, t, 2)
 
     def test_closed_form_matches_estimator(self):
         ch = make_bsc(0.2)
@@ -428,6 +439,13 @@ class TestSmoothedLosses:
         with pytest.raises(ValueError, match="^smoothing is defined for binary-alphabet "
                                              "denoisers$"):
             call()
+
+    def test_per_symbol_estimates_reject_an_erasure_channel(self):
+        ch = make_bec(0.3)
+        drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 2, None)
+        with pytest.raises(ValueError, match="^smoothed estimation targets binary channels$"):
+            smoothed_per_symbol_estimates(ch, canonical_erasure_h(ch), HAMMING,
+                                          IdentityDenoiser(), drawn, [0, 1])
 
     def test_conditional_loss_rejects_length_mismatch(self):
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)

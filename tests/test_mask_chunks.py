@@ -1,7 +1,7 @@
 """The smoothing kernels and the mask draw across chunk boundaries.
 
-Every smoothed quantity walks its mask set in chunks of at most
-``MASK_CHUNK_ENTRIES // n`` mask rows.  At the library's chunk size the
+Every smoothed quantity walks its bool mask set in chunks of at most
+``BLOCK_BYTES // n`` mask rows.  At the library's chunk size the
 property cases of ``test_smoothing_kernel`` (n <= 300, m <= 64) fit in one
 chunk, so here the size is patched down to one entry, to one row, and to a
 size that leaves a short last chunk.  Chunking is only a speed-up if every
@@ -12,6 +12,7 @@ one-mask draw of the emitted mask must equal ``uniforms(n) < q``.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,12 +27,13 @@ from duodenoise.denoisers import (
     ParityMarkedZerosDenoiser,
     SlidingWindowDenoiser,
     SmoothingConfig,
+    blocks,
     draw_smoothing_mask,
     draw_smoothing_masks,
     enumerate_masks,
     make_sliding_window,
-    mask_chunks,
     mask_set,
+    masked_values,
     smoothed_expected_output,
 )
 from duodenoise.losses import (
@@ -73,9 +75,9 @@ CHUNKS = {"one_entry": lambda n: 1, "one_row": lambda n: n, "short_last": lambda
 @pytest.mark.parametrize("d", DENOISERS.values(), ids=DENOISERS.keys())
 def test_chunked_kernels_match_int64_reference(d, case, chunk, monkeypatch):
     cfg, n = case
-    monkeypatch.setattr(denoisers, "MASK_CHUNK_ENTRIES", chunk(n))
+    monkeypatch.setattr(denoisers, "BLOCK_BYTES", chunk(n))
     m = 1 << n if cfg.mode == "exact" else cfg.m
-    sizes = [rows.stop - rows.start for rows in mask_chunks(m, n)]
+    sizes = [rows.stop - rows.start for rows in blocks(m, n)]
     assert len(sizes) > 1 and sum(sizes) == m
 
     ch = make_bsc(0.2)
@@ -106,7 +108,7 @@ def test_chunked_kernels_match_int64_reference(d, case, chunk, monkeypatch):
 @pytest.mark.parametrize("entries", [None, 1, 2500])
 def test_chunked_draw_equals_one_shot_draw(m, n, q, entries, monkeypatch):
     if entries is not None:
-        monkeypatch.setattr(denoisers, "MASK_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(denoisers, "BLOCK_BYTES", entries)
     stream = RngStream(2020, m * n)
     masks = draw_smoothing_masks(SmoothingConfig(q=q, m=m), n, stream)
     assert masks.dtype == np.bool_
@@ -118,10 +120,29 @@ def test_chunked_draw_equals_one_shot_draw(m, n, q, entries, monkeypatch):
 
 
 def test_chunks_cover_the_rows_in_order(monkeypatch):
-    monkeypatch.setattr(denoisers, "MASK_CHUNK_ENTRIES", 3 * 100 + 7)
-    assert mask_chunks(10, 100) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
-    assert mask_chunks(2, 10) == [slice(0, 2)]
-    assert mask_chunks(2, 1000) == [slice(0, 1), slice(1, 2)]   # a row above the size
+    monkeypatch.setattr(denoisers, "BLOCK_BYTES", 3 * 100 + 7)
+    assert blocks(10, 100) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+    assert blocks(2, 10) == [slice(0, 2)]
+    assert blocks(2, 1000) == [slice(0, 1), slice(1, 2)]   # a row above the size
+    assert blocks(0, 10) == []
+
+
+def test_mask_set_cuts_keep_their_boundaries():
+    """The byte budget cuts a bool mask set where the former budget of 2^16
+    mask x position entries did: one byte per entry, in the helper and in
+    the calls a functional sees."""
+    assert denoisers.BLOCK_BYTES == 1 << 16
+    for m, n in itertools.product(
+            (1, 2, 13, 40, 128, 1000, 1 << 14),
+            (1, 7, 50, 97, 255, 256, 300, 1000, 4095, 4096, 4097, 65535, 65536, 65537, 70000)):
+        rows = max(1, (1 << 16) // n)
+        former = [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
+        assert blocks(m, n) == former, (m, n)
+        if m * n <= 1 << 20:
+            sizes = []
+            masked_values(lambda zs: sizes.append(len(zs)) or np.zeros(len(zs)),
+                          np.zeros((m, n), dtype=bool), np.zeros(n, dtype=np.uint8))
+            assert sizes == [part.stop - part.start for part in former], (m, n)
 
 
 def test_exact_masks_are_bool_in_counter_order():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise import combine, denoisers, harness, losses
+from duodenoise import combine, denoisers, losses
 from duodenoise.channel import Channel, make_bec, make_bsc
 from duodenoise.cli import main
 from duodenoise.denoisers import (
@@ -148,6 +148,25 @@ LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$
     (with_(channel=DMC3, loss={"type": "matrix", "lambda": [[0, 1], [1, 0]]},
            denoisers={"type": "pair", "first": {"type": "identity"},
                       "second": {"type": "constant"}}), LOSS_SIZE),
+    (with_(loss={"type": "hamming", "k": 0}),
+     r"^config\.loss: Hamming loss needs k >= 1 symbols, got k = 0$"),
+    (with_(loss={"type": "hamming", "k": -1}),
+     r"^config\.loss: Hamming loss needs k >= 1 symbols, got k = -1$"),
+    (with_(n=0), r"^config: n and trials must be >= 1, got 0 and 2$"),
+    (with_(trials=0), r"^config: n and trials must be >= 1, got 12 and 0$"),
+    (with_(epsilons=[0.0]), r"^config\.epsilons: deviation thresholds must be positive$"),
+    (with_(combiner={"type": "randomized", "q": 0.5}),
+     r"^config\.combiner: flip rate q must lie in \[0, 1/2\), got 0\.5$"),
+    (with_(combiner={"type": "randomized", "nu": 1.0}),
+     r"^config\.combiner: exponent nu must lie in \(0, 1\), got 1\.0$"),
+    (with_(denoisers={"type": "pair", "first": {"type": "identity"},
+                      "second": {"type": "sliding_window", "k": 0, "table": [0, 2]}}),
+     r"^config\.denoisers\.second: table outputs outside the clean alphabet$"),
+    (with_(denoisers={"type": "pair", "first": {"type": "identity"},
+                      "second": {"type": "sliding_window", "k": 1, "rule": "median"}}),
+     r"^config\.denoisers\.second: unknown sliding-window rule 'median'$"),
+    (with_(channel={"type": "dmc", "pi": [[1.0]]}),
+     r"^config\.channel: input alphabet must have at least 2 symbols$"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -243,7 +262,7 @@ def test_plain_trial_estimates_each_denoiser_once(monkeypatch):
             counted(d, name)
     monkeypatch.setattr(losses, "estimate_loss", None)
     monkeypatch.setattr(combine, "estimate_loss", None)
-    monkeypatch.setattr(harness, "TRIAL_BLOCK_ENTRIES", 2 * cfg.n)
+    monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 2 * cfg.n)     # int64 rows
     assert len(run_trials(cfg)) == 5
     # blocks of two n = 12 trials: rows 0-1, 2-3 and 4
     assert Counter(calls) == Counter(
