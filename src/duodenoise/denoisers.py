@@ -70,8 +70,10 @@ class SlidingWindowDenoiser(Denoiser):
                 f"incomplete table: need {input_size ** width} entries for "
                 f"window width {width}, got {table.size}"
             )
-        if table.min() < 0 or table.max() >= output_size:
-            raise ValueError("table outputs outside the clean alphabet")
+        bad = np.flatnonzero((table < 0) | (table >= output_size))
+        if bad.size:
+            raise ValueError(f"table entry {table[bad[0]]} at code {bad[0]} lies outside "
+                             f"the clean alphabet [0, {output_size})")
         self.k = k
         self.table = table
         self.input_size = input_size
@@ -210,7 +212,20 @@ class ParityMarkedZerosDenoiser(Denoiser):
     """All-zeros on even ones-parity; on odd parity, clears every noisy 1 and
     raises exactly the first floor(delta * N0) zero positions (ascending
     index), N0 being the number of noisy 0s.  The fixed position rule makes
-    trials reproducible."""
+    trials reproducible.
+
+    One rule marks the columns for both batch methods (:meth:`_marked`).
+    With c0 = floor(delta * N0) and c1 = floor(delta * (N0 + 1)), which is
+    c0 or c0 + 1, it marks the columns left of the zero of rank c0 (ranks
+    count from 0) if c1 = c0 + 1, and those up to the zero of rank c0 - 1
+    if c1 = c0.  Either way a zero is marked when its rank is below c0, so
+    the marked zeros are the first floor(delta * N0), which ``denoise``
+    raises; and a one is marked when fewer than c1 zeros lie left of it,
+    which is when setting it to 0 makes a zero that the reconstruction of
+    the new sequence, with N0 + 1 zeros, raises.  So the substituted
+    table's a = 0 entry is 1 at the marked columns of odd substituted
+    parity (a = 1 yields 0), and the reconstruction is the table read at
+    the noisy symbol."""
 
     input_size = 2
     output_size = 2
@@ -224,48 +239,33 @@ class ParityMarkedZerosDenoiser(Denoiser):
         """floor(delta * N0), the number of marked zeros, per row."""
         return np.floor(self.delta * n_zeros).astype(np.int64)
 
-    def _zeros(self, zs: np.ndarray):
-        """(is_zero, N0 per row, ones-parity per row with a length-1 axis,
-        column lookup) of binary rows.  The lookup maps a rank per row to
-        the column of the row's zero of that rank (ranks count from 0 in
-        ascending column order), or to -1 where the rank is -1, with a
-        length-1 axis: every row's zeros come from one scan of the batch."""
+    def _marked(self, zs: np.ndarray):
+        """(is_zero, odd, marked) of binary rows: is_zero and the marking
+        rule's columns, each (B, n), and each row's ones-parity, (B, 1).
+        Every row's zeros come from one scan of the batch."""
         is_zero = zs == 0
         b, n = zs.shape
         zero_at = np.flatnonzero(is_zero)
         # row r's zeros are zero_at[bounds[r]:bounds[r + 1]]
         bounds = np.searchsorted(zero_at, np.arange(0, (b + 1) * n, n))
         n_zeros = np.diff(bounds)
-
-        def column(rank):
-            rows = np.flatnonzero(rank >= 0)
-            col = np.full(b, -1, dtype=np.int64)
-            col[rows] = zero_at[bounds[rows] + rank[rows]] - rows * n
-            return col[:, None]
-
-        return is_zero, n_zeros, ((n - n_zeros) % 2 == 1)[:, None], column
-
-    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        is_zero, n_zeros, odd, column = self._zeros(zs)
-        # the marked zeros are those left of the zero of rank floor(delta * N0),
-        # which exists when N0 > 0 since delta < 1/2
-        below = np.arange(zs.shape[1]) < column(self._count(n_zeros) - (n_zeros == 0))
-        return (is_zero & below & odd).astype(zs.dtype)
-
-    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        is_zero, n_zeros, odd, column = self._zeros(zs)
-        # a = 1 always yields 0; a = 0 yields 1 on the resulting odd-parity
-        # sequences at the marked leading zero positions.  Setting z_i = 0
-        # leaves N0 zeros where z_i is 0, so a zero is marked when it lies
-        # left of the zero of rank c0 = floor(delta * N0); it makes N0 + 1
-        # zeros where z_i is 1, so a one is marked when fewer than
-        # c1 = floor(delta * (N0 + 1)) zeros lie left of it.  c1 is c0 or
-        # c0 + 1.  If c0 + 1, both rules mark the columns left of the zero
-        # of rank c0; if c0, the columns up to and including the zero of
-        # rank c0 - 1 (no column when c0 = 0)
         c0 = self._count(n_zeros)
         same = c0 == self._count(n_zeros + 1)
-        marked = np.arange(zs.shape[1]) < column(c0 - same) + same[:, None]
+        # column of each row's zero of rank c0 - same, or -1 where that is
+        # -1; the rank is below N0 since delta < 1/2
+        rank = c0 - same
+        rows = np.flatnonzero(rank >= 0)
+        last = np.full(b, -1, dtype=np.int64)
+        last[rows] = zero_at[bounds[rows] + rank[rows]] - rows * n
+        marked = np.arange(n) < (last + same)[:, None]
+        return is_zero, ((n - n_zeros) % 2 == 1)[:, None], marked
+
+    def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
+        is_zero, odd, marked = self._marked(zs)
+        return (is_zero & marked & odd).astype(zs.dtype)
+
+    def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
+        is_zero, odd, marked = self._marked(zs)
         tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
         tab[..., 0] = (odd ^ ~is_zero) & marked
         return tab

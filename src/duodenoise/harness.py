@@ -361,10 +361,15 @@ def records_csv_text(records: list[TrialRecord]) -> str:
     return buf.getvalue()
 
 
-def _mean_se(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
+def _columns(records: list[TrialRecord]) -> dict[str, np.ndarray]:
+    """:func:`_table`'s rows as float64 columns keyed by header name."""
+    header, rows = _table(records)
+    return dict(zip(header, np.array(list(rows), dtype=np.float64).reshape(-1, len(header)).T))
+
+
+def _mean_se(arr: np.ndarray) -> list[float]:
     se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return float(arr.mean()), float(se)
+    return [float(arr.mean()), float(se)]
 
 
 def regret(records: list[TrialRecord]) -> tuple[float, float]:
@@ -373,9 +378,8 @@ def regret(records: list[TrialRecord]) -> tuple[float, float]:
     realized losses, for either combiner."""
     if not records:
         raise ValueError("regret needs at least one trial record")
-    l1 = np.array([r.loss_d1 for r in records])
-    l2 = np.array([r.loss_d2 for r in records])
-    lc = np.array([r.loss_combined for r in records])
+    cols = _columns(records)
+    l1, l2, lc = cols["loss_d1"], cols["loss_d2"], cols["loss_combined"]
     value = lc.mean() - min(l1.mean(), l2.mean())
     n = len(records)
     if n == 1:
@@ -394,31 +398,24 @@ def deviation_probability(records: list[TrialRecord], eps: float,
     """
     if eps <= 0:
         raise ValueError("deviation threshold must be positive")
+    cols = _columns(records)
+    kind = "sm_" if smoothed else ""
+    if f"{kind}est_d1" not in cols or np.isnan(cols[f"{kind}est_d1"]).any():
+        raise ValueError("smoothed deviation needs randomized-combiner records")
     out = []
     for j in (1, 2):
-        if smoothed:
-            pairs = [(getattr(r, f"sm_est_d{j}"), getattr(r, f"sm_loss_d{j}"))
-                     for r in records]
-            if any(e is None or l is None for e, l in pairs):
-                raise ValueError("smoothed deviation needs randomized-combiner records")
-        else:
-            pairs = [(getattr(r, f"est_d{j}"), getattr(r, f"loss_d{j}"))
-                     for r in records]
-        hits = sum(1 for e, l in pairs if abs(e - l) >= eps)
-        p = hits / len(pairs)
-        out.append((p, math.sqrt(p * (1.0 - p) / len(pairs))))
+        est, loss = cols[f"{kind}est_d{j}"], cols[f"{kind}loss_d{j}"]
+        p = int(np.count_nonzero(abs(est - loss) >= eps)) / len(records)
+        out.append((p, math.sqrt(p * (1.0 - p) / len(records))))
     return tuple(out)
 
 
 def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     """Summary statistics with standard errors, plus the config echo."""
-    means = {
-        name: _mean_se([getattr(r, name) for r in records])
-        for name in ("loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2")
-    }
+    cols = _columns(records)
+    names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
     if cfg.randomized:
-        for name in ("sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"):
-            means[name] = _mean_se([getattr(r, name) for r in records])
+        names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
     reg_value, reg_se = regret(records)
     deviations = {}
     for eps in cfg.epsilons:
@@ -431,8 +428,8 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
         "h_choice": cfg.h_choice,
         "trials": len(records),
         "combiner": "randomized" if cfg.randomized else "plain",
-        "means": {k: list(v) for k, v in means.items()},
-        "chosen_2_fraction": sum(r.chosen == 2 for r in records) / len(records),
+        "means": {name: _mean_se(cols[name]) for name in names},
+        "chosen_2_fraction": int(np.count_nonzero(cols["chosen"] == 2)) / len(records),
         "regret": {"value": reg_value, "se": reg_se},
         "deviation_probability": deviations,
     }

@@ -117,13 +117,21 @@ def test_substituted_outputs_match_brute_force(d, data):
 def test_batch_paths_match_row_wise(d):
     rng = RngStream(3).generator()
     zs = rng.integers(0, d.input_size, size=(7, 20))
-    np.testing.assert_array_equal(
-        d.denoise_batch(zs), np.stack([reference_denoise(d, r) for r in zs])
-    )
-    np.testing.assert_array_equal(
-        d.substituted_outputs_batch(zs),
-        np.stack([brute_force_table(d, r) for r in zs]),
-    )
+    # int64 rows, and the uint8 and (binary) bool rows the smoothing kernels pass
+    dtypes = [np.int64, np.uint8] + [np.bool_] * (d.input_size == 2)
+    denoised = np.stack([reference_denoise(d, r) for r in zs])
+    tables = np.stack([brute_force_table(d, r) for r in zs])
+    for dtype in dtypes:
+        np.testing.assert_array_equal(d.denoise_batch(zs.astype(dtype)), denoised)
+        np.testing.assert_array_equal(d.substituted_outputs_batch(zs.astype(dtype)), tables)
+    # the reconstruction is the substituted table read at the noisy symbol
+    for shape in ((1, 1), (7, 20), (3, 64)):
+        rows = rng.integers(0, d.input_size, size=shape)
+        for dtype in dtypes:
+            tab = d.substituted_outputs_batch(rows.astype(dtype))
+            np.testing.assert_array_equal(
+                d.denoise_batch(rows.astype(dtype)),
+                np.take_along_axis(tab, rows[..., None], axis=-1)[..., 0])
     for z in zs:
         np.testing.assert_array_equal(d.denoise(z), reference_denoise(d, z))
         np.testing.assert_array_equal(d.substituted_outputs(z), brute_force_table(d, z))
@@ -162,6 +170,11 @@ class TestSimpleDenoisers:
     def test_negative_half_width_rejected(self):
         with pytest.raises(ValueError, match="^window half-width must be nonnegative$"):
             SlidingWindowDenoiser(-1, np.zeros(1, dtype=np.int64))
+
+    def test_table_names_its_first_entry_outside_the_alphabet(self):
+        first = r"^table entry 3 at code 1 lies outside the clean alphabet \[0, 2\)$"
+        with pytest.raises(ValueError, match=first):
+            SlidingWindowDenoiser(1, [0, 3, -1, 0, 0, 0, 2, 0])
 
 
 class TestParityPairs:

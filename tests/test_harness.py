@@ -438,6 +438,9 @@ class TestAggregates:
         # est == loss everywhere, so no deviations at any positive threshold
         (p1, s1), (p2, s2) = deviation_probability(recs, 0.01)
         assert (p1, p2) == (0.0, 0.0) and (s1, s2) == (0.0, 0.0)
+        # a gap of exactly eps counts
+        edge = [TrialRecord(**{**vars(recs[0]), "est_d1": 0.5, "loss_d1": 0.25})]
+        assert deviation_probability(edge, 0.25) == ((1.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValueError, match="positive"):
             deviation_probability(recs, 0.0)
 
@@ -451,6 +454,40 @@ class TestAggregates:
         assert set(agg["means"]) >= {"loss_d1", "loss_d2", "loss_combined"}
         assert agg["combiner"] == "plain"
         assert 0.0 <= agg["chosen_2_fraction"] <= 1.0
+
+    @pytest.mark.parametrize("combiner", [{"type": "plain"}, {"type": "randomized", "m": 8}],
+                             ids=["plain", "randomized"])
+    def test_aggregate_values_match_field_by_field(self, combiner):
+        cfg = ExperimentConfig.from_json(spec_with(
+            trials=12, epsilons=[0.01, 0.05], combiner=combiner))
+        records = run_trials(cfg)
+        agg = aggregate(records, cfg)
+        # every summary again, one record field at a time
+        names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
+        if cfg.randomized:
+            names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
+        means = {}
+        for name in names:
+            arr = np.array([getattr(r, name) for r in records])
+            means[name] = [float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))]
+        assert list(agg["means"]) == names and agg["means"] == means
+        assert agg["chosen_2_fraction"] == sum(r.chosen == 2 for r in records) / len(records)
+        l1, l2, lc = (np.array([getattr(r, f) for r in records])
+                      for f in ("loss_d1", "loss_d2", "loss_combined"))
+        n = len(records)
+        loo = lambda a: (a.sum() - a) / (n - 1)
+        theta = loo(lc) - np.minimum(loo(l1), loo(l2))
+        assert agg["regret"] == {
+            "value": float(lc.mean() - min(l1.mean(), l2.mean())),
+            "se": math.sqrt((n - 1) / n * ((theta - theta.mean()) ** 2).sum())}
+        kind = "sm_" if cfg.randomized else ""
+        for eps in cfg.epsilons:
+            expected = {}
+            for j in (1, 2):
+                p = sum(abs(getattr(r, f"{kind}est_d{j}") - getattr(r, f"{kind}loss_d{j}")) >= eps
+                        for r in records) / n
+                expected[f"d{j}"] = [p, math.sqrt(p * (1.0 - p) / n)]
+            assert agg["deviation_probability"][repr(eps)] == expected
 
 
 # The oracles of one oracle_n14 benchmark pass: two warm-up passes, then

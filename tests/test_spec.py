@@ -161,12 +161,17 @@ LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$
      r"^config\.combiner: exponent nu must lie in \(0, 1\), got 1\.0$"),
     (with_(denoisers={"type": "pair", "first": {"type": "identity"},
                       "second": {"type": "sliding_window", "k": 0, "table": [0, 2]}}),
-     r"^config\.denoisers\.second: table outputs outside the clean alphabet$"),
+     r"^config\.denoisers\.second: table entry 2 at code 1 lies outside "
+     r"the clean alphabet \[0, 2\)$"),
     (with_(denoisers={"type": "pair", "first": {"type": "identity"},
                       "second": {"type": "sliding_window", "k": 1, "rule": "median"}}),
      r"^config\.denoisers\.second: unknown sliding-window rule 'median'$"),
     (with_(channel={"type": "dmc", "pi": [[1.0]]}),
      r"^config\.channel: input alphabet must have at least 2 symbols$"),
+    (with_(denoisers={"type": "pair", "first": {"type": "identity"},
+                      "second": {"type": "sliding_window", "k": 0, "table": [-1, 0]}}),
+     r"^config\.denoisers\.second: table entry -1 at code 0 lies outside "
+     r"the clean alphabet \[0, 2\)$"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
