@@ -74,13 +74,17 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_combine(args) -> int:
+    spec = _combiner_spec(args)
+    flags = [f"--{key}" for key in spec if key != "type"]
+    if flags and not args.randomized:
+        raise ValueError(f"{' '.join(flags)} apply only with --randomized")
     channel = channel_from_json(args.channel, "--channel")
     _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
     d1, d2 = denoiser_pair_from_spec(args.pair, channel, "--pair")
     lm = hamming_loss(channel.input_size)
     z = _parse_sequence(args.sequence)
     if args.randomized:
-        cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
+        cfg = smoothing_from_spec(spec, "smoothing flags")
         out, sel, mask = randomized_combined_denoise(
             d1, d2, channel, h, lm, cfg, z, RngStream(args.seed)
         )

@@ -143,6 +143,9 @@ def output_from_spec(spec, path: str = "output") -> tuple[str | None, str]:
     v = read(spec, path, {}, {"path": (str, None), "format": (str, "csv")})
     if v["format"] not in ("csv", "json"):
         raise ConfigError(f"{path}: unknown output format: {v['format']!r}")
+    directory = os.path.dirname(v["path"] or "") or "."
+    if v["path"] and not os.path.isdir(directory):
+        raise ConfigError(f"{path}.path: {directory!r} is not an existing directory")
     return v["path"], v["format"]
 
 
@@ -372,65 +375,49 @@ def _mean_se(arr: np.ndarray) -> list[float]:
     return [float(arr.mean()), float(se)]
 
 
-def regret(records: list[TrialRecord]) -> tuple[float, float]:
-    """Mean combined loss minus the better candidate's mean loss, with a
-    jackknife standard error; the candidate baselines are the raw denoisers'
-    realized losses, for either combiner."""
-    if not records:
-        raise ValueError("regret needs at least one trial record")
-    cols = _columns(records)
-    l1, l2, lc = cols["loss_d1"], cols["loss_d2"], cols["loss_combined"]
-    value = lc.mean() - min(l1.mean(), l2.mean())
-    n = len(records)
-    if n == 1:
-        return float(value), 0.0
-    loo = lambda a: (a.sum() - a) / (n - 1)
-    theta = loo(lc) - np.minimum(loo(l1), loo(l2))
-    se = math.sqrt((n - 1) / n * ((theta - theta.mean()) ** 2).sum())
-    return float(value), float(se)
-
-
-def deviation_probability(records: list[TrialRecord], eps: float,
-                          smoothed: bool = False):
-    """Empirical P(|estimate - loss| >= eps) per denoiser, with binomial SEs.
-
-    Returns ((p1, se1), (p2, se2)).
-    """
-    if eps <= 0:
-        raise ValueError("deviation threshold must be positive")
-    cols = _columns(records)
-    kind = "sm_" if smoothed else ""
-    if f"{kind}est_d1" not in cols or np.isnan(cols[f"{kind}est_d1"]).any():
-        raise ValueError("smoothed deviation needs randomized-combiner records")
-    out = []
-    for j in (1, 2):
-        est, loss = cols[f"{kind}est_d{j}"], cols[f"{kind}loss_d{j}"]
-        p = int(np.count_nonzero(abs(est - loss) >= eps)) / len(records)
-        out.append((p, math.sqrt(p * (1.0 - p) / len(records))))
-    return tuple(out)
-
-
 def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
-    """Summary statistics with standard errors, plus the config echo."""
+    """Summary statistics with standard errors, plus the config echo, all
+    read from one build of the trial table.
+
+    ``regret`` is the mean combined loss minus the better candidate's mean
+    loss, with a jackknife standard error; the candidate baselines are the
+    raw denoisers' realized losses, for either combiner.
+    ``deviation_probability`` maps each config threshold eps to each
+    denoiser's empirical P(|estimate - loss| >= eps), with its binomial
+    standard error; a randomized config reads the smoothed estimates and
+    losses.  No records, or plain records under a randomized config, raise
+    ``ValueError``.
+    """
+    if not records:
+        raise ValueError("aggregate needs at least one trial record")
+    if cfg.randomized and records[0].sm_est_d1 is None:
+        raise ValueError("a randomized config needs randomized-combiner records")
     cols = _columns(records)
+    n = len(records)
     names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
     if cfg.randomized:
         names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
-    reg_value, reg_se = regret(records)
+    l1, l2, lc = cols["loss_d1"], cols["loss_d2"], cols["loss_combined"]
+    loo = lambda a: (a.sum() - a) / max(n - 1, 1)
+    theta = loo(lc) - np.minimum(loo(l1), loo(l2))
+    kind = "sm_" if cfg.randomized else ""
+    gaps = [abs(cols[f"{kind}est_d{j}"] - cols[f"{kind}loss_d{j}"]) for j in (1, 2)]
     deviations = {}
     for eps in cfg.epsilons:
-        (p1, s1), (p2, s2) = deviation_probability(records, eps,
-                                                   smoothed=cfg.randomized)
-        deviations[repr(eps)] = {"d1": [p1, s1], "d2": [p2, s2]}
+        deviations[repr(eps)] = {}
+        for j, gap in enumerate(gaps, 1):
+            p = int(np.count_nonzero(gap >= eps)) / n
+            deviations[repr(eps)][f"d{j}"] = [p, math.sqrt(p * (1.0 - p) / n)]
     return {
         "version": f"duodenoise {__version__}",
         "config": cfg.raw,
         "h_choice": cfg.h_choice,
-        "trials": len(records),
+        "trials": n,
         "combiner": "randomized" if cfg.randomized else "plain",
         "means": {name: _mean_se(cols[name]) for name in names},
-        "chosen_2_fraction": int(np.count_nonzero(cols["chosen"] == 2)) / len(records),
-        "regret": {"value": reg_value, "se": reg_se},
+        "chosen_2_fraction": int(np.count_nonzero(cols["chosen"] == 2)) / n,
+        "regret": {"value": float(lc.mean() - min(l1.mean(), l2.mean())),
+                   "se": math.sqrt((n - 1) / n * ((theta - theta.mean()) ** 2).sum())},
         "deviation_probability": deviations,
     }
 

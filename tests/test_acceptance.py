@@ -43,12 +43,11 @@ from duodenoise.denoisers import (
 )
 from duodenoise.harness import (
     ExperimentConfig,
-    deviation_probability,
+    aggregate,
     enumerate_expectation,
     estimate_functional,
     pointwise_influence,
     records_csv_text,
-    regret,
     run_trials,
     true_loss_functional,
 )
@@ -242,6 +241,7 @@ def bsc_randomized_spec(n: int) -> dict:
         "denoisers": {"type": "bsc_counterexample_pair", "delta": 0.2},
         "combiner": {"type": "randomized", "nu": 0.75, "m": 128},
         "trials": TRIALS,
+        "epsilons": [0.05],
         "master_seed": 1003,
     }
 
@@ -257,24 +257,24 @@ def mean(records, field):
 
 def test_criterion_05_erasure_pair_defeats_plain_combiner(bec_run):
     """Each parity denoiser averages loss 1/4; the plain combiner averages 1/2."""
-    _, records = bec_run
+    cfg, records = bec_run
     assert mean(records, "loss_d1") == pytest.approx(0.25, abs=0.02)
     assert mean(records, "loss_d2") == pytest.approx(0.25, abs=0.02)
     assert mean(records, "loss_combined") == pytest.approx(0.50, abs=0.02)
-    value, _ = regret(records)
+    value = aggregate(records, cfg)["regret"]["value"]
     assert value == pytest.approx(0.25, abs=0.02)
 
 
 def test_criterion_06_crossover_pair_table(bsc_plain_run):
     """Odd-parity estimate/loss table and the plain combiner's analytic regret."""
-    _, records = bsc_plain_run
+    cfg, records = bsc_plain_run
     odd = [r for r in records if r.parity == 1]
     assert len(odd) > TRIALS // 3
     assert np.mean([r.est_d1 for r in odd]) == pytest.approx(-0.227, abs=0.02)
     assert np.mean([r.est_d2 for r in odd]) == pytest.approx(0.181, abs=0.02)
     assert np.mean([r.loss_d1 for r in odd]) == pytest.approx(0.20, abs=0.01)
     assert np.mean([r.loss_d2 for r in odd]) == pytest.approx(0.16, abs=0.01)
-    value, _ = regret(records)
+    value = aggregate(records, cfg)["regret"]["value"]
     assert value == pytest.approx(0.2 ** 2 / 2, abs=0.005)
 
 
@@ -282,8 +282,9 @@ def test_criterion_07_randomized_combiner_recovers_better_denoiser(
     bsc_randomized_runs,
 ):
     """Smoothed-estimate selection drops the regret to near zero."""
-    _, records = bsc_randomized_runs[N_BIG]
-    value, se = regret(records)
+    cfg, records = bsc_randomized_runs[N_BIG]
+    regret = aggregate(records, cfg)["regret"]
+    value, se = regret["value"], regret["se"]
     assert value + 3 * se <= 0.01, f"regret {value:.4f} +- {se:.4f}"
     odd = [r for r in records if r.parity == 1]
     frac = np.mean([r.chosen == 2 for r in odd])
@@ -324,7 +325,7 @@ def test_criterion_09a_concentration_trend_in_n():
     """Sliding-window deviation probability does not grow with n."""
     probs, ses = [], []
     for n in (256, 1024, N_BIG):
-        _, records = run_config({
+        cfg, records = run_config({
             "channel": {"type": "bsc", "delta": 0.2},
             "n": n,
             "clean_source": {"type": "iid_bernoulli", "p": 0.5},
@@ -335,9 +336,10 @@ def test_criterion_09a_concentration_trend_in_n():
             },
             "combiner": {"type": "plain"},
             "trials": 500,
+            "epsilons": [0.02],
             "master_seed": 1005,
         })
-        (p, s), _ = deviation_probability(records, 0.02)
+        p, s = aggregate(records, cfg)["deviation_probability"]["0.02"]["d1"]
         probs.append(p)
         ses.append(s)
     assert non_increasing_within_2se(probs, ses), f"probs {probs}"
@@ -364,9 +366,8 @@ def test_criterion_09c_smoothed_concentration_trend(bsc_randomized_runs):
     for j in (1, 2):
         probs, ses = [], []
         for n in (256, 1024, N_BIG):
-            _, records = bsc_randomized_runs[n]
-            stats = deviation_probability(records, 0.05, smoothed=True)
-            p, s = stats[j - 1]
+            cfg, records = bsc_randomized_runs[n]
+            p, s = aggregate(records, cfg)["deviation_probability"]["0.05"][f"d{j}"]
             probs.append(p)
             ses.append(s)
         assert probs[-1] <= 0.05, f"denoiser {j} deviation prob {probs[-1]:.3f}"

@@ -66,6 +66,17 @@ def test_combine_randomized(capsys):
     assert "mask_weight" in result
 
 
+def test_combine_names_smoothing_flags_given_without_randomized(capsys):
+    code = main([
+        "combine", "--nu", "0.9", "--m", "3",
+        "--channel", '{"type": "bsc", "delta": 0.2}',
+        "--pair", '{"type": "bsc_counterexample_pair", "delta": 0.2}',
+        "--sequence", "0,1",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --nu --m apply only with --randomized\n"
+
+
 def test_experiment_runs_config(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     config = {

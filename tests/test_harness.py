@@ -48,12 +48,10 @@ from duodenoise.harness import (
     TrialRecord,
     aggregate,
     denoiser_from_spec,
-    deviation_probability,
     enumerate_expectation,
     estimate_functional,
     pointwise_influence,
     records_csv_text,
-    regret,
     run_experiment,
     run_trials,
     true_loss_functional,
@@ -417,36 +415,55 @@ def toy_records():
             mk(2, 0.3, 0.3, 1, 0.3)]
 
 
+def toy_config(**overrides) -> ExperimentConfig:
+    """The plain config that toy records summarize under, with overrides."""
+    return ExperimentConfig.from_json(spec_with(**overrides))
+
+
 class TestAggregates:
     def test_regret_on_toy_records(self):
-        value, se = regret(toy_records())
+        regret = aggregate(toy_records(), toy_config())["regret"]
         # mean combined 0.7/3; the better baseline is either mean 0.3
-        assert value == pytest.approx(0.7 / 3 - 0.3, abs=1e-12)
-        assert se >= 0.0
+        assert regret["value"] == pytest.approx(0.7 / 3 - 0.3, abs=1e-12)
+        assert regret["se"] >= 0.0
 
     def test_regret_needs_records(self):
         with pytest.raises(ValueError):
-            regret([])
+            aggregate([], toy_config())
 
     def test_regret_of_one_record_has_no_error(self):
         record = TrialRecord(trial=0, seed=0, parity=1, loss_d1=0.25, loss_d2=0.5,
                              est_d1=0.5, est_d2=0.25, chosen=2, loss_combined=0.5)
-        assert regret([record]) == (0.25, 0.0)
+        assert aggregate([record], toy_config())["regret"] == {"value": 0.25, "se": 0.0}
 
     def test_deviation_probability_counts_threshold_crossings(self):
         recs = toy_records()
         # est == loss everywhere, so no deviations at any positive threshold
-        (p1, s1), (p2, s2) = deviation_probability(recs, 0.01)
-        assert (p1, p2) == (0.0, 0.0) and (s1, s2) == (0.0, 0.0)
+        agg = aggregate(recs, toy_config(epsilons=[0.01]))
+        assert agg["deviation_probability"] == {"0.01": {"d1": [0.0, 0.0], "d2": [0.0, 0.0]}}
         # a gap of exactly eps counts
         edge = [TrialRecord(**{**vars(recs[0]), "est_d1": 0.5, "loss_d1": 0.25})]
-        assert deviation_probability(edge, 0.25) == ((1.0, 0.0), (0.0, 0.0))
-        with pytest.raises(ValueError, match="positive"):
-            deviation_probability(recs, 0.0)
+        agg = aggregate(edge, toy_config(epsilons=[0.25]))
+        assert agg["deviation_probability"] == {"0.25": {"d1": [1.0, 0.0], "d2": [0.0, 0.0]}}
+        with pytest.raises(ConfigError, match="positive"):
+            toy_config(epsilons=[0.0])
 
     def test_smoothed_deviation_requires_randomized_records(self):
+        cfg = toy_config(combiner={"type": "randomized", "m": 8})
         with pytest.raises(ValueError, match="randomized"):
-            deviation_probability(toy_records(), 0.1, smoothed=True)
+            aggregate(toy_records(), cfg)
+
+    def test_aggregate_builds_the_trial_table_once(self, monkeypatch):
+        calls = []
+        table = harness._table
+
+        def counted(records):
+            calls.append(records)
+            return table(records)
+
+        monkeypatch.setattr(harness, "_table", counted)
+        aggregate(toy_records(), toy_config(epsilons=[0.01, 0.05]))
+        assert len(calls) == 1
 
     def test_aggregate_shape(self):
         cfg = ExperimentConfig.from_json(spec_with(trials=6))

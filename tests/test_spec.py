@@ -172,6 +172,8 @@ LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$
                       "second": {"type": "sliding_window", "k": 0, "table": [-1, 0]}}),
      r"^config\.denoisers\.second: table entry -1 at code 0 lies outside "
      r"the clean alphabet \[0, 2\)$"),
+    (with_(output={"path": "no-such-directory/trials.csv"}),
+     r"^config\.output\.path: 'no-such-directory' is not an existing directory$"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -306,6 +308,8 @@ def test_thread_count(monkeypatch):
     ["influence", "--n", "1000000000000", "--q", "0.1"],
     ["verify", "--n", "1000000000000"],
     ["influence", "--sequence", "", "--q", "0.1"],
+    ["combine", "--channel", '{"type":"bsc","delta":0.2}', "--nu", "0.9", "--m", "3",
+     "--pair", '{"type":"bsc_counterexample_pair","delta":0.2}', "--sequence", "0,1"],
 ])
 def test_cli_rejects_malformed_input(argv, capsys):
     assert main(argv) == 1
