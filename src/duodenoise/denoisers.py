@@ -337,8 +337,13 @@ class SmoothingConfig:
         return self.q if self.q is not None else float(n) ** (-self.nu)
 
     def check_length(self, n: int) -> None:
-        """Reject a block length whose 2^n masks exact mode cannot enumerate,
-        or whose m masks Monte Carlo mode cannot hold."""
+        """Reject a block length whose flip rate n^-nu is not below 1/2 (the
+        bound on an explicit q), whose 2^n masks exact mode cannot
+        enumerate, or whose m masks Monte Carlo mode cannot hold."""
+        q = self.resolve_q(n)
+        if q >= 0.5:
+            raise ValueError(f"flip rate q = n^-nu = {n}^-{self.nu} = {q:.4g} must lie "
+                             f"in [0, 1/2)")
         if self.mode == "exact" and n > EXACT_MASK_LIMIT:
             raise ValueError(f"exact smoothing limited to n <= {EXACT_MASK_LIMIT}, got n = {n}")
         if self.mode == "monte_carlo" and self.m * n > ENUMERATION_LIMIT:
@@ -411,8 +416,7 @@ def exact_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
     """Probability of each mask under i.i.d. Bernoulli-q flips."""
     n = masks.shape[1]
     counts = masks.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        return np.power(q, counts) * np.power(1.0 - q, n - counts)
+    return np.power(q, counts) * np.power(1.0 - q, n - counts)
 
 
 def stratified_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
@@ -459,14 +463,3 @@ def check_binary(d: Denoiser) -> None:
     smoothed denoiser flips binary symbols and mixes binary outputs."""
     if d.input_size != 2 or d.output_size != 2:
         raise ValueError("smoothing is defined for binary-alphabet denoisers")
-
-
-def smoothed_expected_output(d: Denoiser, drawn, z, i: int) -> float:
-    """E_W of the denoiser output at position i on the mask-flipped input,
-    over the (masks, weights) pair ``drawn`` from :func:`mask_set`."""
-    check_binary(d)
-    zs = check_sequence(z, d.input_size, "noisy sequence")
-    if not 0 <= i < len(zs):
-        raise IndexError(f"position {i} out of range for length {len(zs)}")
-    masks, weights = drawn
-    return float(weights @ masked_values(lambda rows: d.denoise_batch(rows)[:, i], masks, zs))

@@ -13,7 +13,6 @@ oracle) and pointwise total-influence measurements.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
@@ -143,9 +142,12 @@ def output_from_spec(spec, path: str = "output") -> tuple[str | None, str]:
     v = read(spec, path, {}, {"path": (str, None), "format": (str, "csv")})
     if v["format"] not in ("csv", "json"):
         raise ConfigError(f"{path}: unknown output format: {v['format']!r}")
-    directory = os.path.dirname(v["path"] or "") or "."
-    if v["path"] and not os.path.isdir(directory):
-        raise ConfigError(f"{path}.path: {directory!r} is not an existing directory")
+    if v["path"] is not None:
+        directory = os.path.dirname(v["path"]) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"{path}.path: {directory!r} is not an existing directory")
+        if os.path.isdir(v["path"]):
+            raise ConfigError(f"{path}.path: {v['path']!r} is a directory, not a file")
     return v["path"], v["format"]
 
 
@@ -356,12 +358,6 @@ def records_to_csv(records: list[TrialRecord], fh) -> None:
     """Write the trial CSV, one row per record under the header."""
     header, rows = _table(records)
     csv.writer(fh, lineterminator="\n").writerows(itertools.chain([header], rows))
-
-
-def records_csv_text(records: list[TrialRecord]) -> str:
-    buf = io.StringIO()
-    records_to_csv(records, buf)
-    return buf.getvalue()
 
 
 def _columns(records: list[TrialRecord]) -> dict[str, np.ndarray]:

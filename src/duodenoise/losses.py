@@ -71,14 +71,15 @@ def hamming_loss(k: int = 2) -> np.ndarray:
 
 
 def loss_from_json(spec, k: int = 2, path: str = "loss") -> np.ndarray:
-    """Parse a loss spec (dict or JSON text); Hamming loss is over ``k``
-    symbols unless the spec names its own ``k``."""
+    """Parse a loss spec (dict or JSON text).  A Hamming spec names no size:
+    its loss is over ``k`` symbols, the clean alphabet of the channel it is
+    used with."""
     values = read_typed(spec, path, "loss type", {
-        "hamming": ({}, {"k": (int, k)}),
+        "hamming": ({}, {}),
         "matrix": ({"lambda": [[float]]}, {}),
     })
     if values["type"] == "hamming":
-        return build(path, hamming_loss, values["k"])
+        return build(path, hamming_loss, k)
     return build(path, loss_matrix, values["lambda"])
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from duodenoise import combine
 from duodenoise.channel import compute_h, make_bsc
 from duodenoise.combine import (
     combined_denoise,
@@ -16,6 +17,7 @@ from duodenoise.denoisers import (
     IdentityDenoiser,
     SmoothingConfig,
     make_bsc_counterexample_pair,
+    mask_set,
 )
 from duodenoise.losses import hamming_loss
 from duodenoise.rng import RngStream
@@ -86,13 +88,39 @@ class TestRandomizedCombiner:
         np.testing.assert_array_equal(a[2], b[2])
 
     def test_output_is_winner_on_masked_input(self):
-        z = RngStream(22).generator().integers(0, 2, size=150)
-        out, sel, mask = randomized_combined_denoise(
-            self.d1, self.d2, self.ch, self.h, HAMMING, self.cfg, z, RngStream(23)
-        )
-        winner = self.d1 if sel.chosen_index == 1 else self.d2
-        np.testing.assert_array_equal(out, winner.denoise(z ^ mask))
-        assert set(np.unique(mask)) <= {0, 1}
+        unmasked_differs = False
+        for seed in range(20):
+            z = RngStream(22, seed).generator().integers(0, 2, size=150)
+            out, sel, mask = randomized_combined_denoise(
+                self.d1, self.d2, self.ch, self.h, HAMMING, self.cfg, z, RngStream(23, seed)
+            )
+            winner = self.d1 if sel.chosen_index == 1 else self.d2
+            np.testing.assert_array_equal(out, winner.denoise(z ^ mask))
+            assert set(np.unique(mask)) <= {0, 1}
+            unmasked_differs |= not np.array_equal(out, winner.denoise(z))
+        # the mask reaches the output: the winner on the unmasked input would
+        # pass the check above on a seed whose mask leaves the output as is
+        assert unmasked_differs
+
+    def test_emitted_mask_is_independent_of_estimation_masks(self, monkeypatch):
+        drawn = []
+
+        def spy(*args):
+            drawn.append(mask_set(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(combine, "mask_set", spy)
+        cfg = SmoothingConfig(q=0.3, m=1)
+        z = np.zeros(16, dtype=np.int64)
+        equal = 0
+        for seed in range(200):
+            *_, mask = randomized_combined_denoise(
+                self.d1, self.d2, self.ch, self.h, HAMMING, cfg, z, RngStream(seed)
+            )
+            equal += np.array_equal(mask, drawn[-1][0][0])
+        # independent masks agree with probability 0.58^16 ~ 1.6e-4 per seed;
+        # an emitted mask drawn from the estimation stream agrees on every seed
+        assert len(drawn) == 200 and equal <= 1
 
     def test_smoothed_estimates_differ_from_plain(self):
         # odd-parity z: the plain estimates strongly favor the copier, the

@@ -36,7 +36,6 @@ from duodenoise.denoisers import (
     make_bsc_counterexample_pair,
     make_sliding_window,
     mask_set,
-    smoothed_expected_output,
     stratified_mask_weights,
 )
 from duodenoise.rng import RngStream
@@ -227,6 +226,20 @@ class TestSmoothing:
         assert SmoothingConfig(nu=0.5).resolve_q(256) == pytest.approx(1 / 16)
         assert SmoothingConfig(q=0.01).resolve_q(999) == 0.01
 
+    # (nu, the largest n with n^-nu >= 1/2, that n^-nu)
+    @pytest.mark.parametrize("nu, n, q", [
+        (0.3, 10, 0.5012), (0.95, 2, 0.5176), (0.75, 2, 0.5946), (0.5, 4, 0.5),
+    ])
+    def test_rate_exponent_keeps_q_below_one_half(self, nu, n, q):
+        cfg = SmoothingConfig(nu=nu, mode="exact")
+        for short in range(1, n):
+            with pytest.raises(ValueError, match=r"^flip rate q = n\^-nu = "):
+                cfg.check_length(short)
+        with pytest.raises(ValueError, match=rf"^flip rate q = n\^-nu = {n}\^-{nu} = "
+                                             rf"{q:.4g} must lie in \[0, 1/2\)$"):
+            cfg.check_length(n)
+        cfg.check_length(n + 1)     # one symbol more and q drops below 1/2
+
     def test_mask_law(self):
         cfg = SmoothingConfig(q=0.2)
         masks = draw_smoothing_masks(
@@ -242,8 +255,9 @@ class TestSmoothing:
         for q in (0.0, 0.1, 0.3):
             w = exact_mask_weights(masks, q)
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        # q = 0 puts all mass on the zero mask
-        w0 = exact_mask_weights(masks, 0.0)
+        # q = 0 puts all mass on the zero mask; 0.0 ** 0 is 1, with no warning
+        with np.errstate(all="raise"):
+            w0 = exact_mask_weights(masks, 0.0)
         assert w0[0] == 1.0 and w0[1:].max() == 0.0
 
     def test_stratified_weights_match_exact_parity_mass(self):
@@ -257,16 +271,6 @@ class TestSmoothing:
     def test_stratified_weights_degrade_to_uniform(self):
         masks = np.zeros((8, 5), dtype=np.int64)  # all even
         np.testing.assert_allclose(stratified_mask_weights(masks, 0.1), 1 / 8)
-
-    def test_smoothed_expected_output_exact(self):
-        # identity at position i: P(output 1) = q if z_i = 0 else 1 - q
-        d = IdentityDenoiser()
-        drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)
-        z = np.array([0, 1, 0, 1])
-        assert smoothed_expected_output(d, drawn, z, 0) == pytest.approx(0.1, abs=1e-12)
-        assert smoothed_expected_output(d, drawn, z, 1) == pytest.approx(0.9, abs=1e-12)
-        with pytest.raises(IndexError, match="^position 4 out of range for length 4$"):
-            smoothed_expected_output(d, drawn, z, 4)
 
     def test_exact_mode_respects_threshold(self):
         cfg = SmoothingConfig(q=0.1, mode="exact")

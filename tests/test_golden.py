@@ -15,7 +15,8 @@ import hashlib
 
 import pytest
 
-from duodenoise.harness import ExperimentConfig, records_csv_text, run_trials
+from duodenoise.harness import ExperimentConfig, run_trials
+from test_harness import records_csv_text
 
 BSC = {"type": "bsc", "delta": 0.2}
 PARITY_PAIR = {"type": "bsc_counterexample_pair", "delta": 0.2}

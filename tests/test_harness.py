@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ from duodenoise.harness import (
     enumerate_expectation,
     estimate_functional,
     pointwise_influence,
-    records_csv_text,
+    records_to_csv,
     run_experiment,
     run_trials,
     true_loss_functional,
@@ -80,6 +81,13 @@ PLAIN_SPEC = {
 
 def spec_with(**overrides) -> dict:
     return {**PLAIN_SPEC, **overrides}
+
+
+def records_csv_text(records: list[TrialRecord]) -> str:
+    """The trial CSV that :func:`records_to_csv` writes, as text."""
+    buf = io.StringIO()
+    records_to_csv(records, buf)
+    return buf.getvalue()
 
 
 class TestConfigParsing:

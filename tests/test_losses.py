@@ -21,9 +21,8 @@ from duodenoise.denoisers import (
     make_bsc_counterexample_pair,
     make_sliding_window,
     mask_set,
-    smoothed_expected_output,
 )
-from duodenoise.harness import ExperimentConfig
+from duodenoise.harness import ConfigError, ExperimentConfig
 from duodenoise.losses import (
     JointTypeCounts,
     _estimates_from_table,
@@ -65,13 +64,16 @@ class TestLoss:
     def test_from_json(self):
         lm = loss_from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]})
         np.testing.assert_array_equal(lm, [[0, 2], [3, 0]])
-        assert loss_from_json('{"type": "hamming", "k": 4}').shape == (4, 4)
+        assert loss_from_json('{"type": "hamming"}', 4).shape == (4, 4)
         assert loss_from_json({"type": "hamming"}, 3).shape == (3, 3)
+        # the size is the caller's: a Hamming spec that names one is rejected
+        with pytest.raises(ConfigError, match=r"^unknown keys in loss: \['k'\]$"):
+            loss_from_json({"type": "hamming", "k": 3}, 3)
 
     @pytest.mark.parametrize("make", [
         lambda: hamming_loss(2),
         lambda: loss_matrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [3.0, 0.5, 0.0]]),
-        lambda: loss_from_json({"type": "hamming", "k": 3}),
+        lambda: loss_from_json({"type": "hamming"}, 3),
         lambda: loss_from_json({"type": "matrix", "lambda": [[0, 2], [3, 0]]}),
         lambda: ExperimentConfig.from_json({
             "channel": {"type": "bsc", "delta": 0.2}, "n": 4, "trials": 1,
@@ -422,7 +424,7 @@ class TestSmoothedLosses:
         )
         assert mc == pytest.approx(exact, abs=0.02)
 
-    @pytest.mark.parametrize("entry", ["expected_output", "conditional_loss", "per_symbol"])
+    @pytest.mark.parametrize("entry", ["conditional_loss", "per_symbol"])
     @pytest.mark.parametrize("d", [IdentityDenoiser(3), IdentityDenoiser(2, 3),
                                    IdentityDenoiser(3, 2)], ids=["3to3", "3to2", "2to3"])
     def test_binary_only(self, entry, d):
@@ -430,7 +432,6 @@ class TestSmoothedLosses:
         ch = make_bsc(0.2)
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 2, None)
         call = {
-            "expected_output": lambda: smoothed_expected_output(d, drawn, [0, 1], 0),
             "conditional_loss": lambda: smoothed_conditional_loss(HAMMING, d, drawn,
                                                                   [0, 1], [0, 1]),
             "per_symbol": lambda: smoothed_per_symbol_estimates(ch, compute_h(ch), HAMMING,

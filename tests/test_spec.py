@@ -36,7 +36,7 @@ PLAIN = {
     "channel": BSC, "n": 12, "clean_source": {"type": "all_zeros"},
     "denoisers": {"type": "bsc_counterexample_pair", "delta": 0.2},
     "combiner": {"type": "plain"}, "trials": 2, "epsilons": [0.05, 0.1],
-    "master_seed": 1, "h": "min_norm", "loss": {"type": "hamming", "k": 2},
+    "master_seed": 1, "h": "min_norm", "loss": {"type": "hamming"},
     "output": {"format": "csv"},
 }
 RANDOMIZED = {"type": "randomized", "nu": 0.75, "mode": "monte_carlo", "m": 8}
@@ -114,6 +114,8 @@ class TestReader:
 
 
 LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$"
+# Hamming loss is over the channel's K: a spec has no size to give
+LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -143,15 +145,13 @@ LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$
     (with_(n=3333334, channel={"type": "bec", "epsilon": 0.5},
            denoisers={"type": "bec_parity_pair"}), r"^config\.n: .* 3333334 x 3 entries"),
     # a loss over another alphabet than the channel's clean one
-    (with_(loss={"type": "hamming", "k": 3}), LOSS_SIZE),
+    (with_(loss={"type": "hamming", "k": 3}), LOSS_K),
     (with_(loss={"type": "matrix", "lambda": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}), LOSS_SIZE),
     (with_(channel=DMC3, loss={"type": "matrix", "lambda": [[0, 1], [1, 0]]},
            denoisers={"type": "pair", "first": {"type": "identity"},
                       "second": {"type": "constant"}}), LOSS_SIZE),
-    (with_(loss={"type": "hamming", "k": 0}),
-     r"^config\.loss: Hamming loss needs k >= 1 symbols, got k = 0$"),
-    (with_(loss={"type": "hamming", "k": -1}),
-     r"^config\.loss: Hamming loss needs k >= 1 symbols, got k = -1$"),
+    (with_(loss={"type": "hamming", "k": 0}), LOSS_K),
+    (with_(loss={"type": "hamming", "k": -1}), LOSS_K),
     (with_(n=0), r"^config: n and trials must be >= 1, got 0 and 2$"),
     (with_(trials=0), r"^config: n and trials must be >= 1, got 12 and 0$"),
     (with_(epsilons=[0.0]), r"^config\.epsilons: deviation thresholds must be positive$"),
@@ -174,6 +174,13 @@ LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$
      r"the clean alphabet \[0, 2\)$"),
     (with_(output={"path": "no-such-directory/trials.csv"}),
      r"^config\.output\.path: 'no-such-directory' is not an existing directory$"),
+    (with_(output={"path": "."}), r"^config\.output\.path: '\.' is a directory, not a file$"),
+    # n^-nu at or above 1/2, like an explicit q, whatever the mode
+    (with_(combiner={"type": "randomized", "nu": 0.2}),
+     r"^config\.combiner: flip rate q = n\^-nu = 12\^-0\.2 = 0\.6084 must lie in "
+     r"\[0, 1/2\)$"),
+    (with_(n=2, combiner={"type": "randomized"}), r"= 2\^-0\.75 = 0\.5946 must lie in"),
+    (with_(n=1, combiner={"type": "randomized", "mode": "exact"}), r"= 1\^-0\.75 = 1 must lie in"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -309,6 +316,10 @@ def test_thread_count(monkeypatch):
     ["verify", "--n", "1000000000000"],
     ["influence", "--sequence", "", "--q", "0.1"],
     ["combine", "--channel", '{"type":"bsc","delta":0.2}', "--nu", "0.9", "--m", "3",
+     "--pair", '{"type":"bsc_counterexample_pair","delta":0.2}', "--sequence", "0,1"],
+    ["influence", "--n", "2"],
+    ["influence", "--sequence", "1,0,1", "--nu", "0.5", "--mode", "exact"],
+    ["combine", "--channel", '{"type":"bsc","delta":0.2}', "--randomized",
      "--pair", '{"type":"bsc_counterexample_pair","delta":0.2}', "--sequence", "0,1"],
 ])
 def test_cli_rejects_malformed_input(argv, capsys):
