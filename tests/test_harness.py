@@ -26,9 +26,9 @@ from duodenoise.channel import (
     is_bec,
     make_bec,
     make_bsc,
-    sample_output,
+    outputs_from_uniforms,
 )
-from duodenoise.combine import select_min_estimate
+from duodenoise.combine import randomized_combined_denoise, select_min_estimate
 from duodenoise.denoisers import (
     ENUMERATION_LIMIT,
     BecParityDenoiser,
@@ -304,18 +304,26 @@ def scalar_estimate(ch, h, lm, d, z) -> float:
     return math.fsum(per_symbol_estimates(ch, h, lm, d, z)) / len(z)
 
 
-def reference_plain_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
-    """The per-trial plain path the blocked one replaced: one-sequence
-    sampling, denoising and estimation, and a fresh loss of the winner."""
-    trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
+def reference_rows(cfg: ExperimentConfig, trial: RngStream):
+    """The trial's clean and noisy rows, each drawn from a fresh generator of
+    its stream, not through ``RngStream.uniforms``, which the blocked path
+    uses."""
     kind = cfg.clean_source["type"]
     if kind == "all_zeros":
         x = np.zeros(cfg.n, dtype=np.int64)
     elif kind == "iid_bernoulli":
-        x = (trial.derive("clean").uniforms(cfg.n) < cfg.clean_source["p"]).astype(np.int64)
+        u = trial.derive("clean").generator().random(cfg.n)
+        x = (u < cfg.clean_source["p"]).astype(np.int64)
     else:
         x = cfg.clean_file
-    z = sample_output(cfg.channel, x, trial.derive("channel"))
+    return x, outputs_from_uniforms(cfg.channel, x, trial.derive("channel").generator().random(cfg.n))
+
+
+def reference_plain_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
+    """The per-trial plain path the blocked one replaced: one-sequence
+    sampling, denoising and estimation, and a fresh loss of the winner."""
+    trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
+    x, z = reference_rows(cfg, trial)
     o1, o2 = cfg.d1.denoise(z), cfg.d2.denoise(z)
     est1 = scalar_estimate(cfg.channel, cfg.h, cfg.lm, cfg.d1, z)
     est2 = scalar_estimate(cfg.channel, cfg.h, cfg.lm, cfg.d2, z)
@@ -412,6 +420,35 @@ def test_blocks_at_the_real_budget_equal_per_trial_path(extra):
         "trials": block * (2 if extra > 0 else 1) + extra,
     })
     assert run_trials(cfg) == [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
+
+
+def test_plain_trials_never_build_a_generator(monkeypatch):
+    # every clean and channel row is drawn through RngStream.uniforms
+    def refuse(self):
+        raise AssertionError("RngStream.generator called on the plain path")
+
+    monkeypatch.setattr(RngStream, "generator", refuse)
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=32, trials=7, clean_source={"type": "iid_bernoulli", "p": 0.3}))
+    assert len(run_trials(cfg)) == 7
+
+
+def test_randomized_records_match_a_rebuilt_combiner_call():
+    # each record's combined loss and mask weight are those of one
+    # randomized_combined_denoise call on the trial's "combiner" stream
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=32, trials=10, clean_source={"type": "iid_bernoulli", "p": 0.3},
+        combiner={"type": "randomized", "nu": 0.75, "m": 8}))
+    for r in run_trials(cfg):
+        trial = RngStream(cfg.master_seed, r.seed)
+        assert trial == RngStream(cfg.master_seed).derive(f"trial/{r.trial}")
+        x, z = reference_rows(cfg, trial)
+        out, sel, mask = randomized_combined_denoise(
+            cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
+            trial.derive("combiner"))
+        assert r.chosen == sel.chosen_index
+        assert r.loss_combined == cumulative_loss(cfg.lm, x, out)
+        assert r.mask_weight == mask.sum()
 
 
 def toy_records():
