@@ -142,6 +142,8 @@ def output_from_spec(spec, path: str = "output") -> tuple[str | None, str]:
     v = read(spec, path, {}, {"path": (str, None), "format": (str, "csv")})
     if v["format"] not in ("csv", "json"):
         raise ConfigError(f"{path}: unknown output format: {v['format']!r}")
+    if v["path"] == "":
+        raise ConfigError(f"{path}.path: an empty path names no file")
     if v["path"] is not None:
         directory = os.path.dirname(v["path"]) or "."
         if not os.path.isdir(directory):
@@ -196,6 +198,8 @@ class ExperimentConfig:
             raise ConfigError(f"config: n and trials must be >= 1, got {n} and {v['trials']}")
         if any(e <= 0 for e in v["epsilons"]):
             raise ConfigError("config.epsilons: deviation thresholds must be positive")
+        if len(set(v["epsilons"])) < len(v["epsilons"]):
+            raise ConfigError("config.epsilons: deviation thresholds must be distinct")
         channel = channel_from_json(v["channel"], "config.channel")
         if n * channel.output_size > ENUMERATION_LIMIT:
             raise ConfigError(f"config.n: a trial's substituted-output table of {n} x "
@@ -296,7 +300,10 @@ def _block(cfg: ExperimentConfig, ids: range) -> list[TrialRecord]:
 
 def _run_trial(cfg: ExperimentConfig, t: int, x, z, plain: TrialRecord) -> TrialRecord:
     """Trial t's plain record completed by the randomized combiner's smoothed
-    selection and losses on its clean row x and noisy row z."""
+    selection and losses on its clean row x and noisy row z.
+
+    The library does not use ``t``; ``benchmarks/tracer.py`` reads it, in
+    second position, as the trial id that tags its spans."""
     trial = RngStream(cfg.master_seed, plain.seed)
     out, sel, mask = randomized_combined_denoise(
         cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
@@ -360,12 +367,6 @@ def records_to_csv(records: list[TrialRecord], fh) -> None:
     csv.writer(fh, lineterminator="\n").writerows(itertools.chain([header], rows))
 
 
-def _columns(records: list[TrialRecord]) -> dict[str, np.ndarray]:
-    """:func:`_table`'s rows as float64 columns keyed by header name."""
-    header, rows = _table(records)
-    return dict(zip(header, np.array(list(rows), dtype=np.float64).reshape(-1, len(header)).T))
-
-
 def _mean_se(arr: np.ndarray) -> list[float]:
     se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
     return [float(arr.mean()), float(se)]
@@ -373,7 +374,8 @@ def _mean_se(arr: np.ndarray) -> list[float]:
 
 def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     """Summary statistics with standard errors, plus the config echo, all
-    read from one build of the trial table.
+    read as float64 columns straight from the records, one per
+    :func:`_table` header name.
 
     ``regret`` is the mean combined loss minus the better candidate's mean
     loss, with a jackknife standard error; the candidate baselines are the
@@ -388,8 +390,9 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
         raise ValueError("aggregate needs at least one trial record")
     if cfg.randomized and records[0].sm_est_d1 is None:
         raise ValueError("a randomized config needs randomized-combiner records")
-    cols = _columns(records)
     n = len(records)
+    cols = {name: np.fromiter(map(attrgetter(name), records), np.float64, n)
+            for name in _table(records)[0]}
     names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
     if cfg.randomized:
         names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
@@ -421,7 +424,7 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all trials, write the configured output file, return the aggregate."""
     records = run_trials(cfg)
-    if cfg.output_path:
+    if cfg.output_path is not None:
         with open(cfg.output_path, "w") as fh:
             if cfg.output_format == "csv":
                 records_to_csv(records, fh)

@@ -6,14 +6,23 @@ import json
 
 import pytest
 
+from duodenoise import cli
 from duodenoise.cli import main
 from duodenoise.harness import ConfigError, ExperimentConfig
+from duodenoise.verify import CheckResult
 
 
 def test_verify_passes(capsys):
     assert main(["verify", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_exits_2_on_a_failed_check(monkeypatch, capsys):
+    failed = CheckResult("broken", False, "made to fail")
+    monkeypatch.setattr(cli, "default_battery", lambda n: [failed])
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().out == "[FAIL] broken: made to fail\n"
 
 
 def test_estimate_identity_on_bsc(capsys):

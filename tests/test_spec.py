@@ -181,6 +181,9 @@ LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
      r"\[0, 1/2\)$"),
     (with_(n=2, combiner={"type": "randomized"}), r"= 2\^-0\.75 = 0\.5946 must lie in"),
     (with_(n=1, combiner={"type": "randomized", "mode": "exact"}), r"= 1\^-0\.75 = 1 must lie in"),
+    (with_(output={"path": ""}), r"^config\.output\.path: an empty path names no file$"),
+    (with_(epsilons=[0.05, 0.01, 0.05]),
+     r"^config\.epsilons: deviation thresholds must be distinct$"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
