@@ -374,8 +374,8 @@ def _mean_se(arr: np.ndarray) -> list[float]:
 
 def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     """Summary statistics with standard errors, plus the config echo, all
-    read as float64 columns straight from the records, one per
-    :func:`_table` header name.
+    read as float64 columns straight from the records: the losses, the
+    estimates and ``chosen``, the only fields a summary reads.
 
     ``regret`` is the mean combined loss minus the better candidate's mean
     loss, with a jackknife standard error; the candidate baselines are the
@@ -391,11 +391,11 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     if cfg.randomized and records[0].sm_est_d1 is None:
         raise ValueError("a randomized config needs randomized-combiner records")
     n = len(records)
-    cols = {name: np.fromiter(map(attrgetter(name), records), np.float64, n)
-            for name in _table(records)[0]}
     names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
     if cfg.randomized:
         names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
+    cols = {name: np.fromiter(map(attrgetter(name), records), np.float64, n)
+            for name in names + ["chosen"]}
     l1, l2, lc = cols["loss_d1"], cols["loss_d2"], cols["loss_combined"]
     loo = lambda a: (a.sum() - a) / max(n - 1, 1)
     theta = loo(lc) - np.minimum(loo(l1), loo(l2))
@@ -450,6 +450,15 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
     (``blocks(states, 8 * n)``).  The weighted values go into one correctly
     rounded ``math.fsum``, so the total does not depend on the chunking.
     At most ENUMERATION_LIMIT states keep this an oracle for small n only.
+
+    The states are decoded once per call, not once per chunk: a table holds
+    the states and factors pi[x_i, z_i] of the trailing positions over their
+    period, the smallest product of trailing support sizes that covers a
+    chunk (or of all of them), so it takes less than 2 * M times a chunk's
+    bytes of states for M output symbols.  A chunk reads its rows at
+    index % period and writes in the leading positions of at most two
+    decoded indices, so each weight is the ``.prod(axis=1)`` of the same
+    factor row as a digit-by-digit decode.
     """
     xs = check_sequence(x, ch.input_size, "clean sequence")
     rows = ch.pi[xs]
@@ -459,21 +468,39 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
         raise ValueError(f"state space of {states} outputs exceeds the enumeration "
                          f"limit {ENUMERATION_LIMIT}")
 
-    def chunk(part: slice) -> list[float]:
-        index = np.arange(part.start, part.stop)
-        z = np.empty((len(index), len(xs)), dtype=np.int64)
-        for pos in range(len(xs) - 1, -1, -1):
+    def decode(index: np.ndarray, first: int, stop: int):
+        """(states, factors pi[x_i, z_i]) whose positions first..stop-1 are
+        the mixed-radix digits of index, the last position fastest."""
+        z = np.zeros((len(index), len(xs)), dtype=np.int64)
+        for pos in range(stop - 1, first - 1, -1):
             index, digit = np.divmod(index, len(support[pos]))
             z[:, pos] = support[pos][digit]
-        weights = rows[np.arange(len(xs)), z].prod(axis=1)
+        return z, rows[np.arange(len(xs)), z]
+
+    parts = blocks(states, 8 * len(xs))
+    # no chunk is longer than the period, so it meets two leading parts at most
+    lead, period = len(xs), 1
+    while lead and period < parts[0].stop:
+        lead -= 1
+        period *= len(support[lead])
+    low = decode(np.arange(period), lead, len(xs))
+
+    def chunk(part: slice) -> list[float]:
+        high, offset = divmod(part.start, period)
+        wrap = period - offset          # rows before the trailing digits wrap
+        top = decode(np.array([high, high + 1]), 0, lead)
+        index = np.arange(part.start, part.stop) % period
+        z, factors = (tail.take(index, axis=0) for tail in low)
+        for out, head in zip((z, factors), top):
+            out[:wrap, :lead], out[wrap:, :lead] = head[:, :lead]
+        weights = factors.prod(axis=1)
         if not weights.all():           # products that underflow to 0.0
             z, weights = z[weights > 0.0], weights[weights > 0.0]
             if not len(z):
                 return []
         return (weights * functional_values(functional(z), len(z))).tolist()
 
-    return math.fsum(itertools.chain.from_iterable(
-        map(chunk, blocks(states, 8 * len(xs)))))
+    return math.fsum(itertools.chain.from_iterable(map(chunk, parts)))
 
 
 def _check_batch(zs, alphabet_size: int) -> np.ndarray:

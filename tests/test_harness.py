@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise import denoisers, harness
+from duodenoise import combine, denoisers, harness
 from duodenoise.channel import (
     Channel,
     canonical_erasure_h,
@@ -38,6 +39,8 @@ from duodenoise.denoisers import (
     ParityMarkedZerosDenoiser,
     SlidingWindowDenoiser,
     SmoothingConfig,
+    blocks,
+    functional_values,
     make_bsc_counterexample_pair,
     make_sliding_window,
     mask_set,
@@ -451,6 +454,31 @@ def test_randomized_records_match_a_rebuilt_combiner_call():
         assert r.mask_weight == mask.sum()
 
 
+def test_smoothed_loss_masks_are_independent_of_estimation_masks(monkeypatch):
+    # the smoothed losses are judged on their own mask set: two independent
+    # m = 1 sets at n = 16, q = 0.3 agree with probability 0.58^16 ~ 1.6e-4
+    # per trial, a smoothed-loss set drawn from the estimation stream on
+    # every trial
+    drawn = {"estimation": [], "smoothed-loss": []}
+
+    def spy(kind):
+        def recorded(*args):
+            masks, weights = mask_set(*args)
+            drawn[kind].append(masks)
+            return masks, weights
+        return recorded
+
+    monkeypatch.setenv("DUO_THREADS", "1")
+    monkeypatch.setattr(combine, "mask_set", spy("estimation"))
+    monkeypatch.setattr(harness, "mask_set", spy("smoothed-loss"))
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=16, trials=200, combiner={"type": "randomized", "q": 0.3, "m": 1}))
+    run_trials(cfg)
+    assert len(drawn["estimation"]) == len(drawn["smoothed-loss"]) == 200
+    equal = sum(map(np.array_equal, drawn["estimation"], drawn["smoothed-loss"]))
+    assert equal <= 1
+
+
 def toy_records():
     mk = lambda t, l1, l2, ch, lc: TrialRecord(
         trial=t, seed=t, parity=0, loss_d1=l1, loss_d2=l2,
@@ -498,17 +526,31 @@ class TestAggregates:
         with pytest.raises(ValueError, match="randomized"):
             aggregate(toy_records(), cfg)
 
-    def test_aggregate_builds_the_trial_table_once(self, monkeypatch):
-        calls = []
-        table = harness._table
+    @pytest.mark.parametrize("combiner", [{"type": "plain"}, {"type": "randomized", "m": 8}],
+                             ids=["plain", "randomized"])
+    def test_aggregate_reads_each_summarized_column_once(self, combiner):
+        """One read of each record field a summary uses, and none of trial,
+        seed, parity or mask_weight (randomized records also have
+        sm_est_d1 read once, to check their kind)."""
+        cfg = toy_config(trials=5, epsilons=[0.01, 0.05], combiner=combiner)
+        reads = Counter()
 
-        def counted(records):
-            calls.append(records)
-            return table(records)
+        class Counted:
+            def __init__(self, record):
+                self.record = record
 
-        monkeypatch.setattr(harness, "_table", counted)
-        aggregate(toy_records(), toy_config(epsilons=[0.01, 0.05]))
-        assert len(calls) == 1
+            def __getattr__(self, name):
+                reads[name] += 1
+                return getattr(self.record, name)
+
+        records = run_trials(cfg)
+        assert aggregate([Counted(r) for r in records], cfg) == aggregate(records, cfg)
+        names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2", "chosen"]
+        if cfg.randomized:
+            names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
+        expected = Counter({name: len(records) for name in names})
+        expected["sm_est_d1"] += cfg.randomized
+        assert reads == expected
 
     def test_aggregate_shape(self):
         cfg = ExperimentConfig.from_json(spec_with(trials=6))
@@ -721,6 +763,70 @@ def reference_expectation(ch, x, functional):
             z[pos] = 0
         else:
             return math.fsum(total)
+
+
+def reference_enumerate(ch, x, functional):
+    """The decoder the trailing-digit table replaced: each chunk decodes
+    every state index digit by digit, the last position fastest, and
+    gathers its factors from pi; the chunks, the underflow filter and the
+    one fsum are enumerate_expectation's."""
+    xs = np.asarray(x, dtype=np.int64)
+    rows = ch.pi[xs]
+    support = [np.flatnonzero(row) for row in rows]
+
+    def chunk(part):
+        index = np.arange(part.start, part.stop)
+        z = np.empty((len(index), len(xs)), dtype=np.int64)
+        for pos in range(len(xs) - 1, -1, -1):
+            index, digit = np.divmod(index, len(support[pos]))
+            z[:, pos] = support[pos][digit]
+        weights = rows[np.arange(len(xs)), z].prod(axis=1)
+        z, weights = z[weights > 0.0], weights[weights > 0.0]
+        if not len(z):
+            return []
+        return (weights * functional_values(functional(z), len(z))).tolist()
+
+    states = math.prod(len(s) for s in support)
+    return math.fsum(itertools.chain.from_iterable(map(chunk, blocks(states, 8 * len(xs)))))
+
+
+# A BSC, a BEC, and a DMC with a noiseless row, zero entries and an entry
+# whose square underflows to 0.0
+DECODER_CHANNELS = {
+    "bsc": make_bsc(0.3),
+    "bec": make_bec(0.4),
+    "dmc": Channel([[1.0, 0.0, 0.0], [1e-200, 0.5, 0.5], [0.0, 0.4, 0.6]]),
+}
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 7, None, 10**7],
+                         ids=["one", "three", "seven", "block_bytes", "all"])
+@pytest.mark.parametrize("kind", sorted(DECODER_CHANNELS))
+def test_table_decoder_equals_divmod_decoder(monkeypatch, kind, per_chunk):
+    """The same chunks of the same states, and the bits of the same total,
+    for chunks that straddle the table's period and for one chunk of all
+    states (per_chunk None keeps ``BLOCK_BYTES``)."""
+    ch = DECODER_CHANNELS[kind]
+    gen = np.random.default_rng(len(kind))
+    for n in range(1, 13):
+        x = gen.integers(0, ch.input_size, n)
+        if per_chunk is not None:
+            monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * n * per_chunk)
+        calls = {"table": [], "divmod": []}
+
+        def recording(seen):
+            def functional(z):
+                assert z.dtype == np.int64 and z.flags.c_contiguous
+                seen.append(z.copy())
+                return np.sin(z @ np.linspace(0.3, 1.7, n)) + z.sum(axis=1)
+            return functional
+
+        got = enumerate_expectation(ch, x, recording(calls["table"]))
+        want = reference_enumerate(ch, x, recording(calls["divmod"]))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert len(calls["table"]) == len(calls["divmod"])
+        for a, b in zip(calls["table"], calls["divmod"]):
+            np.testing.assert_array_equal(a, b)
 
 
 @st.composite

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from duodenoise import combine, denoisers, losses
@@ -25,6 +27,7 @@ from duodenoise.harness import (
     ExperimentConfig,
     aggregate,
     denoiser_from_spec,
+    run_experiment,
     run_trials,
     worker_count,
 )
@@ -71,6 +74,8 @@ BASES = {
 }
 
 BAD_VALUES = (True, "x", 2.5, [], None)
+# same-type boundary values, by the type of the value they replace
+BOUNDARY_VALUES = {int: (0, -1, 1), float: (0.0, -1.0, 0.01, 0.5, 1.0, math.inf), str: ("",)}
 
 
 def with_(**overrides) -> dict:
@@ -365,20 +370,30 @@ def _at(node, path):
 
 @st.composite
 def mutants(draw):
-    """A base config with one key dropped, one unknown key added at any
-    depth, or one value replaced by a value of another JSON type."""
+    """A base config writing its output to a file in the working directory,
+    with one key dropped, one unknown key added at any depth, one value
+    replaced by a value of another JSON type or by a boundary value of its
+    own type, or the output path naming the working directory itself."""
     spec = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    spec.setdefault("output", {})["path"] = "trials.out"
     paths = list(_paths(spec))
-    how = draw(st.sampled_from(["drop", "add", "replace"]))
+    how = draw(st.sampled_from(["drop", "add", "replace", "boundary", "directory"]))
     if how == "drop":
         path = draw(st.sampled_from([p for p, in_object in paths if in_object]))
         del _at(spec, path[:-1])[path[-1]]
     elif how == "add":
         objects = [()] + [p for p, _ in paths if isinstance(_at(spec, p), dict)]
         _at(spec, draw(st.sampled_from(objects)))["unexpected"] = 1
-    else:
+    elif how == "replace":
         path = draw(st.sampled_from([p for p, _ in paths]))
         _at(spec, path[:-1])[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    elif how == "boundary":
+        path = draw(st.sampled_from([p for p, _ in paths
+                                     if type(_at(spec, p)) in BOUNDARY_VALUES]))
+        values = BOUNDARY_VALUES[type(_at(spec, path))]
+        _at(spec, path[:-1])[path[-1]] = draw(st.sampled_from(values))
+    else:
+        spec["output"]["path"] = "."
     return spec
 
 
@@ -388,14 +403,19 @@ def test_base_configs_run(name):
     assert len(run_trials(cfg)) == 2
 
 
-@settings(max_examples=400, deadline=None)
-@given(mutants())
-def test_mutated_config_runs_or_is_rejected_while_parsing(spec):
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=mutants())
+def test_mutated_config_runs_or_is_rejected_while_parsing(tmp_path, monkeypatch, spec):
+    # every relative output path, a mutated one included, lands in tmp_path;
+    # one tmp_path serves every example, so each run rewrites its file
+    monkeypatch.chdir(tmp_path)
     try:
         cfg = ExperimentConfig.from_json(spec)
     except ConfigError:
         return
-    aggregate(run_trials(cfg), cfg)
+    run_experiment(cfg)
+    assert cfg.output_path is None or os.path.getsize(cfg.output_path) > 0
 
 
 TABLE_2 = np.random.default_rng(1).integers(0, 2, 8)
