@@ -18,8 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .denoisers import (
     masked_values,
 )
 from .losses import (
+    _check_fit,
     cumulative_loss,
     estimate_losses,
     loss_from_json,
@@ -232,26 +232,6 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """All quantities recorded for a single Monte Carlo trial."""
-
-    trial: int
-    seed: int
-    parity: int
-    loss_d1: float
-    loss_d2: float
-    est_d1: float
-    est_d2: float
-    chosen: int
-    loss_combined: float
-    sm_loss_d1: float | None = None
-    sm_loss_d2: float | None = None
-    sm_est_d1: float | None = None
-    sm_est_d2: float | None = None
-    mask_weight: int | None = None
-
-
 def _parities(channel: Channel, zs: np.ndarray) -> np.ndarray:
     """Per row: ones-parity on binary outputs, zero-count parity on a BEC,
     else -1."""
@@ -262,13 +242,13 @@ def _parities(channel: Channel, zs: np.ndarray) -> np.ndarray:
     return np.full(len(zs), -1)
 
 
-def _block(cfg: ExperimentConfig, ids: range) -> list[TrialRecord]:
-    """The records of consecutive trials.
+def _block(cfg: ExperimentConfig, ids: range) -> dict[str, list]:
+    """The trial table of consecutive trials (see :func:`run_trials`).
 
     Each trial draws its clean and channel uniforms from its own streams;
     the rows are stacked into (B, n) blocks, over which each denoiser makes
-    one ``denoise_batch`` and one ``substituted_outputs_batch`` pass; a
-    randomized run then completes each row by :func:`_run_trial`.
+    one ``denoise_batch`` and one ``substituted_outputs_batch`` pass.  A
+    randomized run takes the rest of each row from :func:`_run_trial`.
     """
     root = RngStream(cfg.master_seed)
     trials = [root.derive(f"trial/{t}") for t in ids]
@@ -281,42 +261,38 @@ def _block(cfg: ExperimentConfig, ids: range) -> list[TrialRecord]:
         x = np.broadcast_to(clean, (len(ids), cfg.n))
     u = np.stack([trial.derive("channel").uniforms(cfg.n) for trial in trials])
     z = outputs_from_uniforms(cfg.channel, x, u)
-    pair = (cfg.d1, cfg.d2)
-    losses = [true_losses(cfg.lm, d, x, z).tolist() for d in pair]
-    ests = [estimate_losses(cfg.channel, cfg.h, cfg.lm, d, z).tolist() for d in pair]
-    records = []
-    for row, parity in enumerate(_parities(cfg.channel, z).tolist()):
-        chosen = select_min_estimate(ests[0][row], ests[1][row]).chosen_index
-        record = TrialRecord(
-            trial=ids[row], seed=trials[row].stream_id, parity=parity,
-            loss_d1=losses[0][row], loss_d2=losses[1][row],
-            est_d1=ests[0][row], est_d2=ests[1][row],
-            chosen=chosen, loss_combined=losses[chosen - 1][row],
-        )
-        records.append(_run_trial(cfg, ids[row], x[row], z[row], record)
-                       if cfg.randomized else record)
-    return records
+    losses = [true_losses(cfg.lm, d, x, z).tolist() for d in (cfg.d1, cfg.d2)]
+    ests = [estimate_losses(cfg.channel, cfg.h, cfg.lm, d, z).tolist() for d in (cfg.d1, cfg.d2)]
+    table = {
+        "trial": list(ids), "seed": [trial.stream_id for trial in trials],
+        "parity": _parities(cfg.channel, z).tolist(),
+        "loss_d1": losses[0], "loss_d2": losses[1], "est_d1": ests[0], "est_d2": ests[1],
+    }
+    if cfg.randomized:
+        rows = zip(*(_run_trial(cfg, t, x[row], z[row], trials[row]) for row, t in enumerate(ids)))
+        table.update(zip(("chosen", "loss_combined", "sm_loss_d1", "sm_loss_d2", "sm_est_d1",
+                          "sm_est_d2", "mask_weight"), map(list, rows)))
+        return table
+    table["chosen"] = [select_min_estimate(*row).chosen_index for row in zip(*ests)]
+    table["loss_combined"] = [losses[c - 1][row] for row, c in enumerate(table["chosen"])]
+    return table
 
 
-def _run_trial(cfg: ExperimentConfig, t: int, x, z, plain: TrialRecord) -> TrialRecord:
-    """Trial t's plain record completed by the randomized combiner's smoothed
-    selection and losses on its clean row x and noisy row z.
+def _run_trial(cfg: ExperimentConfig, t: int, x, z, trial: RngStream) -> tuple:
+    """Trial t's chosen, loss_combined, sm_loss_d1, sm_loss_d2, sm_est_d1,
+    sm_est_d2 and mask_weight: the randomized combiner's selection and
+    losses on its clean row x and noisy row z, drawn from its stream.
 
     The library does not use ``t``; ``benchmarks/tracer.py`` reads it, in
     second position, as the trial id that tags its spans."""
-    trial = RngStream(cfg.master_seed, plain.seed)
     out, sel, mask = randomized_combined_denoise(
         cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
         trial.derive("combiner"),
     )
     drawn = mask_set(cfg.smoothing, cfg.n, trial.derive("smoothed-loss"))
-    return replace(
-        plain, chosen=sel.chosen_index, loss_combined=cumulative_loss(cfg.lm, x, out),
-        sm_loss_d1=smoothed_conditional_loss(cfg.lm, cfg.d1, drawn, x, z),
-        sm_loss_d2=smoothed_conditional_loss(cfg.lm, cfg.d2, drawn, x, z),
-        sm_est_d1=sel.estimates[0], sm_est_d2=sel.estimates[1],
-        mask_weight=int(mask.sum()),
-    )
+    sm_losses = [smoothed_conditional_loss(cfg.lm, d, drawn, x, z) for d in (cfg.d1, cfg.d2)]
+    return (sel.chosen_index, cumulative_loss(cfg.lm, x, out), *sm_losses, *sel.estimates,
+            int(mask.sum()))
 
 
 def worker_count() -> int:
@@ -336,8 +312,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """All trials of the experiment, in trial-id order.
+def run_trials(cfg: ExperimentConfig) -> dict[str, list]:
+    """The trial table: a dict from each CSV column name, in header order, to
+    a list of Python ints and floats with one entry per trial, in trial-id
+    order.  The randomized columns (``sm_*`` and ``mask_weight``) are present
+    only for randomized runs.
 
     Trials run in blocks of consecutive ids whose int64 noisy rows fill at
     most ``denoisers.BLOCK_BYTES``, and of one trial at least
@@ -347,35 +326,30 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     ids = [range(cfg.trials)[part] for part in blocks(cfg.trials, 8 * cfg.n)]
     workers = min(worker_count(), len(ids), _usable_cpus())
     if workers == 1 or not cfg.randomized:
-        return [record for block in ids for record in _block(cfg, block)]
+        return _concatenate(_block(cfg, block) for block in ids)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(itertools.chain.from_iterable(pool.map(_block, [cfg] * len(ids), ids)))
+        return _concatenate(pool.map(_block, [cfg] * len(ids), ids))
 
 
-def _table(records: list[TrialRecord]):
-    """(header, rows) of the trial output: one column per
-    :class:`TrialRecord` field, in field order; the smoothed fields (those
-    defaulting to None) only for randomized-combiner runs."""
-    randomized = records and records[0].sm_est_d1 is not None
-    header = [f.name for f in fields(TrialRecord) if randomized or f.default is not None]
-    return header, map(attrgetter(*header), records)
+def _concatenate(tables) -> dict[str, list]:
+    """The blocks' tables as one, their lists joined in order."""
+    table = {}
+    for part in tables:
+        for name, column in part.items():
+            table.setdefault(name, []).extend(column)
+    return table
 
 
-def records_to_csv(records: list[TrialRecord], fh) -> None:
-    """Write the trial CSV, one row per record under the header."""
-    header, rows = _table(records)
-    csv.writer(fh, lineterminator="\n").writerows(itertools.chain([header], rows))
+def records_to_csv(table: dict[str, list], fh) -> None:
+    """Write the trial table of :func:`run_trials` as CSV, one row per trial under the header."""
+    csv.writer(fh, lineterminator="\n").writerows(
+        itertools.chain([list(table)], zip(*table.values())))
 
 
-def _mean_se(arr: np.ndarray) -> list[float]:
-    se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return [float(arr.mean()), float(se)]
-
-
-def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
-    """Summary statistics with standard errors, plus the config echo, all
-    read as float64 columns straight from the records: the losses, the
-    estimates and ``chosen``, the only fields a summary reads.
+def aggregate(table: dict[str, list], cfg: ExperimentConfig) -> dict:
+    """Summary statistics with standard errors, plus the config echo, of a
+    trial table (see :func:`run_trials`).  Each column a summary reads --
+    the losses, the estimates and ``chosen`` -- becomes one float64 array.
 
     ``regret`` is the mean combined loss minus the better candidate's mean
     loss, with a jackknife standard error; the candidate baselines are the
@@ -383,55 +357,58 @@ def aggregate(records: list[TrialRecord], cfg: ExperimentConfig) -> dict:
     ``deviation_probability`` maps each config threshold eps to each
     denoiser's empirical P(|estimate - loss| >= eps), with its binomial
     standard error; a randomized config reads the smoothed estimates and
-    losses.  No records, or plain records under a randomized config, raise
-    ``ValueError``.
+    losses.  Before any column is read, a table that lacks a column the
+    summary reads, has columns of different lengths or has no rows raises
+    ``ValueError`` naming the column.
     """
-    if not records:
-        raise ValueError("aggregate needs at least one trial record")
-    if cfg.randomized and records[0].sm_est_d1 is None:
-        raise ValueError("a randomized config needs randomized-combiner records")
-    n = len(records)
     names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
     if cfg.randomized:
         names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
-    cols = {name: np.fromiter(map(attrgetter(name), records), np.float64, n)
-            for name in names + ["chosen"]}
+    combiner = "randomized" if cfg.randomized else "plain"
+    lengths = {name: len(column) for name, column in table.items()}
+    for name in names + ["chosen"]:
+        if name not in lengths:
+            raise ValueError(f"the trial table has no {name!r} column for a {combiner} summary")
+    n = lengths["loss_d1"]
+    for name, length in lengths.items():
+        if length != n:
+            raise ValueError(f"trial table column {name!r} has {length} rows, 'loss_d1' has {n}")
+    if not n:
+        raise ValueError("trial table column 'loss_d1' has no rows")
+    cols = {name: np.array(table[name], np.float64) for name in names + ["chosen"]}
     l1, l2, lc = cols["loss_d1"], cols["loss_d2"], cols["loss_combined"]
     loo = lambda a: (a.sum() - a) / max(n - 1, 1)
     theta = loo(lc) - np.minimum(loo(l1), loo(l2))
+    se = lambda a: float(a.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    share = lambda p: [p, math.sqrt(p * (1.0 - p) / n)]      # with its binomial SE
     kind = "sm_" if cfg.randomized else ""
     gaps = [abs(cols[f"{kind}est_d{j}"] - cols[f"{kind}loss_d{j}"]) for j in (1, 2)]
-    deviations = {}
-    for eps in cfg.epsilons:
-        deviations[repr(eps)] = {}
-        for j, gap in enumerate(gaps, 1):
-            p = int(np.count_nonzero(gap >= eps)) / n
-            deviations[repr(eps)][f"d{j}"] = [p, math.sqrt(p * (1.0 - p) / n)]
     return {
         "version": f"duodenoise {__version__}",
         "config": cfg.raw,
         "h_choice": cfg.h_choice,
         "trials": n,
-        "combiner": "randomized" if cfg.randomized else "plain",
-        "means": {name: _mean_se(cols[name]) for name in names},
+        "combiner": combiner,
+        "means": {name: [float(cols[name].mean()), se(cols[name])] for name in names},
         "chosen_2_fraction": int(np.count_nonzero(cols["chosen"] == 2)) / n,
         "regret": {"value": float(lc.mean() - min(l1.mean(), l2.mean())),
                    "se": math.sqrt((n - 1) / n * ((theta - theta.mean()) ** 2).sum())},
-        "deviation_probability": deviations,
+        "deviation_probability": {
+            repr(eps): {f"d{j}": share(int(np.count_nonzero(gap >= eps)) / n)
+                        for j, gap in enumerate(gaps, 1)} for eps in cfg.epsilons},
     }
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all trials, write the configured output file, return the aggregate."""
-    records = run_trials(cfg)
+    table = run_trials(cfg)
     if cfg.output_path is not None:
         with open(cfg.output_path, "w") as fh:
             if cfg.output_format == "csv":
-                records_to_csv(records, fh)
+                records_to_csv(table, fh)
             else:
-                header, rows = _table(records)
-                json.dump([dict(zip(header, row)) for row in rows], fh, indent=1)
-    return aggregate(records, cfg)
+                json.dump([dict(zip(table, row)) for row in zip(*table.values())], fh, indent=1)
+    return aggregate(table, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -527,7 +504,8 @@ def true_loss_functional(lm: np.ndarray, d: Denoiser, x):
 
 def estimate_functional(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser):
     """Batch functional: row z -> estimate_loss(ch, h, lm, d, z), the
-    estimated normalized loss of d."""
+    estimated normalized loss of d; h, lm and d are checked here, once."""
+    _check_fit(ch, h, lm, d)
     return lambda zs: estimate_losses(ch, h, lm, d, _check_batch(zs, ch.output_size))
 
 

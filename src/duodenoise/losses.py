@@ -18,8 +18,8 @@ the kernel run per position.  Either way the entries are the same floats.
 Like the denoisers, the estimator and the true loss have one batch form each,
 :func:`estimate_losses` and :func:`true_losses`: they take a (B, n) integer
 array of noisy sequences and trust it, as ``denoise_batch`` does.  The
-one-sequence forms validate their arguments; :func:`estimate_loss` then runs
-as a batch of one.
+one-sequence forms validate their arguments, and h, the loss and the
+denoiser against the channel; :func:`estimate_loss` then runs a batch of one.
 
 The smoothed quantities take one (masks, weights) set from
 ``denoisers.mask_set``; masks are bool in both exact and Monte Carlo mode.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ERASURE, Channel, check_sequence, is_bec
+from .channel import ERASURE, H_IDENTITY_TOL, Channel, check_sequence, h_defect, is_bec
 from .denoisers import Denoiser, blocks, check_binary, masked_values
 from .spec import build, read_typed
 
@@ -132,9 +132,26 @@ def _context_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, z: np.ndarray
     return table[code]
 
 
+def _check_fit(ch: Channel, h: np.ndarray | None, lm: np.ndarray, d: Denoiser) -> None:
+    """Reject an h (unless None) that is not K x M or fails pi @ h.T = I by
+    more than ``H_IDENTITY_TOL``, a loss that is not K x K, or a denoiser
+    that does not map the channel's M noisy symbols to its K clean ones."""
+    k, m = ch.pi.shape
+    if h is not None and np.shape(h) != (k, m):
+        raise ValueError(f"h has shape {np.shape(h)}; the channel needs ({k}, {m})")
+    if h is not None and not h_defect(ch, h) <= H_IDENTITY_TOL:
+        raise ValueError(f"h fails pi @ h.T = I by {h_defect(ch, h):g} (> {H_IDENTITY_TOL:g})")
+    if np.shape(lm) != (k, k):
+        raise ValueError(f"loss matrix has shape {np.shape(lm)}; the channel needs ({k}, {k})")
+    if (d.input_size, d.output_size) != (m, k):
+        raise ValueError(f"denoiser maps {d.input_size} noisy to {d.output_size} clean "
+                         f"symbols; the channel has {m} noisy and {k} clean")
+
+
 def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
                          d: Denoiser, z) -> np.ndarray:
     """All n per-symbol estimates (one substituted-output table pass)."""
+    _check_fit(ch, h, lm, d)
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     return _context_estimates(ch, h, lm, zs, d.substituted_outputs(zs))
 
@@ -204,7 +221,8 @@ def estimate_loss(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser, z) ->
 
     May be negative; no clamping is performed.
     """
-    zs = check_sequence(z, min(ch.output_size, d.input_size), "noisy sequence")
+    _check_fit(ch, h, lm, d)
+    zs = check_sequence(z, ch.output_size, "noisy sequence")
     return float(estimate_losses(ch, h, lm, d, zs[None])[0])
 
 
@@ -219,6 +237,7 @@ def erasure_estimate_loss(ch: Channel, lm: np.ndarray, d: Denoiser, z) -> float:
     """
     if not is_bec(ch):
         raise ValueError("erasure estimate requires a binary erasure channel")
+    _check_fit(ch, None, lm, d)
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     tab = d.substituted_outputs(zs)[:, ERASURE]
     unerased = zs != ERASURE
@@ -321,6 +340,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
     check_binary(d)
     if ch.input_size != 2 or ch.output_size != 2:
         raise ValueError("smoothed estimation targets binary channels")
+    _check_fit(ch, h, lm, d)
     zs = check_sequence(z, 2, "noisy sequence")
     masks, weights = drawn
     z8 = zs.astype(np.uint8)

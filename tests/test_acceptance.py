@@ -198,7 +198,7 @@ def run_config(spec: dict):
 
 def run_on_usable_cpus(spec: dict):
     """run_config with DUO_THREADS at every usable CPU, restored afterwards;
-    criterion 10 makes the records independent of the thread count."""
+    criterion 10 makes the trial table independent of the thread count."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("DUO_THREADS", str(harness._usable_cpus()))
         return run_config(spec)
@@ -251,8 +251,13 @@ def bsc_randomized_runs():
     return {n: run_on_usable_cpus(bsc_randomized_spec(n)) for n in (256, 1024, N_BIG)}
 
 
-def mean(records, field):
-    return float(np.mean([getattr(r, field) for r in records]))
+def mean(table, column):
+    return float(np.mean(table[column]))
+
+
+def odd_rows(table, column):
+    """The column's entries of the trials with odd parity."""
+    return [value for value, parity in zip(table[column], table["parity"]) if parity == 1]
 
 
 def test_criterion_05_erasure_pair_defeats_plain_combiner(bec_run):
@@ -268,12 +273,11 @@ def test_criterion_05_erasure_pair_defeats_plain_combiner(bec_run):
 def test_criterion_06_crossover_pair_table(bsc_plain_run):
     """Odd-parity estimate/loss table and the plain combiner's analytic regret."""
     cfg, records = bsc_plain_run
-    odd = [r for r in records if r.parity == 1]
-    assert len(odd) > TRIALS // 3
-    assert np.mean([r.est_d1 for r in odd]) == pytest.approx(-0.227, abs=0.02)
-    assert np.mean([r.est_d2 for r in odd]) == pytest.approx(0.181, abs=0.02)
-    assert np.mean([r.loss_d1 for r in odd]) == pytest.approx(0.20, abs=0.01)
-    assert np.mean([r.loss_d2 for r in odd]) == pytest.approx(0.16, abs=0.01)
+    assert len(odd_rows(records, "trial")) > TRIALS // 3
+    assert np.mean(odd_rows(records, "est_d1")) == pytest.approx(-0.227, abs=0.02)
+    assert np.mean(odd_rows(records, "est_d2")) == pytest.approx(0.181, abs=0.02)
+    assert np.mean(odd_rows(records, "loss_d1")) == pytest.approx(0.20, abs=0.01)
+    assert np.mean(odd_rows(records, "loss_d2")) == pytest.approx(0.16, abs=0.01)
     value = aggregate(records, cfg)["regret"]["value"]
     assert value == pytest.approx(0.2 ** 2 / 2, abs=0.005)
 
@@ -286,8 +290,7 @@ def test_criterion_07_randomized_combiner_recovers_better_denoiser(
     regret = aggregate(records, cfg)["regret"]
     value, se = regret["value"], regret["se"]
     assert value + 3 * se <= 0.01, f"regret {value:.4f} +- {se:.4f}"
-    odd = [r for r in records if r.parity == 1]
-    frac = np.mean([r.chosen == 2 for r in odd])
+    frac = np.mean([chosen == 2 for chosen in odd_rows(records, "chosen")])
     assert frac >= 0.95, f"chose the better denoiser on {frac:.1%} of odd trials"
 
 
@@ -351,10 +354,7 @@ def test_criterion_09b_smoothing_gap_trend(bsc_randomized_runs):
         gaps, ses = [], []
         for n in (1024, N_BIG):
             _, records = bsc_randomized_runs[n]
-            diffs = np.array([
-                getattr(r, f"sm_loss_d{j}") - getattr(r, f"loss_d{j}")
-                for r in records
-            ])
+            diffs = np.array(records[f"sm_loss_d{j}"]) - np.array(records[f"loss_d{j}"])
             gaps.append(abs(diffs.mean()))
             ses.append(diffs.std(ddof=1) / math.sqrt(len(diffs)))
         assert gaps[-1] <= 0.01, f"denoiser {j} gap {gaps[-1]:.4f}"

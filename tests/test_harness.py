@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
@@ -49,7 +50,6 @@ from duodenoise.denoisers import (
 from duodenoise.harness import (
     ConfigError,
     ExperimentConfig,
-    TrialRecord,
     aggregate,
     denoiser_from_spec,
     enumerate_expectation,
@@ -86,11 +86,21 @@ def spec_with(**overrides) -> dict:
     return {**PLAIN_SPEC, **overrides}
 
 
-def records_csv_text(records: list[TrialRecord]) -> str:
+def records_csv_text(table: dict[str, list]) -> str:
     """The trial CSV that :func:`records_to_csv` writes, as text."""
     buf = io.StringIO()
-    records_to_csv(records, buf)
+    records_to_csv(table, buf)
     return buf.getvalue()
+
+
+def table_rows(table: dict[str, list]) -> list[dict]:
+    """The trial table as one dict per trial, keyed by column name."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def rows_table(rows: list[dict]) -> dict[str, list]:
+    """The trial table of rows (dicts with the same keys, in column order)."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 class TestConfigParsing:
@@ -202,9 +212,9 @@ class TestTrials:
 
     def test_combined_loss_matches_chosen(self):
         cfg = ExperimentConfig.from_json(spec_with(trials=20))
-        for r in run_trials(cfg):
-            chosen_loss = r.loss_d1 if r.chosen == 1 else r.loss_d2
-            assert r.loss_combined == pytest.approx(chosen_loss, abs=1e-12)
+        for r in table_rows(run_trials(cfg)):
+            chosen_loss = r["loss_d1"] if r["chosen"] == 1 else r["loss_d2"]
+            assert r["loss_combined"] == pytest.approx(chosen_loss, abs=1e-12)
 
     def test_pool_is_capped_by_blocks_and_cpus(self, monkeypatch):
         sizes = []
@@ -230,9 +240,10 @@ class TestTrials:
         randomized = {"type": "randomized", "nu": 0.75, "m": 8}
         for trials, expected in ((12, 3), (2, 2)):
             cfg = ExperimentConfig.from_json(spec_with(n=16, trials=trials, combiner=randomized))
-            assert len(run_trials(cfg)) == trials
+            assert len(run_trials(cfg)["trial"]) == trials
             assert sizes.pop() == expected
-        assert len(run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12)))) == 12
+        plain = run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12)))
+        assert len(plain["trial"]) == 12
         assert sizes == []      # plain blocks run in the calling thread
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         run_trials(ExperimentConfig.from_json(spec_with(n=16, trials=12, combiner=randomized)))
@@ -260,6 +271,22 @@ class TestTrials:
         finally:
             tracemalloc.stop()
         assert peak <= 3_000_000
+
+    def test_plain_run_peak_grows_by_at_most_350_bytes_per_trial(self):
+        # the peak holds the trial table (Python lists, ints and floats)
+        # and the aggregate's float64 columns: about 273 B per plain trial
+        def peak(trials: int) -> int:
+            cfg = ExperimentConfig.from_json(spec_with(trials=trials))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)       # first-call set-up outside the measurement
+        assert (peak(6000) - peak(2000)) / 4000 <= 350
 
     def test_run_experiment_writes_output(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -322,7 +349,7 @@ def reference_rows(cfg: ExperimentConfig, trial: RngStream):
     return x, outputs_from_uniforms(cfg.channel, x, trial.derive("channel").generator().random(cfg.n))
 
 
-def reference_plain_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
+def reference_plain_trial(cfg: ExperimentConfig, t: int) -> dict:
     """The per-trial plain path the blocked one replaced: one-sequence
     sampling, denoising and estimation, and a fresh loss of the winner."""
     trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
@@ -337,7 +364,7 @@ def reference_plain_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         parity = int((z == 0).sum() % 2)
     else:
         parity = -1
-    return TrialRecord(
+    return dict(
         trial=t, seed=trial.stream_id, parity=parity,
         loss_d1=cumulative_loss(cfg.lm, x, o1), loss_d2=cumulative_loss(cfg.lm, x, o2),
         est_d1=est1, est_d2=est2, chosen=sel.chosen_index,
@@ -408,10 +435,10 @@ def plain_trial_cases(draw):
 def test_blocked_plain_trials_equal_per_trial_path(case):
     cfg, block = case
     with mock.patch.object(denoisers, "BLOCK_BYTES", 8 * block * cfg.n):
-        records = run_trials(cfg)
+        table = run_trials(cfg)
     expected = [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
-    assert records == expected
-    assert records_csv_text(records) == records_csv_text(expected)
+    assert table_rows(table) == expected
+    assert records_csv_text(table) == records_csv_text(rows_table(expected))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 3])
@@ -422,7 +449,8 @@ def test_blocks_at_the_real_budget_equal_per_trial_path(extra):
         **PLAIN_SPEC, "n": n, "clean_source": {"type": "iid_bernoulli", "p": 0.3},
         "trials": block * (2 if extra > 0 else 1) + extra,
     })
-    assert run_trials(cfg) == [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
+    assert table_rows(run_trials(cfg)) == [reference_plain_trial(cfg, t)
+                                           for t in range(cfg.trials)]
 
 
 def test_plain_trials_never_build_a_generator(monkeypatch):
@@ -433,25 +461,25 @@ def test_plain_trials_never_build_a_generator(monkeypatch):
     monkeypatch.setattr(RngStream, "generator", refuse)
     cfg = ExperimentConfig.from_json(spec_with(
         n=32, trials=7, clean_source={"type": "iid_bernoulli", "p": 0.3}))
-    assert len(run_trials(cfg)) == 7
+    assert len(run_trials(cfg)["trial"]) == 7
 
 
 def test_randomized_records_match_a_rebuilt_combiner_call():
-    # each record's combined loss and mask weight are those of one
+    # each row's combined loss and mask weight are those of one
     # randomized_combined_denoise call on the trial's "combiner" stream
     cfg = ExperimentConfig.from_json(spec_with(
         n=32, trials=10, clean_source={"type": "iid_bernoulli", "p": 0.3},
         combiner={"type": "randomized", "nu": 0.75, "m": 8}))
-    for r in run_trials(cfg):
-        trial = RngStream(cfg.master_seed, r.seed)
-        assert trial == RngStream(cfg.master_seed).derive(f"trial/{r.trial}")
+    for r in table_rows(run_trials(cfg)):
+        trial = RngStream(cfg.master_seed, r["seed"])
+        assert trial == RngStream(cfg.master_seed).derive(f"trial/{r['trial']}")
         x, z = reference_rows(cfg, trial)
         out, sel, mask = randomized_combined_denoise(
             cfg.d1, cfg.d2, cfg.channel, cfg.h, cfg.lm, cfg.smoothing, z,
             trial.derive("combiner"))
-        assert r.chosen == sel.chosen_index
-        assert r.loss_combined == cumulative_loss(cfg.lm, x, out)
-        assert r.mask_weight == mask.sum()
+        assert r["chosen"] == sel.chosen_index
+        assert r["loss_combined"] == cumulative_loss(cfg.lm, x, out)
+        assert r["mask_weight"] == mask.sum()
 
 
 def test_smoothed_loss_masks_are_independent_of_estimation_masks(monkeypatch):
@@ -479,43 +507,44 @@ def test_smoothed_loss_masks_are_independent_of_estimation_masks(monkeypatch):
     assert equal <= 1
 
 
-def toy_records():
-    mk = lambda t, l1, l2, ch, lc: TrialRecord(
+def toy_table():
+    """The trial table of three toy plain trials."""
+    mk = lambda t, l1, l2, ch, lc: dict(
         trial=t, seed=t, parity=0, loss_d1=l1, loss_d2=l2,
         est_d1=l1, est_d2=l2, chosen=ch, loss_combined=lc,
     )
-    return [mk(0, 0.2, 0.4, 1, 0.2), mk(1, 0.4, 0.2, 2, 0.2),
-            mk(2, 0.3, 0.3, 1, 0.3)]
+    return rows_table([mk(0, 0.2, 0.4, 1, 0.2), mk(1, 0.4, 0.2, 2, 0.2),
+                       mk(2, 0.3, 0.3, 1, 0.3)])
 
 
 def toy_config(**overrides) -> ExperimentConfig:
-    """The plain config that toy records summarize under, with overrides."""
+    """The plain config that toy tables summarize under, with overrides."""
     return ExperimentConfig.from_json(spec_with(**overrides))
 
 
 class TestAggregates:
     def test_regret_on_toy_records(self):
-        regret = aggregate(toy_records(), toy_config())["regret"]
+        regret = aggregate(toy_table(), toy_config())["regret"]
         # mean combined 0.7/3; the better baseline is either mean 0.3
         assert regret["value"] == pytest.approx(0.7 / 3 - 0.3, abs=1e-12)
         assert regret["se"] >= 0.0
 
     def test_regret_needs_records(self):
-        with pytest.raises(ValueError):
-            aggregate([], toy_config())
+        with pytest.raises(ValueError, match="'loss_d1' has no rows"):
+            aggregate({name: [] for name in toy_table()}, toy_config())
 
     def test_regret_of_one_record_has_no_error(self):
-        record = TrialRecord(trial=0, seed=0, parity=1, loss_d1=0.25, loss_d2=0.5,
-                             est_d1=0.5, est_d2=0.25, chosen=2, loss_combined=0.5)
-        assert aggregate([record], toy_config())["regret"] == {"value": 0.25, "se": 0.0}
+        table = rows_table([dict(trial=0, seed=0, parity=1, loss_d1=0.25, loss_d2=0.5,
+                                 est_d1=0.5, est_d2=0.25, chosen=2, loss_combined=0.5)])
+        assert aggregate(table, toy_config())["regret"] == {"value": 0.25, "se": 0.0}
 
     def test_deviation_probability_counts_threshold_crossings(self):
-        recs = toy_records()
+        recs = toy_table()
         # est == loss everywhere, so no deviations at any positive threshold
         agg = aggregate(recs, toy_config(epsilons=[0.01]))
         assert agg["deviation_probability"] == {"0.01": {"d1": [0.0, 0.0], "d2": [0.0, 0.0]}}
         # a gap of exactly eps counts
-        edge = [TrialRecord(**{**vars(recs[0]), "est_d1": 0.5, "loss_d1": 0.25})]
+        edge = rows_table([{**table_rows(recs)[0], "est_d1": 0.5, "loss_d1": 0.25}])
         agg = aggregate(edge, toy_config(epsilons=[0.25]))
         assert agg["deviation_probability"] == {"0.25": {"d1": [1.0, 0.0], "d2": [0.0, 0.0]}}
         with pytest.raises(ConfigError, match="positive"):
@@ -523,34 +552,46 @@ class TestAggregates:
 
     def test_smoothed_deviation_requires_randomized_records(self):
         cfg = toy_config(combiner={"type": "randomized", "m": 8})
-        with pytest.raises(ValueError, match="randomized"):
-            aggregate(toy_records(), cfg)
+        with pytest.raises(ValueError, match="no 'sm_loss_d1' column for a randomized summary"):
+            aggregate(toy_table(), cfg)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda t: t.pop("chosen"), "no 'chosen' column for a plain summary"),
+        (lambda t: t.pop("loss_combined"), "no 'loss_combined' column"),
+        (lambda t: t["seed"].pop(), "column 'seed' has 2 rows, 'loss_d1' has 3"),
+        (lambda t: t["est_d2"].append(0.5), "column 'est_d2' has 4 rows, 'loss_d1' has 3"),
+        (lambda t: [column.clear() for column in t.values()], "'loss_d1' has no rows"),
+    ], ids=["no_chosen", "no_loss_combined", "short_seed", "long_est_d2", "no_rows"])
+    def test_malformed_table_is_rejected_before_any_column_is_read(self, change, message):
+        table = toy_table()
+        change(table)
+
+        class Unread(dict):
+            def __getitem__(self, name):
+                raise AssertionError(f"column {name!r} read before the table was checked")
+
+        with pytest.raises(ValueError, match=message):
+            aggregate(Unread(table), toy_config())
 
     @pytest.mark.parametrize("combiner", [{"type": "plain"}, {"type": "randomized", "m": 8}],
                              ids=["plain", "randomized"])
     def test_aggregate_reads_each_summarized_column_once(self, combiner):
-        """One read of each record field a summary uses, and none of trial,
-        seed, parity or mask_weight (randomized records also have
-        sm_est_d1 read once, to check their kind)."""
+        """One read of each column a summary uses, and none of trial, seed,
+        parity or mask_weight."""
         cfg = toy_config(trials=5, epsilons=[0.01, 0.05], combiner=combiner)
         reads = Counter()
 
-        class Counted:
-            def __init__(self, record):
-                self.record = record
-
-            def __getattr__(self, name):
+        class Counted(dict):
+            def __getitem__(self, name):
                 reads[name] += 1
-                return getattr(self.record, name)
+                return super().__getitem__(name)
 
-        records = run_trials(cfg)
-        assert aggregate([Counted(r) for r in records], cfg) == aggregate(records, cfg)
+        table = run_trials(cfg)
+        assert aggregate(Counted(table), cfg) == aggregate(table, cfg)
         names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2", "chosen"]
         if cfg.randomized:
             names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
-        expected = Counter({name: len(records) for name in names})
-        expected["sm_est_d1"] += cfg.randomized
-        assert reads == expected
+        assert reads == Counter(names)
 
     def test_aggregate_shape(self):
         cfg = ExperimentConfig.from_json(spec_with(trials=6))
@@ -564,19 +605,20 @@ class TestAggregates:
     def test_aggregate_values_match_field_by_field(self, combiner):
         cfg = ExperimentConfig.from_json(spec_with(
             trials=12, epsilons=[0.01, 0.05], combiner=combiner))
-        records = run_trials(cfg)
-        agg = aggregate(records, cfg)
-        # every summary again, one record field at a time
+        table = run_trials(cfg)
+        agg = aggregate(table, cfg)
+        records = table_rows(table)
+        # every summary again, one trial's field at a time
         names = ["loss_d1", "loss_d2", "loss_combined", "est_d1", "est_d2"]
         if cfg.randomized:
             names += ["sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"]
         means = {}
         for name in names:
-            arr = np.array([getattr(r, name) for r in records])
+            arr = np.array([r[name] for r in records])
             means[name] = [float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))]
         assert list(agg["means"]) == names and agg["means"] == means
-        assert agg["chosen_2_fraction"] == sum(r.chosen == 2 for r in records) / len(records)
-        l1, l2, lc = (np.array([getattr(r, f) for r in records])
+        assert agg["chosen_2_fraction"] == sum(r["chosen"] == 2 for r in records) / len(records)
+        l1, l2, lc = (np.array([r[f] for r in records])
                       for f in ("loss_d1", "loss_d2", "loss_combined"))
         n = len(records)
         loo = lambda a: (a.sum() - a) / (n - 1)
@@ -588,7 +630,7 @@ class TestAggregates:
         for eps in cfg.epsilons:
             expected = {}
             for j in (1, 2):
-                p = sum(abs(getattr(r, f"{kind}est_d{j}") - getattr(r, f"{kind}loss_d{j}")) >= eps
+                p = sum(abs(r[f"{kind}est_d{j}"] - r[f"{kind}loss_d{j}"]) >= eps
                         for r in records) / n
                 expected[f"d{j}"] = [p, math.sqrt(p * (1.0 - p) / n)]
             assert agg["deviation_probability"][repr(eps)] == expected

@@ -22,7 +22,7 @@ from duodenoise.denoisers import (
     make_sliding_window,
     mask_set,
 )
-from duodenoise.harness import ConfigError, ExperimentConfig
+from duodenoise.harness import ConfigError, ExperimentConfig, estimate_functional
 from duodenoise.losses import (
     JointTypeCounts,
     _estimates_from_table,
@@ -120,9 +120,44 @@ class TestEstimator:
         assert got < 0.0
 
     def test_symbols_the_denoiser_cannot_read_are_rejected(self):
+        # a binary denoiser on a BEC is rejected before any symbol is read
         ch = make_bec(0.3)
-        with pytest.raises(ValueError, match=r"noisy sequence has symbols outside \[0, 2\)"):
+        with pytest.raises(ValueError, match="denoiser maps 2 noisy to 2 clean symbols; "
+                                             "the channel has 3 noisy"):
             estimate_loss(ch, compute_h(ch), HAMMING, IdentityDenoiser(), [0, 2, 1])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: erasure_estimate_loss(make_bec(0.3), HAMMING, IdentityDenoiser(), [0, 1, 0]),
+         "denoiser maps 2 noisy to 2 clean symbols; the channel has 3 noisy and 2 clean"),
+        (lambda: estimate_loss(make_bsc(0.2), compute_h(make_bec(0.3)), HAMMING,
+                               IdentityDenoiser(), [0, 1, 0]),
+         r"h has shape \(2, 3\); the channel needs \(2, 2\)"),
+        (lambda: estimate_loss(make_bsc(0.2), np.zeros((2, 2)), HAMMING,
+                               IdentityDenoiser(), [0, 1, 0]),
+         r"h fails pi @ h.T = I by 1 \(> 1e-09\)"),
+        (lambda: estimate_loss(make_bsc(0.2), compute_h(make_bsc(0.2)), loss_matrix([[0.0]]),
+                               IdentityDenoiser(), [0, 1, 0]),
+         r"loss matrix has shape \(1, 1\); the channel needs \(2, 2\)"),
+        (lambda: per_symbol_estimates(make_bsc(0.2), compute_h(make_bsc(0.2)), hamming_loss(3),
+                                      IdentityDenoiser(), [0, 1, 0]),
+         r"loss matrix has shape \(3, 3\)"),
+        (lambda: estimate_functional(make_bsc(0.2), compute_h(make_bsc(0.2)), HAMMING,
+                                     IdentityDenoiser(3))(np.zeros((1, 3), np.int64)),
+         "denoiser maps 3 noisy to 3 clean symbols; the channel has 2 noisy and 2 clean"),
+        (lambda: estimate_functional(make_bec(0.3), canonical_erasure_h(make_bec(0.3)), HAMMING,
+                                     IdentityDenoiser())(np.zeros((1, 3), np.int64)),
+         "denoiser maps 2 noisy to 2 clean symbols; the channel has 3 noisy"),
+        (lambda: estimate_smoothed_loss(make_bsc(0.2), np.zeros((2, 2)), HAMMING,
+                                        IdentityDenoiser(),
+                                        mask_set(SmoothingConfig(q=0.1, mode="exact"), 3, None),
+                                        [0, 1, 0]),
+         "h fails pi @ h.T = I"),
+    ], ids=["erasure_binary_denoiser", "bec_h_on_bsc", "zero_h", "one_symbol_loss",
+            "ternary_loss", "ternary_denoiser_functional", "binary_denoiser_on_bec_functional",
+            "smoothed_zero_h"])
+    def test_arguments_that_do_not_fit_the_channel_are_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_per_symbol_estimates_sum_to_estimate(self):
         ch = make_bsc(0.3)

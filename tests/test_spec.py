@@ -285,7 +285,7 @@ def test_plain_trial_estimates_each_denoiser_once(monkeypatch):
     monkeypatch.setattr(losses, "estimate_loss", None)
     monkeypatch.setattr(combine, "estimate_loss", None)
     monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 2 * cfg.n)     # int64 rows
-    assert len(run_trials(cfg)) == 5
+    assert len(run_trials(cfg)["trial"]) == 5
     # blocks of two n = 12 trials: rows 0-1, 2-3 and 4
     assert Counter(calls) == Counter(
         (d, name, rows) for rows in (2, 2, 1) for d in (cfg.d1, cfg.d2)
@@ -400,7 +400,7 @@ def mutants(draw):
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_base_configs_run(name):
     cfg = ExperimentConfig.from_json(BASES[name])
-    assert len(run_trials(cfg)) == 2
+    assert len(run_trials(cfg)["trial"]) == 2
 
 
 @settings(max_examples=400, deadline=None,
