@@ -208,8 +208,10 @@ class ParityCopyDenoiser(Denoiser):
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
         tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
-        # substituting a flips the parity whenever a != z_i
-        tab[..., 1] = _odd(zs) ^ (zs == 0)
+        # substituting a flips the parity whenever a != z_i, so a = 1 gives
+        # the odd parity where z_i = 1 and the even one where z_i = 0: the
+        # output there is 1 exactly where z_i equals the row's parity
+        tab[..., 1] = zs == _odd(zs)
         return tab
 
 
@@ -276,9 +278,25 @@ class ParityMarkedZerosDenoiser(Denoiser):
         return tab
 
 
+def _parity(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum mod 2 over the last axis, for rows of any integer or
+    bool dtype, in the rows' dtype (uint8 for bool).
+
+    The low bit of a sum is the XOR of the terms' low bits, in two's
+    complement too, so one XOR reduction and ``& 1`` give ``sum % 2``
+    without widening the rows to int64; bool rows are read as uint8, on
+    which the reduction runs many times faster than on bool."""
+    if rows.dtype == bool:
+        rows = rows.view(np.uint8)
+    parity = np.bitwise_xor.reduce(rows, axis=-1)
+    parity &= 1
+    return parity
+
+
 def _odd(zs: np.ndarray) -> np.ndarray:
-    """Ones-parity of each binary sequence (last axis), kept as a length-1 axis."""
-    return zs.sum(axis=-1, keepdims=True) % 2 == 1
+    """Ones-parity of each binary sequence (last axis) as 0 or 1 in the
+    sequences' own dtype, kept as a length-1 axis."""
+    return _parity(zs).astype(zs.dtype, copy=False)[..., None]
 
 
 def make_bec_parity_pair() -> tuple[BecParityDenoiser, BecParityDenoiser]:
@@ -434,11 +452,13 @@ def stratified_mask_weights(masks: np.ndarray, q: float) -> np.ndarray:
     P(odd) = (1 - (1-2q)^n)/2.  Reweighting the drawn masks so each parity
     class carries its exact probability keeps the estimator unbiased (given
     both classes are hit) while collapsing that variance.  If a class is
-    empty the plain 1/m weights are returned.
+    empty the plain 1/m weights are returned.  The masks' parities come from
+    :func:`_parity`, one XOR reduction of the (m, n) bool masks read as
+    uint8, equal to their ``sum % 2``.
     """
     m, n = masks.shape
-    parity = masks.sum(axis=1) % 2
-    n_odd = int(parity.sum())
+    parity = _parity(masks)
+    n_odd = int(np.count_nonzero(parity))
     if n_odd == 0 or n_odd == m:
         return np.full(m, 1.0 / m)
     p_odd = 0.5 * (1.0 - (1.0 - 2.0 * q) ** n)

@@ -13,9 +13,11 @@ oracle) and pointwise total-influence measurements.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ from .denoisers import (
     Denoiser,
     IdentityDenoiser,
     SmoothingConfig,
+    _parity,
     blocks,
     functional_values,
     make_bec_parity_pair,
@@ -48,7 +51,9 @@ from .denoisers import (
     masked_values,
 )
 from .losses import (
+    _array_key,
     _check_fit,
+    _key_array,
     cumulative_loss,
     estimate_losses,
     loss_from_json,
@@ -236,9 +241,9 @@ def _parities(channel: Channel, zs: np.ndarray) -> np.ndarray:
     """Per row: ones-parity on binary outputs, zero-count parity on a BEC,
     else -1."""
     if channel.output_size == 2:
-        return zs.sum(axis=1) % 2
+        return _parity(zs)
     if is_bec(channel):
-        return (zs == 0).sum(axis=1) % 2
+        return _parity(zs == 0)
     return np.full(len(zs), -1)
 
 
@@ -428,11 +433,13 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
     rounded ``math.fsum``, so the total does not depend on the chunking.
     At most ENUMERATION_LIMIT states keep this an oracle for small n only.
 
-    The states are decoded once per call, not once per chunk: a table holds
-    the states and factors pi[x_i, z_i] of the trailing positions over their
-    period, the smallest product of trailing support sizes that covers a
-    chunk (or of all of them), so it takes less than 2 * M times a chunk's
-    bytes of states for M output symbols.  A chunk reads its rows at
+    The states are decoded once per process, not once per chunk: a table
+    holds the states and factors pi[x_i, z_i] of the trailing positions over
+    their period, the smallest product of trailing support sizes that covers
+    a chunk (or of all of them), so it takes less than 2 * M times a chunk's
+    bytes of states for M output symbols.  The table depends only on the
+    channel, the trailing clean symbols and the period, and is cached on
+    them (:func:`_trailing_digits`).  A chunk reads its rows at
     index % period and writes in the leading positions of at most two
     decoded indices, so each weight is the ``.prod(axis=1)`` of the same
     factor row as a digit-by-digit decode.
@@ -444,32 +451,22 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
     if states > ENUMERATION_LIMIT:
         raise ValueError(f"state space of {states} outputs exceeds the enumeration "
                          f"limit {ENUMERATION_LIMIT}")
-
-    def decode(index: np.ndarray, first: int, stop: int):
-        """(states, factors pi[x_i, z_i]) whose positions first..stop-1 are
-        the mixed-radix digits of index, the last position fastest."""
-        z = np.zeros((len(index), len(xs)), dtype=np.int64)
-        for pos in range(stop - 1, first - 1, -1):
-            index, digit = np.divmod(index, len(support[pos]))
-            z[:, pos] = support[pos][digit]
-        return z, rows[np.arange(len(xs)), z]
-
     parts = blocks(states, 8 * len(xs))
     # no chunk is longer than the period, so it meets two leading parts at most
     lead, period = len(xs), 1
     while lead and period < parts[0].stop:
         lead -= 1
         period *= len(support[lead])
-    low = decode(np.arange(period), lead, len(xs))
+    low = _trailing_digits(_array_key(ch.pi), tuple(xs[lead:].tolist()), lead, period)
 
     def chunk(part: slice) -> list[float]:
         high, offset = divmod(part.start, period)
         wrap = period - offset          # rows before the trailing digits wrap
-        top = decode(np.array([high, high + 1]), 0, lead)
+        top = _decode(rows[:lead], support[:lead], np.array([high, high + 1]))
         index = np.arange(part.start, part.stop) % period
         z, factors = (tail.take(index, axis=0) for tail in low)
         for out, head in zip((z, factors), top):
-            out[:wrap, :lead], out[wrap:, :lead] = head[:, :lead]
+            out[:wrap, :lead], out[wrap:, :lead] = head
         weights = factors.prod(axis=1)
         if not weights.all():           # products that underflow to 0.0
             z, weights = z[weights > 0.0], weights[weights > 0.0]
@@ -478,6 +475,41 @@ def enumerate_expectation(ch: Channel, x, functional) -> float:
         return (weights * functional_values(functional(z), len(z))).tolist()
 
     return math.fsum(itertools.chain.from_iterable(map(chunk, parts)))
+
+
+def _decode(rows: np.ndarray, support: list[np.ndarray], index: np.ndarray):
+    """(states, factors rows[i, z_i]), each (len(index), len(rows)), of the
+    positions whose channel rows pi[x_i] are ``rows`` and whose supports are
+    ``support``: position i takes the support entry of the mixed-radix
+    digit i of index, the last position fastest."""
+    z = np.empty((len(index), len(rows)), dtype=np.int64)
+    for pos in range(len(rows) - 1, -1, -1):
+        index, digit = np.divmod(index, len(support[pos]))
+        z[:, pos] = support[pos][digit]
+    return z, rows[np.arange(len(rows)), z]
+
+
+@functools.lru_cache(maxsize=8)
+def _trailing_digits(pi: tuple, tail: tuple[int, ...], lead: int, period: int):
+    """The read-only trailing-digit table of :func:`enumerate_expectation`:
+    (states, factors) of shape (period, lead + len(tail)) whose last
+    positions, for the clean symbols ``tail``, are decoded from 0..period-1
+    under the channel matrix of the ``losses._array_key`` key ``pi``.  The
+    first ``lead`` columns hold zeros, which every chunk overwrites.  Built
+    once per key in a process, so an oracle pass allocates no table of its
+    own.
+    """
+    rows = _key_array(pi)[list(tail)]
+    # zero-filled anonymous maps, not the malloc heap: a held table there can
+    # pin the heap's top below each chunk's temporaries, which glibc then
+    # trims and faults in again chunk by chunk under a fixed trim threshold
+    shape = (period, lead + len(tail))
+    z, factors = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype).reshape(shape)
+                  for dtype in (np.int64, np.float64))
+    z[:, lead:], factors[:, lead:] = _decode(rows, [np.flatnonzero(row) for row in rows],
+                                             np.arange(period))
+    z.flags.writeable = factors.flags.writeable = False
+    return z, factors
 
 
 def _check_batch(zs, alphabet_size: int) -> np.ndarray:

@@ -14,6 +14,10 @@ contexts and each position reads its context's entry (eight entries for a
 binary channel, whatever the block length); only when there are more
 contexts than positions, as for a large-alphabet DMC on a short block, does
 the kernel run per position.  Either way the entries are the same floats.
+The context table depends only on the channel, h and the loss, so a process
+builds it once per distinct (channel, h, loss), keyed by their values, and
+every later block, oracle chunk or single estimate reads the same read-only
+table.
 
 Like the denoisers, the estimator and the true loss have one batch form each,
 :func:`estimate_losses` and :func:`true_losses`: they take a (B, n) integer
@@ -40,6 +44,7 @@ numpy addition: the randomized golden trial CSVs pin the bits of that sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,20 +121,47 @@ def _context_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, z: np.ndarray
     M * K^M contexts, enumerated in the order of the code
     ((z_i * K + t_i(0)) * K + t_i(1)) ..., and each position reads its
     context's entry: the same float operations as per position, so the
-    same bits.  When there are more contexts than positions, the positions
-    themselves go through the kernel.
+    same bits.  That table comes from :func:`_context_table`, built once
+    per distinct (channel, h, loss).  When there are more contexts than
+    positions, the positions themselves go through the kernel.
     """
     k, m = len(lm), tab.shape[-1]
-    shape = (m,) + (k,) * m
-    if math.prod(shape) > z.size:
+    if m * k ** m > z.size:
         return _estimates_from_table(ch, h, z, lm[:, tab])
-    contexts = np.indices(shape).reshape(m + 1, -1)
-    table = _estimates_from_table(ch, h, contexts[0], lm[:, contexts[1:].T])
+    table = _context_table(*map(_array_key, (ch.pi, h, lm)))
     code = z.astype(np.int64)
     for a in range(m):
         code *= k
         code += tab[..., a]
     return table[code]
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    """The bytes, shape and dtype of an array: a cache key that holds its
+    values, so a later in-place write to the array cannot alias it."""
+    a = np.asarray(a)
+    return a.tobytes(), a.shape, a.dtype.str
+
+
+def _key_array(key: tuple) -> np.ndarray:
+    """The read-only array of an :func:`_array_key` key."""
+    data, shape, dtype = key
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _context_table(pi: tuple, h: tuple, lm: tuple) -> np.ndarray:
+    """The read-only table of :func:`_context_estimates` for the channel
+    matrix, h and loss of the :func:`_array_key` keys: the estimates of all
+    M * K^M contexts.  One build per distinct (pi, h, loss) in a process,
+    from arrays equal to the keyed ones, so the entries are the bits a build
+    per call gave.  Two threads that miss at once build the same bits."""
+    pi, h, lm = map(_key_array, (pi, h, lm))
+    k, m = pi.shape
+    contexts = np.indices((m,) + (k,) * m).reshape(m + 1, -1)
+    table = _estimates_from_table(Channel(pi), h, contexts[0], lm[:, contexts[1:].T])
+    table.flags.writeable = False
+    return table
 
 
 def _check_fit(ch: Channel, h: np.ndarray | None, lm: np.ndarray, d: Denoiser) -> None:

@@ -28,6 +28,7 @@ from duodenoise.denoisers import (
     ParityMarkedZerosDenoiser,
     SlidingWindowDenoiser,
     SmoothingConfig,
+    _parity,
     draw_smoothing_mask,
     draw_smoothing_masks,
     enumerate_masks,
@@ -398,3 +399,60 @@ def test_marked_zeros_edge_rows_match_reference(delta, dtype):
     np.testing.assert_array_equal(
         d.substituted_outputs_batch(single.astype(dtype)),
         np.stack([brute_force_table(d, r) for r in single]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.bool_, np.uint8, np.int8, np.int64]),
+       st.integers(1, 70) | st.just(4096), st.integers(1, 5), st.integers(1, 127),
+       st.integers(0, 2**32 - 1))
+def test_parity_is_the_row_sum_mod_two(dtype, n, b, top, seed):
+    """The XOR-reduced parity equals the widening ``sum % 2`` for every
+    integer dtype, on non-binary non-negative symbols too, in the rows'
+    dtype (uint8 for bool)."""
+    top = 1 if dtype is np.bool_ else top
+    rows = np.random.default_rng(seed).integers(0, top + 1, (b, n)).astype(dtype)
+    got = _parity(rows)
+    assert got.dtype == (np.uint8 if dtype is np.bool_ else dtype)
+    np.testing.assert_array_equal(got, rows.astype(np.int64).sum(axis=1) % 2)
+    np.testing.assert_array_equal(_parity(rows[0]), rows[0].astype(np.int64).sum() % 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 4096])
+def test_parity_copy_batches_keep_the_input_dtype(n):
+    """Both batch methods return the rows' own dtype, with the same values
+    for bool, uint8 and int64 rows of the same symbols."""
+    d = ParityCopyDenoiser()
+    rows = RngStream(21).generator().integers(0, 2, (7, n))
+    rows[0] = 0                         # even parity
+    rows[1, :] = 0
+    rows[1, -1] = 1                     # odd parity
+    want = [np.stack([reference_denoise(d, r) for r in rows]),
+            np.stack([brute_force_table(d, r) for r in rows])]
+    for dtype in (np.bool_, np.uint8, np.int64):
+        zs = rows.astype(dtype)
+        for got, expected in zip((d.denoise_batch(zs), d.substituted_outputs_batch(zs)), want):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.astype(np.int64), expected)
+
+
+def _sum_stratified_weights(masks: np.ndarray, q: float) -> np.ndarray:
+    """The reference: stratified_mask_weights with the parity as ``sum % 2``."""
+    m, n = masks.shape
+    parity = masks.sum(axis=1) % 2
+    n_odd = int(parity.sum())
+    if n_odd == 0 or n_odd == m:
+        return np.full(m, 1.0 / m)
+    p_odd = 0.5 * (1.0 - (1.0 - 2.0 * q) ** n)
+    return np.where(parity == 1, p_odd / n_odd, (1.0 - p_odd) / (m - n_odd))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.01, 0.2, 0.45])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 70), (2, 1), (5, 3), (128, 4096), (300, 64)])
+def test_stratified_weights_match_a_sum_reference_bitwise(q, m, n):
+    masks = draw_smoothing_masks(SmoothingConfig(q=q, m=m), n, RngStream(m * n))
+    cases = [masks, np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)]
+    cases[2][:, 0] = True               # all odd
+    for mask_rows in cases:
+        got = stratified_mask_weights(mask_rows, q)
+        want = _sum_stratified_weights(mask_rows, q)
+        assert got.tobytes() == want.tobytes()

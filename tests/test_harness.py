@@ -770,6 +770,28 @@ class TestEnumeration:
         assert enumerate_expectation(ch, [0, 0, 0], ones) == pytest.approx(3 * tiny, rel=1e-15)
         assert calls == [[[0, 0, 0], [0, 0, 1]], [[0, 1, 0]], [[1, 0, 0]]]
 
+    def test_the_trailing_digit_table_is_built_once_per_key(self, monkeypatch):
+        """Repeated expectations read one cached, read-only trailing-digit
+        table; a smaller BLOCK_BYTES shortens the period, which gets a table
+        of its own, and the total keeps its bits either way."""
+        ch, x = make_bsc(0.25), np.arange(13) % 2
+        built = harness._trailing_digits
+        tables = []
+        monkeypatch.setattr(harness, "_trailing_digits",
+                            lambda *key: tables.append(built(*key)) or tables[-1])
+        built.cache_clear()
+        totals = [enumerate_expectation(ch, x, lambda z: z.sum(axis=1)) for _ in range(3)]
+        monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 13 * 40)
+        totals += [enumerate_expectation(ch, x, lambda z: z.sum(axis=1)) for _ in range(2)]
+        assert totals == [pytest.approx(7 * 0.25 + 6 * 0.75, rel=1e-14)] * 5
+        assert len(set(totals)) == 1
+        assert built.cache_info().misses == 2
+        assert all(a is tables[0][0] for a, _ in tables[:3])
+        assert all(a is tables[3][0] for a, _ in tables[3:])
+        assert len(tables[3][0]) < len(tables[0][0])
+        for states, factors in tables:
+            assert not states.flags.writeable and not factors.flags.writeable
+
     def test_whole_sequence_smoothed_unbiasedness(self):
         """E_Z of the smoothed estimate equals E_Z of the smoothed loss over
         the whole sequence, for one fixed Monte Carlo mask set."""

@@ -22,9 +22,16 @@ from duodenoise.denoisers import (
     make_sliding_window,
     mask_set,
 )
-from duodenoise.harness import ConfigError, ExperimentConfig, estimate_functional
+from duodenoise.harness import (
+    ConfigError,
+    ExperimentConfig,
+    estimate_functional,
+    run_experiment,
+)
 from duodenoise.losses import (
     JointTypeCounts,
+    _array_key,
+    _context_table,
     _estimates_from_table,
     _row_means,
     bsc_estimate_from_type,
@@ -251,11 +258,77 @@ class TestContextTable:
 
         for d in denoisers:
             want = reference_estimate_losses(ch, h, lm, d, zs)
+            # an empty cache, so that the table side builds its table here
+            _context_table.cache_clear()
             with monkeypatch.context() as patch:
                 patch.setattr("duodenoise.losses._estimates_from_table", kernel)
                 got = estimate_losses(ch, h, lm, d, zs)
             assert np.array_equal(_bits(got), _bits(want))
         assert context_rows == [table] * len(denoisers)
+
+
+_DMC23 = Channel([[0.7, 0.2, 0.1], [0.15, 0.25, 0.6]])
+_BSC3 = make_bsc(0.3)
+_SKEWED = loss_matrix([[0.0, 2.0], [0.5, 0.0]])
+# (channel, h, denoiser) of each channel the cache tests interleave
+CACHE_CASES = [
+    (_BSC, compute_h(_BSC), make_sliding_window(1, "majority")),
+    (_BSC3, compute_h(_BSC3), ParityCopyDenoiser()),
+    (_BEC, canonical_erasure_h(_BEC), BecParityDenoiser(complement=True)),
+    (_DMC23, compute_h(_DMC23), make_sliding_window(1, "majority", 3, 2)),
+]
+
+
+class TestContextTableCache:
+    """The context table is built once per distinct (channel, h, loss) and
+    read from a cache after that; what is read equals a fresh build bit for
+    bit, whatever was built in between."""
+
+    def test_interleaved_keys_match_fresh_builds(self):
+        gen = RngStream(31).generator()
+        calls = [(ch, h, lm, d, gen.integers(0, ch.output_size, (3, 64)))
+                 for ch, h, d in CACHE_CASES for lm in (HAMMING, _SKEWED)]
+        fresh = []
+        for ch, h, lm, d, zs in calls:
+            _context_table.cache_clear()
+            fresh.append(_bits(estimate_losses(ch, h, lm, d, zs)))
+        _context_table.cache_clear()
+        for _ in range(3):
+            for (ch, h, lm, d, zs), want in zip(calls, fresh):
+                assert np.array_equal(_bits(estimate_losses(ch, h, lm, d, zs)), want)
+        info = _context_table.cache_info()
+        assert (info.misses, info.hits) == (len(calls), 2 * len(calls))
+
+    def test_an_h_written_in_place_gets_its_own_table(self):
+        ch, h, d = CACHE_CASES[0]
+        h = h.copy()
+        zs = RngStream(32).generator().integers(0, 2, (2, 50))
+        before = estimate_losses(ch, h, HAMMING, d, zs)
+        h[0, 1] += 0.25
+        after = estimate_losses(ch, h, HAMMING, d, zs)
+        _context_table.cache_clear()
+        assert np.array_equal(_bits(after), _bits(estimate_losses(ch, h, HAMMING, d, zs)))
+        assert not np.array_equal(_bits(after), _bits(before))
+
+    def test_the_cached_table_is_read_only(self):
+        ch, h, d = CACHE_CASES[0]
+        estimate_losses(ch, h, HAMMING, d, np.zeros((1, 8), np.int64))
+        table = _context_table(*map(_array_key, (ch.pi, h, HAMMING)))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+    def test_a_plain_run_builds_one_table_per_triple(self):
+        spec = {"channel": {"type": "bsc", "delta": 0.2}, "n": 64, "trials": 400,
+                "master_seed": 3, "denoisers": {"type": "bsc_counterexample_pair", "delta": 0.2}}
+        _context_table.cache_clear()
+        run_experiment(ExperimentConfig.from_json(spec))    # 4 blocks, 2 denoisers
+        assert _context_table.cache_info().misses == 1
+        run_experiment(ExperimentConfig.from_json(spec))
+        run_experiment(ExperimentConfig.from_json({**spec, "loss": {
+            "type": "matrix", "lambda": [[0.0, 2.0], [0.5, 0.0]]}}))
+        run_experiment(ExperimentConfig.from_json({**spec, "channel": {
+            "type": "bsc", "delta": 0.3}}))
+        assert _context_table.cache_info().misses == 3
 
 
 def _fsum_means(terms: np.ndarray) -> np.ndarray:
