@@ -57,6 +57,7 @@ from .losses import (
     cumulative_loss,
     estimate_losses,
     loss_from_json,
+    losses_and_estimates,
     smoothed_conditional_loss,
     true_losses,
 )
@@ -252,8 +253,9 @@ def _block(cfg: ExperimentConfig, ids: range) -> dict[str, list]:
 
     Each trial draws its clean and channel uniforms from its own streams;
     the rows are stacked into (B, n) blocks, over which each denoiser makes
-    one ``denoise_batch`` and one ``substituted_outputs_batch`` pass.  A
-    randomized run takes the rest of each row from :func:`_run_trial`.
+    one ``substituted_outputs_batch`` pass, from which
+    :func:`losses.losses_and_estimates` counts its loss and its estimate.
+    A randomized run takes the rest of each row from :func:`_run_trial`.
     """
     root = RngStream(cfg.master_seed)
     trials = [root.derive(f"trial/{t}") for t in ids]
@@ -266,8 +268,8 @@ def _block(cfg: ExperimentConfig, ids: range) -> dict[str, list]:
         x = np.broadcast_to(clean, (len(ids), cfg.n))
     u = np.stack([trial.derive("channel").uniforms(cfg.n) for trial in trials])
     z = outputs_from_uniforms(cfg.channel, x, u)
-    losses = [true_losses(cfg.lm, d, x, z).tolist() for d in (cfg.d1, cfg.d2)]
-    ests = [estimate_losses(cfg.channel, cfg.h, cfg.lm, d, z).tolist() for d in (cfg.d1, cfg.d2)]
+    losses, ests = zip(*(losses_and_estimates(cfg.channel, cfg.h, cfg.lm, d, x, z).tolist()
+                           for d in (cfg.d1, cfg.d2)))
     table = {
         "trial": list(ids), "seed": [trial.stream_id for trial in trials],
         "parity": _parities(cfg.channel, z).tolist(),

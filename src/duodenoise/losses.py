@@ -10,14 +10,18 @@ estimate-minimizing combiner astray on the parity pairs).
 A position's estimate depends on the position only through its context:
 the noisy symbol z_i and the substituted outputs t_i(0), ..., t_i(M-1).  So
 the plain estimator evaluates the per-symbol kernel once over all M * K^M
-contexts and each position reads its context's entry (eight entries for a
+contexts, and a position reads its context's entry (eight entries for a
 binary channel, whatever the block length); only when there are more
 contexts than positions, as for a large-alphabet DMC on a short block, does
 the kernel run per position.  Either way the entries are the same floats.
 The context table depends only on the channel, h and the loss, so a process
 builds it once per distinct (channel, h, loss), keyed by their values, and
 every later block, oracle chunk or single estimate reads the same read-only
-table.
+table.  It is built with the clean symbol x_i in front of each context, and
+beside each estimate it holds the loss lambda(x_i, t_i(z_i)), since
+t_i(z_i) is the reconstruction at i: so one code per position, counted
+once, gives a plain trial both its true loss and its estimate
+(:func:`losses_and_estimates`), from one substituted-output pass.
 
 Like the denoisers, the estimator and the true loss have one batch form each,
 :func:`estimate_losses` and :func:`true_losses`: they take a (B, n) integer
@@ -34,12 +38,19 @@ masks, per-mask scalars and, for the per-symbol estimates, one table of the
 picked substituted outputs at one byte per entry.
 
 Position sums are correctly rounded, bit for bit ``math.fsum``, so results
-do not depend on scheduling or vectorization details.  They run in numpy, by
-the error-free extraction of Rump, Ogita and Oishi ("Accurate floating-point
-summation, part I", SIAM J. Sci. Comput. 2008), one batch of rows at a time;
-see :func:`_row_means`.  The one exception is
-:func:`smoothed_conditional_loss`, which sums each mask's row with plain
-numpy addition: the randomized golden trial CSVs pin the bits of that sum.
+do not depend on scheduling, vectorization or the BLAS kernel.  They run in
+numpy, by the error-free extraction of Rump, Ogita and Oishi ("Accurate
+floating-point summation, part I", SIAM J. Sci. Comput. 2008; see
+:func:`_extraction`).  A mean of table values -- a loss lambda(x_i, y_i),
+an estimate of a context -- is counted, not gathered: a row's sum depends
+on its codes only through how often each occurs, so one ``np.bincount`` of
+the codes and the table's cached extraction levels give every row's exact
+sum (:func:`_table_means`).  :func:`_row_means` extracts per position, and
+is kept for terms that are no table's values (the smoothed estimates) and
+for the per-position branch, where a table would have more entries than a
+row has positions.  The one exception is :func:`smoothed_conditional_loss`,
+which sums each mask's row with plain numpy addition: the randomized golden
+trial CSVs pin the bits of that sum.
 """
 
 from __future__ import annotations
@@ -94,7 +105,7 @@ def cumulative_loss(lm: np.ndarray, x, xhat) -> float:
     hs = check_sequence(xhat, len(lm), "reconstruction")
     if len(xs) != len(hs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(hs)}")
-    return float(_row_means(lm[xs, hs][None])[0])
+    return float(_loss_means(lm, xs, hs[None])[0])
 
 
 def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
@@ -111,6 +122,17 @@ def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
     return inner.sum(axis=0)
 
 
+def _context_codes(code: np.ndarray, tab: np.ndarray, k: int) -> np.ndarray:
+    """Each position's code ((z_i * K + t_i(0)) * K + t_i(1)) ..., written
+    into ``code``, an int64 temporary of the caller that holds z_i, of any
+    shape, for substituted outputs ``tab`` of its shape plus (M,).  A
+    ``code`` that holds x_i * M + z_i keeps x_i in front."""
+    for a in range(tab.shape[-1]):
+        code *= k
+        code += tab[..., a]
+    return code
+
+
 def _context_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, z: np.ndarray,
                        tab: np.ndarray) -> np.ndarray:
     """Per-symbol estimates of the positions with noisy symbols ``z``, of any
@@ -118,22 +140,30 @@ def _context_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, z: np.ndarray
 
     A position's estimate depends on it only through its context (z_i,
     t_i(0), ..., t_i(M-1)), so ``_estimates_from_table`` runs once over all
-    M * K^M contexts, enumerated in the order of the code
-    ((z_i * K + t_i(0)) * K + t_i(1)) ..., and each position reads its
-    context's entry: the same float operations as per position, so the
-    same bits.  That table comes from :func:`_context_table`, built once
-    per distinct (channel, h, loss).  When there are more contexts than
-    positions, the positions themselves go through the kernel.
+    M * K^M contexts, enumerated in the order of :func:`_context_codes`,
+    and each position reads its context's entry: the same float operations
+    as per position, so the same bits.  That table comes from
+    :func:`_context_table`, built once per distinct (channel, h, loss).
+    When there are more contexts than positions, the positions themselves
+    go through the kernel.
     """
     k, m = len(lm), tab.shape[-1]
     if m * k ** m > z.size:
         return _estimates_from_table(ch, h, z, lm[:, tab])
     table = _context_table(*map(_array_key, (ch.pi, h, lm)))
-    code = z.astype(np.int64)
-    for a in range(m):
-        code *= k
-        code += tab[..., a]
-    return table[code]
+    return table[1][_context_codes(z.astype(np.int64), tab, k)]
+
+
+def _estimate_means(ch: Channel, h: np.ndarray, lm: np.ndarray, zs: np.ndarray,
+                    tab: np.ndarray) -> np.ndarray:
+    """Per row of the (B, n) batch zs with substituted outputs ``tab``, the
+    mean of its :func:`_context_estimates`, counted from the context table
+    (:func:`_table_means`) unless there are more contexts than positions."""
+    k, m = len(lm), tab.shape[-1]
+    if m * k ** m > zs.size:
+        return _row_means(_context_estimates(ch, h, lm, zs, tab))
+    table = _context_table(*map(_array_key, (ch.pi, h, lm)))[1:, :m * k ** m]
+    return _table_means(table, _context_codes(zs.astype(np.int64), tab, k))[0]
 
 
 def _array_key(a: np.ndarray) -> tuple:
@@ -151,15 +181,23 @@ def _key_array(key: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _context_table(pi: tuple, h: tuple, lm: tuple) -> np.ndarray:
-    """The read-only table of :func:`_context_estimates` for the channel
-    matrix, h and loss of the :func:`_array_key` keys: the estimates of all
-    M * K^M contexts.  One build per distinct (pi, h, loss) in a process,
-    from arrays equal to the keyed ones, so the entries are the bits a build
-    per call gave.  Two threads that miss at once build the same bits."""
+    """The read-only (2, K * M * K^M) table of the joint contexts (x_i,
+    z_i, t_i(0), ..., t_i(M-1)) for the channel matrix, h and loss of the
+    :func:`_array_key` keys, in the order of :func:`_context_codes` with x_i
+    in front.  Row 0 holds each joint context's loss lambda(x_i, t_i(z_i));
+    row 1 the estimate of its context (z_i, t_i(0), ...), whatever x_i, so
+    its first M * K^M entries are the estimates of all contexts, which
+    :func:`_context_estimates` reads.  One build per distinct (pi, h, loss)
+    in a process, from arrays equal to the keyed ones, so the entries are
+    the bits a build per call gave.  Two threads that miss at once build
+    the same bits."""
     pi, h, lm = map(_key_array, (pi, h, lm))
     k, m = pi.shape
     contexts = np.indices((m,) + (k,) * m).reshape(m + 1, -1)
-    table = _estimates_from_table(Channel(pi), h, contexts[0], lm[:, contexts[1:].T])
+    estimates = _estimates_from_table(Channel(pi), h, contexts[0], lm[:, contexts[1:].T])
+    joint = np.indices((k, m) + (k,) * m).reshape(m + 2, -1)
+    x, z, outputs = joint[0], joint[1], joint[2:]
+    table = np.stack([lm[x, outputs[z, np.arange(len(x))]], np.tile(estimates, k)])
     table.flags.writeable = False
     return table
 
@@ -194,38 +232,54 @@ def _row_means(terms: np.ndarray) -> np.ndarray:
     of the caller, which this overwrites.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput. 2008): with 2^b >= n + 2 and
-    sigma the power of two 2^(e+b) for the block's max |p| < 2^e, each term
-    p splits into q = (sigma + p) - sigma and the remainder p - q, both
-    exact.  The q are multiples of ulp(sigma)/2 whose every partial sum
-    stays below sigma, so numpy sums each row of them exactly in any order,
-    and the remainders are at most sigma / 2^53.  Repeating on the
-    remainders until they are all zero leaves each row's exact sum as a few
-    level sums: one level is that sum, two round correctly in one IEEE
-    addition, and more go to ``math.fsum``.  A row that holds a non-finite
-    term, or one so large that sigma would overflow, goes to ``math.fsum``
-    whole, which keeps its results and its exceptions.
+    summation, part I", SIAM J. Sci. Comput. 2008; see :func:`_extraction`)
+    splits the terms into levels whose row sums numpy takes exactly, and
+    :func:`_level_means` rounds those sums once.  A row that holds a
+    non-finite term, or one so large that sigma would overflow, goes to
+    ``math.fsum`` whole, which keeps its results and its exceptions.
     """
     n = terms.shape[1]
     b = (n + 1).bit_length()                    # 2**b >= n + 2
     limit = 2.0 ** (1023 - b)                   # sigma is finite for |p| < limit
-    top = max(terms.max(), -terms.min())
     fallback = {}
-    if not top < limit:                         # a term too large, infinite or NaN
+    if not max(terms.max(), -terms.min()) < limit:     # too large, infinite or NaN
         wide = np.flatnonzero(~(np.abs(terms) < limit).all(axis=1))
         fallback = {r: math.fsum(terms[r].tolist()) for r in wide}
         terms[wide] = 0.0
-        top = max(terms.max(), -terms.min())
+    levels = [q.sum(axis=1) for q in _extraction(terms, b)]
+    return _level_means(levels, fallback, len(terms), n)
+
+
+def _extraction(terms: np.ndarray, b: int):
+    """Yield the levels q of the finite ``terms``, all below 2^(1023 - b) in
+    magnitude, in one reused buffer, leaving the remainders in ``terms``.
+
+    With 2^b >= n + 2 and sigma the power of two 2^(e+b) for the max
+    |p| < 2^e of what remains, each term p splits into q = (sigma + p) -
+    sigma and the remainder p - q, both exact.  The q are multiples of
+    ulp(sigma)/2, at most 2^e in magnitude, so any n of them, each taken up
+    to n times, sum exactly in any order: every partial sum is a multiple
+    of ulp(sigma)/2 below sigma.  The remainders are at most sigma / 2^53;
+    the levels stop when they are all zero.
+    """
     q = np.empty_like(terms)
-    levels = []
+    top = max(terms.max(), -terms.min())
     while top:
         sigma = math.ldexp(1.0, math.frexp(top)[1] + b)    # every |p| < sigma / 2**b
         np.add(terms, sigma, out=q)
         q -= sigma
         terms -= q
-        levels.append(q.sum(axis=1))
+        yield q
         top = max(terms.max(), -terms.min())
-    sums = sum(levels[:2], np.zeros(len(terms)))     # exact, or one rounding
+
+
+def _level_means(levels, fallback: dict, rows: int, n: int) -> np.ndarray:
+    """The means of ``rows`` rows from their exact level sums and the fsum of
+    the rows in ``fallback``: one level is a row's exact sum, two round
+    correctly in one IEEE addition, and rows of three or more nonzero
+    levels go to ``math.fsum``.  Either way a row reads its correctly
+    rounded sum, divided by n."""
+    sums = sum(levels[:2], np.zeros(rows))          # exact, or one rounding
     if len(levels) > 2:                                # rows of 3+ nonzero levels
         for r in np.flatnonzero(np.any(levels[2:], axis=0)):
             sums[r] = math.fsum(level[r] for level in levels)
@@ -234,18 +288,98 @@ def _row_means(terms: np.ndarray) -> np.ndarray:
     return sums / n
 
 
+@functools.lru_cache(maxsize=64)
+def _table_levels(tables: tuple, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, wide) of the (T, C) tables of the :func:`_array_key` key
+    ``tables`` for rows of n terms, 2^b >= n + 2.  Each table's entries
+    split into its own :func:`_extraction` levels, wide entries (infinite,
+    NaN or at least 2^(1023 - b) in magnitude) taken as zero; column
+    l * T + t of the read-only (C, L * T) ``levels`` holds level l of table
+    t, zero past that table's last level.  ``wide`` is the read-only (T, C)
+    mask of the wide entries."""
+    terms = _key_array(tables).copy()
+    wide = ~(np.abs(terms) < 2.0 ** (1023 - b))
+    terms[wide] = 0.0
+    split = [[q.copy() for q in _extraction(table, b)] for table in terms]
+    levels = np.zeros((max(map(len, split)), *terms.shape))
+    for t, table_levels in enumerate(split):
+        levels[:len(table_levels), t] = np.reshape(table_levels, (-1, terms.shape[1]))
+    levels = levels.reshape(-1, terms.shape[1]).T
+    levels.flags.writeable = wide.flags.writeable = False
+    return levels, wide
+
+
+def _table_means(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per row of the (T, C) ``tables`` and per row of the (B, n) int64
+    ``codes``, indices into a table: bit for bit ``_row_means(table[codes])``,
+    shape (T, B).  ``codes`` is a temporary of the caller, which this
+    overwrites.
+
+    A row's sum depends on its codes only through how often each occurs,
+    so one ``np.bincount`` gives the (B, C) counts and all levels of
+    :func:`_table_levels` sum as one ``counts @ levels``: every partial sum
+    of a level's column is a multiple of the level's grid below sigma, so
+    it is exact in any order, BLAS included (see :func:`_extraction`), and
+    :func:`_level_means` rounds the rows as ``_row_means`` does.  A row
+    that counts a wide entry of a table goes to ``math.fsum`` over its
+    gathered terms in position order.  A table longer than a row would
+    count into more entries than it has positions; its terms are gathered
+    as before.
+    """
+    rows, n = codes.shape
+    t, c = tables.shape
+    if c > n:
+        return np.array([_row_means(table[codes]) for table in tables])
+    levels, wide = _table_levels(_array_key(tables), (n + 1).bit_length())
+    codes += np.arange(0, rows * c, c)[:, None]
+    counts = np.bincount(codes.ravel(), minlength=rows * c).reshape(rows, c)
+    fallback = {}
+    if wide.any():
+        for i, r in zip(*np.nonzero(wide.astype(np.int64) @ counts.T)):
+            fallback[i * rows + r] = math.fsum(tables[i, codes[r] - r * c].tolist())
+    sums = (counts.astype(np.float64) @ levels).T.reshape(-1, t * rows)
+    return _level_means(list(sums), fallback, t * rows, n).reshape(t, rows)
+
+
+def _loss_means(lm: np.ndarray, xs: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Per row of the (B, n) reconstructions xhat, the mean loss
+    lambda(x_i, xhat_i), counted from the loss matrix; xs is one clean
+    sequence or a (B, n) block of them."""
+    return _table_means(lm.reshape(1, -1), xs * len(lm) + xhat)[0]
+
+
 def true_losses(lm: np.ndarray, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, cumulative_loss(lm, x, d.denoise(z));
     xs is one clean sequence or a (B, n) block of them."""
-    return _row_means(lm[xs, d.denoise_batch(zs)])
+    return _loss_means(lm, xs, d.denoise_batch(zs))
 
 
 def estimate_losses(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser,
                     zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
-    # the terms are gathered from the context table into a fresh (B, n)
-    # array, which _row_means overwrites; the table itself is left intact
-    return _row_means(_context_estimates(ch, h, lm, zs, d.substituted_outputs_batch(zs)))
+    return _estimate_means(ch, h, lm, zs, d.substituted_outputs_batch(zs))
+
+
+def losses_and_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser,
+                         xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Per row z of the (B, n) batch zs, true_losses and estimate_losses of
+    d at once, shape (2, B), from one ``substituted_outputs_batch`` pass and
+    no ``denoise_batch`` pass: t_i(z_i) is denoise(z)_i.  xs is one clean
+    sequence or a (B, n) block of them.
+
+    One joint code (x_i, z_i, t_i(0), ..., t_i(M-1)) per position indexes
+    both rows of :func:`_context_table`, so both means come from one count
+    of it.  When a row has fewer positions than there are joint codes, the
+    loss is taken from x_i and t_i(z_i) and the estimate as in
+    :func:`estimate_losses`.
+    """
+    tab = d.substituted_outputs_batch(zs)
+    k, m = ch.pi.shape
+    if k * m * k ** m > zs.shape[1]:
+        xhat = np.take_along_axis(tab, zs[..., None], axis=-1)[..., 0]
+        return np.stack([_loss_means(lm, xs, xhat), _estimate_means(ch, h, lm, zs, tab)])
+    table = _context_table(*map(_array_key, (ch.pi, h, lm)))
+    return _table_means(table, _context_codes(xs * m + zs, tab, k))
 
 
 def estimate_loss(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser, z) -> float:
@@ -272,10 +406,9 @@ def erasure_estimate_loss(ch: Channel, lm: np.ndarray, d: Denoiser, z) -> float:
     _check_fit(ch, None, lm, d)
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     tab = d.substituted_outputs(zs)[:, ERASURE]
-    unerased = zs != ERASURE
-    terms = np.zeros(len(zs))
-    terms[unerased] = lm[zs[unerased], tab[unerased]]
-    return float(_row_means(terms[None])[0])
+    # code K * K reads the zero term of an erased position
+    codes = np.where(zs != ERASURE, zs * len(lm) + tab, lm.size)
+    return float(_table_means(np.append(lm, 0.0)[None], codes[None])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

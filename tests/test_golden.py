@@ -12,11 +12,18 @@ masks and their weights, which no Monte Carlo case reaches.
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from duodenoise.harness import ExperimentConfig, run_trials
 from test_harness import records_csv_text
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BSC = {"type": "bsc", "delta": 0.2}
 PARITY_PAIR = {"type": "bsc_counterexample_pair", "delta": 0.2}
@@ -68,3 +75,41 @@ def test_trial_csv_sha256(name, monkeypatch):
     text = records_csv_text(run_trials(cfg))
     assert text.count("\n") == cfg.trials + 1
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# prints "<case> <sha256>" for each case named on the command line
+CHILD = """
+import hashlib, io, sys
+from duodenoise.harness import ExperimentConfig, records_to_csv, run_trials
+from test_golden import BSC, CASES
+for name in sys.argv[1:]:
+    buf = io.StringIO()
+    records_to_csv(run_trials(ExperimentConfig.from_json(
+        {"channel": BSC, "n": 256, **CASES[name][0]})), buf)
+    print(name, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+"""
+
+
+def test_plain_cases_hold_under_every_blas_kernel():
+    """The plain path sums through BLAS (``counts @ levels`` in
+    ``losses._table_means``), exactly, so the kernel that OpenBLAS's
+    ``OPENBLAS_CORETYPE`` selects changes no byte.  Each kernel runs in a
+    child process, the only place the variable is set; a kernel this CPU
+    cannot execute (the child dies of SIGILL) is passed over, and every
+    case must still be hashed at least once."""
+    plain = sorted(name for name in CASES if name.endswith("_plain"))
+    hashes = {name: set() for name in plain}
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                            os.environ.get("PYTHONPATH", "")])
+    for kernel in ("Prescott", "Haswell", "SkylakeX"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "DUO_THREADS": "1",
+               "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", CHILD, *plain], env=env,
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode == -signal.SIGILL:
+            continue
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stdout.splitlines():
+            name, digest = line.split()
+            hashes[name].add(digest)
+    assert hashes == {name: {CASES[name][1]} for name in plain}

@@ -351,10 +351,13 @@ def reference_rows(cfg: ExperimentConfig, trial: RngStream):
 
 def reference_plain_trial(cfg: ExperimentConfig, t: int) -> dict:
     """The per-trial plain path the blocked one replaced: one-sequence
-    sampling, denoising and estimation, and a fresh loss of the winner."""
+    sampling, denoising and estimation, and a fresh loss of the winner.
+    Its losses and estimates are ``math.fsum`` means of per-position terms,
+    so it shares no summation code with the blocked path."""
     trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
     x, z = reference_rows(cfg, trial)
     o1, o2 = cfg.d1.denoise(z), cfg.d2.denoise(z)
+    loss = lambda out: math.fsum(cfg.lm[x, out].tolist()) / cfg.n
     est1 = scalar_estimate(cfg.channel, cfg.h, cfg.lm, cfg.d1, z)
     est2 = scalar_estimate(cfg.channel, cfg.h, cfg.lm, cfg.d2, z)
     sel = select_min_estimate(est1, est2)
@@ -366,19 +369,20 @@ def reference_plain_trial(cfg: ExperimentConfig, t: int) -> dict:
         parity = -1
     return dict(
         trial=t, seed=trial.stream_id, parity=parity,
-        loss_d1=cumulative_loss(cfg.lm, x, o1), loss_d2=cumulative_loss(cfg.lm, x, o2),
-        est_d1=est1, est_d2=est2, chosen=sel.chosen_index,
-        loss_combined=cumulative_loss(cfg.lm, x, o1 if sel.chosen_index == 1 else o2),
+        loss_d1=loss(o1), loss_d2=loss(o2), est_d1=est1, est_d2=est2,
+        chosen=sel.chosen_index, loss_combined=loss(o1 if sel.chosen_index == 1 else o2),
     )
 
 
 @st.composite
-def plain_trial_cases(draw):
-    """(plain config, trials per block): BSC, BEC with either h, or a 3x3
-    DMC with a non-Hamming loss; every clean source; a denoiser pair that
-    fits the channel; a trial count below, at, or past the block size."""
-    kind = draw(st.sampled_from(["bsc", "bec", "dmc3"]))
-    n = draw(st.integers(1, 24))
+def plain_trial_cases(draw, kinds=("bsc", "bec", "dmc3"), max_n=24):
+    """(plain config, trials per block): BSC, BEC with either h (or the h
+    that ends the kind, as in "bec/min_norm"), a 3x3 DMC with a non-Hamming
+    loss, or a 2x3 DMC with a matrix loss; every clean source; a denoiser
+    pair that fits the channel; a trial count below, at, or past the block
+    size."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, max_n))
 
     def single(m, k_out):
         k = draw(st.integers(0, 1))
@@ -393,11 +397,17 @@ def plain_trial_cases(draw):
         ch = make_bsc(draw(st.floats(0.01, 0.49)))
         h, lm = compute_h(ch), hamming_loss(2)
         parity_pair = make_bsc_counterexample_pair(draw(st.sampled_from([0.2, 0.29, 0.49])))
-    elif kind == "bec":
+    elif kind.startswith("bec"):
         ch = make_bec(draw(st.floats(0.01, 0.99)))
-        h = draw(st.sampled_from([compute_h(ch), canonical_erasure_h(ch)]))
+        makers = {"min_norm": compute_h, "canonical_erasure": canonical_erasure_h}
+        choice = kind.partition("/")[2] or draw(st.sampled_from(sorted(makers)))
+        h = makers[choice](ch)
         lm = loss_matrix([[0.0, 1.0], [2.5, 0.0]])
         parity_pair = (BecParityDenoiser(False), BecParityDenoiser(True))
+    elif kind == "dmc23":
+        ch = Channel([[0.7, 0.2, 0.1], [0.15, 0.25, 0.6]])
+        h, lm = compute_h(ch), loss_matrix([[0.0, 2.0], [0.5, 0.0]])
+        parity_pair = None
     else:
         rows = []
         for i in range(3):
@@ -439,6 +449,18 @@ def test_blocked_plain_trials_equal_per_trial_path(case):
     expected = [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
     assert table_rows(table) == expected
     assert records_csv_text(table) == records_csv_text(rows_table(expected))
+
+
+@pytest.mark.parametrize("kind", ["bsc", "bec/canonical_erasure", "bec/min_norm", "dmc23"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_counted_plain_blocks_equal_per_trial_path(kind, data):
+    # a BSC has 16 joint codes (x, z, t(0), t(1)), a BEC and a 2x3 DMC 48:
+    # n up to 120 takes both sides of the rule that counts them
+    cfg, block = data.draw(plain_trial_cases(kinds=(kind,), max_n=120))
+    with mock.patch.object(denoisers, "BLOCK_BYTES", 8 * block * cfg.n):
+        table = run_trials(cfg)
+    assert table_rows(table) == [reference_plain_trial(cfg, t) for t in range(cfg.trials)]
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 3])

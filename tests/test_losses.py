@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from duodenoise.losses import (
     _context_table,
     _estimates_from_table,
     _row_means,
+    _table_means,
     bsc_estimate_from_type,
     cumulative_loss,
     erasure_estimate_loss,
@@ -415,6 +417,84 @@ class TestExactRowSums:
         monkeypatch.setattr(math, "fsum", no_fsum)
         for d, want in pairs:
             assert estimate_losses(ch, h, HAMMING, d, zs).tobytes() == want.tobytes()
+
+
+@st.composite
+def _table_cases(draw):
+    """((T, C) float64 tables, (B, n) int64 codes into them), B from 1 to
+    8 and n from 1 to 5000, C at most 64, so on either side of C <= n.
+    Tables take one extraction level (small integers), two (entries of like
+    magnitude) or three and more (exponents spread wide), or hold infinite,
+    NaN or too-large entries; each row of codes reads a prefix of the
+    table of its own length, so some rows count a special entry and
+    others do not."""
+    rows, n = draw(st.integers(1, 8)), draw(st.integers(1, 5000))
+    t, c = draw(st.integers(1, 3)), draw(st.integers(1, 64))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integers", "like", "spread", "subnormal", "special"]))
+    if kind == "integers":
+        tables = gen.integers(-1000, 1000, (t, c)).astype(np.float64)
+    elif kind == "like":
+        tables = gen.choice([-0.2 / 0.6, 0.2, 0.8, 0.8 / 0.6, 0.0, -0.0], (t, c))
+    elif kind == "subnormal":
+        tables = gen.integers(-2**20, 2**20, (t, c)) * 5e-324
+    else:
+        tables = gen.standard_normal((t, c)) * np.exp2(gen.integers(-1074, 1000, (t, c)))
+    if kind == "special":
+        special = [math.inf, -math.inf, math.nan, 2.0**1012, -1e308, 1e308]
+        at = gen.integers(0, c, draw(st.integers(1, 4)))
+        tables[gen.integers(0, t, len(at)), at] = gen.choice(special, len(at))
+    prefixes = gen.integers(1, c + 1, rows)[:, None]
+    return tables, gen.integers(0, prefixes, (rows, n))
+
+
+def _gathered_means(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The reference: each table gathered at the codes, then _row_means."""
+    return np.array([_row_means(table[codes]) for table in tables])
+
+
+class TestCountedTableMeans:
+    """losses._table_means counts each row's codes and sums the table's
+    levels from the counts; it equals gathering, then _row_means, bit for
+    bit, with math.fsum's results and exceptions on the rows it falls back
+    on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_table_cases())
+    def test_equals_gathered_row_means_bytewise(self, case):
+        tables, codes = case
+        try:
+            want = _gathered_means(tables, codes)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                _table_means(tables, codes.copy())
+            return
+        assert _table_means(tables, codes.copy()).tobytes() == want.tobytes()
+
+    def test_opposite_infinities_raise_as_fsum_does(self):
+        tables = np.array([[1.0, math.inf, -math.inf, 0.5]])
+        codes = np.array([[0, 3, 0, 3, 3], [0, 1, 2, 3, 3]])
+        with pytest.raises(ValueError, match=r"^-inf \+ inf in fsum$"):
+            _table_means(tables, codes)
+
+    def test_spread_tables_take_the_fsum_branch(self, monkeypatch):
+        # entries 2^-60 apart in magnitude leave three nonzero levels per
+        # row at n = 4096, and those rows go to math.fsum
+        gen = RngStream(41).generator()
+        tables = np.array([[1.0, 2.0**-60, 3.0 * 2.0**-120, -0.75]])
+        codes = gen.integers(0, 4, (5, 4096))
+        want = _gathered_means(tables, codes)
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or real(values))
+        assert _table_means(tables, codes.copy()).tobytes() == want.tobytes()
+        assert calls
+
+    def test_a_longer_table_than_a_row_is_gathered(self, monkeypatch):
+        monkeypatch.setattr(np, "bincount", None)
+        tables = np.arange(9.0)[None]
+        codes = np.array([[8, 0, 3], [1, 2, 7]])
+        assert _table_means(tables, codes).tobytes() == _gathered_means(tables, codes).tobytes()
 
 
 class TestErasureShortcut:

@@ -265,8 +265,11 @@ def test_default_loss_is_hamming_over_the_clean_alphabet(loss):
 
 
 def test_plain_trial_estimates_each_denoiser_once(monkeypatch):
-    """One denoise_batch and one substituted_outputs_batch per denoiser per
-    block of plain trials, and no one-sequence estimate."""
+    """One substituted_outputs_batch and no denoise_batch per denoiser per
+    block of plain trials, and no one-sequence estimate: the loss reads
+    t_i(z_i) off the substituted table.  A BSC has 16 joint codes (x_i,
+    z_i, t_i(0), t_i(1)): at n = 12 a block takes the per-position branch
+    of ``losses_and_estimates``, at n = 16 it counts them."""
     calls = []
 
     def counted(d, name):
@@ -278,18 +281,20 @@ def test_plain_trial_estimates_each_denoiser_once(monkeypatch):
 
         monkeypatch.setattr(d, name, call)
 
-    cfg = ExperimentConfig.from_json(with_(trials=5))
-    for d in (cfg.d1, cfg.d2):
-        for name in ("denoise_batch", "substituted_outputs_batch"):
-            counted(d, name)
     monkeypatch.setattr(losses, "estimate_loss", None)
     monkeypatch.setattr(combine, "estimate_loss", None)
-    monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 2 * cfg.n)     # int64 rows
-    assert len(run_trials(cfg)["trial"]) == 5
-    # blocks of two n = 12 trials: rows 0-1, 2-3 and 4
-    assert Counter(calls) == Counter(
-        (d, name, rows) for rows in (2, 2, 1) for d in (cfg.d1, cfg.d2)
-        for name in ("denoise_batch", "substituted_outputs_batch"))
+    for n in (12, 16):
+        calls.clear()
+        cfg = ExperimentConfig.from_json(with_(n=n, trials=5))
+        for d in (cfg.d1, cfg.d2):
+            for name in ("denoise_batch", "substituted_outputs_batch"):
+                counted(d, name)
+        monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 2 * n)     # int64 rows
+        assert len(run_trials(cfg)["trial"]) == 5
+        # blocks of two trials: rows 0-1, 2-3 and 4
+        assert Counter(calls) == Counter(
+            (d, "substituted_outputs_batch", rows) for rows in (2, 2, 1)
+            for d in (cfg.d1, cfg.d2))
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x", "2.5", "", " 2", "²"])
