@@ -211,7 +211,8 @@ class ParityCopyDenoiser(Denoiser):
         # substituting a flips the parity whenever a != z_i, so a = 1 gives
         # the odd parity where z_i = 1 and the even one where z_i = 0: the
         # output there is 1 exactly where z_i equals the row's parity
-        tab[..., 1] = zs == _odd(zs)
+        # as uint8, a same-dtype copy into the one-byte tables of smoothing
+        tab[..., 1] = (zs == _odd(zs)).view(np.uint8)
         return tab
 
 
@@ -262,9 +263,11 @@ class ParityMarkedZerosDenoiser(Denoiser):
         # -1; the rank is below N0 since delta < 1/2
         rank = c0 - same
         rows = np.flatnonzero(rank >= 0)
-        last = np.full(b, -1, dtype=np.int64)
+        # columns compare three times faster in int32 than in int64
+        column = np.int32 if n < 2**31 else np.int64
+        last = np.full(b, -1, dtype=column)
         last[rows] = zero_at[bounds[rows] + rank[rows]] - rows * n
-        marked = np.arange(n) < (last + same)[:, None]
+        marked = np.arange(n, dtype=column) < (last + same)[:, None]
         return is_zero, ((n - n_zeros) % 2 == 1)[:, None], marked
 
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
@@ -274,7 +277,7 @@ class ParityMarkedZerosDenoiser(Denoiser):
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
         is_zero, odd, marked = self._marked(zs)
         tab = np.zeros(zs.shape + (2,), dtype=zs.dtype)
-        tab[..., 0] = (odd ^ ~is_zero) & marked
+        tab[..., 0] = ((odd ^ ~is_zero) & marked).view(np.uint8)
         return tab
 
 

@@ -48,9 +48,14 @@ the codes and the table's cached extraction levels give every row's exact
 sum (:func:`_table_means`).  :func:`_row_means` extracts per position, and
 is kept for terms that are no table's values (the smoothed estimates) and
 for the per-position branch, where a table would have more entries than a
-row has positions.  The one exception is :func:`smoothed_conditional_loss`,
-which sums each mask's row with plain numpy addition: the randomized golden
-trial CSVs pin the bits of that sum.
+row has positions.  The one exception is :func:`smoothed_conditional_loss`:
+the randomized golden trial CSVs pin each mask's row sum as numpy's
+pairwise sum of its terms, not the correctly rounded one.  It counts as
+well where counting keeps those bits.  For nonnegative integer losses with
+n * max lambda < 2^53, every partial sum of a row is an exact integer, so
+the pairwise sum is sum_{x,y} N[x, y] * lambda(x, y), with the counts N
+taken from two int32 row sums of the output bits; other losses sum the
+selected terms.
 """
 
 from __future__ import annotations
@@ -464,23 +469,49 @@ def smoothed_conditional_loss(lm: np.ndarray, d: Denoiser, drawn, x, z) -> float
     """Expected (over the flip mask) normalized loss of the smoothed denoiser.
 
     ``drawn`` is a (masks, weights) pair from :func:`denoisers.mask_set`;
-    the expectation is the weighted sum over its masks.  Each mask's loss is
-    a plain numpy row sum, not a :func:`true_losses` call, which ran the
-    benchmark's randomized n=4096 workload 24% slower (2-core machine).
+    the expectation is the weighted sum over its masks.  Each mask's loss
+    sum has the bits of numpy's pairwise row sum of the terms
+    lambda(x_i, y_i), which the randomized golden trial CSVs pin.
+
+    When every loss entry is a nonnegative integer and n times the largest
+    is below 2^53, every partial sum of those terms is an integer below
+    2^53, exact in any order, so the pairwise sum equals the exact count
+    sum_{x,y} N[x, y] * lambda(x, y).  N comes from two int32 row sums: the
+    ones of the output y and, when x has ones, those of y & x.  Other
+    losses, and a -0.0 entry, which could sign a zero sum differently, sum
+    the selected terms.  Neither is a :func:`true_losses` call, whose int64
+    codes and ``bincount`` ran the benchmark's randomized n=4096 workload
+    24% slower (2-core machine).
     """
     check_binary(d)
-    xs = check_sequence(x, len(lm), "clean sequence")
+    if np.shape(lm) != (2, 2):
+        raise ValueError(f"loss matrix has shape {np.shape(lm)}; smoothing needs (2, 2)")
+    xs = check_sequence(x, 2, "clean sequence")
     zs = check_sequence(z, 2, "noisy sequence")
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     masks, weights = drawn
-    # binary outputs: each position's loss is one of its two loss entries;
-    # np.where selects fastest from contiguous columns on a bool condition
-    lam0, lam1 = np.ascontiguousarray(lm[xs].T)
-    sums = masked_values(
-        lambda rows: np.where(d.denoise_batch(rows).astype(bool), lam1, lam0).sum(axis=1),
-        masks, zs.astype(np.uint8))
-    return float(weights @ (sums / len(zs)))
+    n = len(zs)
+    if (lm == np.floor(lm)).all() and not np.signbit(lm).any() and n * lm.max() < 2.0**53:
+        x1 = xs.astype(np.uint8)
+        n1 = int(np.count_nonzero(x1))
+        (l00, l01), (l10, l11) = lm
+
+        def row_sums(rows):
+            y = d.denoise_batch(rows)
+            ones = y.sum(axis=1, dtype=np.int32)
+            o11 = (y & x1).sum(axis=1, dtype=np.int32) if n1 else 0
+            return ((n - n1 - ones + o11) * l00 + (ones - o11) * l01
+                    + (n1 - o11) * l10 + o11 * l11)
+    else:
+        # binary outputs: each position's loss is one of its two loss entries;
+        # np.where selects fastest from contiguous columns on a bool condition
+        lam0, lam1 = np.ascontiguousarray(lm[xs].T)
+
+        def row_sums(rows):
+            return np.where(d.denoise_batch(rows).astype(bool), lam1, lam0).sum(axis=1)
+    sums = masked_values(row_sums, masks, zs.astype(np.uint8))
+    return float(weights @ (sums / n))
 
 
 def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,

@@ -636,6 +636,14 @@ class TestSmoothedLosses:
             smoothed_per_symbol_estimates(ch, canonical_erasure_h(ch), HAMMING,
                                           IdentityDenoiser(), drawn, [0, 1])
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conditional_loss_rejects_a_loss_that_is_not_2x2(self, k):
+        # named before the sequences are read or any mask is walked
+        with pytest.raises(ValueError, match=re.escape(
+                f"loss matrix has shape ({k}, {k}); smoothing needs (2, 2)")):
+            smoothed_conditional_loss(hamming_loss(k), IdentityDenoiser(), None,
+                                      [0, 1], [0, 1, 1])
+
     def test_conditional_loss_rejects_length_mismatch(self):
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)
         with pytest.raises(ValueError, match="length mismatch: 3 vs 4"):

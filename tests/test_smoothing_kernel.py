@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from duodenoise.denoisers import (
     SlidingWindowDenoiser,
     SmoothingConfig,
     exact_mask_weights,
+    make_sliding_window,
     mask_set,
     stratified_mask_weights,
 )
@@ -108,7 +110,10 @@ def smoothing_cases(draw):
             cfg = SmoothingConfig(q=draw(st.floats(0.0, 0.45)), m=m)
     seq = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     x, z = np.array(draw(seq)), np.array(draw(seq))
-    lam = draw(st.sampled_from([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.5], [0.7, 0.1]]]))
+    # integer losses are counted, others summed; the asymmetric integer ones
+    # with a nonzero diagonal tell every count N[x, y] apart
+    lam = draw(st.sampled_from([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.5], [0.7, 0.1]],
+                                [[1.0, 4.0], [2.0, 5.0]], [[0.0, 2.0], [3.0, 0.0]]]))
     return cfg, x, z, loss_matrix(lam)
 
 
@@ -131,21 +136,47 @@ def test_smoothed_kernels_match_int64_reference(d, case, delta, seed):
 
 
 def test_parity_pair_matches_reference_at_experiment_size():
-    """n = 4096 and m = 128: the headline experiment's shape."""
+    """n = 4096 and m = 128: the headline experiment's shape, with its
+    all-zero clean row and with a Bernoulli(1/2) one, whose ones the counted
+    smoothed loss reads, for the parity pair and a k = 1 window."""
     ch = make_bsc(0.2)
     h = compute_h(ch)
-    lm = hamming_loss(2)
     cfg = SmoothingConfig(nu=0.75, m=128)
     gen = RngStream(2020).generator()
-    x = np.zeros(4096, dtype=np.int64)
     z = (gen.random(4096) < 0.2).astype(np.int64)
     z[0] = 1 - z[1:].sum() % 2   # odd parity, where the pair differs
+    cleans = (np.zeros(4096, dtype=np.int64), (gen.random(4096) < 0.5).astype(np.int64))
     stream = RngStream(2020).derive("estimation-masks")
     drawn = mask_set(cfg, len(z), stream)
-    for d in (ParityCopyDenoiser(), ParityMarkedZerosDenoiser(0.2)):
-        assert np.array_equal(
-            smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z),
-            reference_per_symbol(ch, h, lm, d, cfg, z, stream),
-        )
-        assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
-            reference_conditional_loss(lm, d, cfg, x, z, stream)
+    for lm in (hamming_loss(2), loss_matrix([[1.0, 4.0], [2.0, 5.0]])):
+        for d in (ParityCopyDenoiser(), ParityMarkedZerosDenoiser(0.2),
+                  make_sliding_window(1, "majority")):
+            assert np.array_equal(
+                smoothed_per_symbol_estimates(ch, h, lm, d, drawn, z),
+                reference_per_symbol(ch, h, lm, d, cfg, z, stream),
+            )
+            for x in cleans:
+                assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
+                    reference_conditional_loss(lm, d, cfg, x, z, stream)
+
+
+@pytest.mark.parametrize("exponent, counted", [(52, True), (53, False)])
+def test_conditional_loss_counts_below_two_to_the_53(exponent, counted, monkeypatch):
+    """Integer losses are counted while n * max lambda < 2^53, where every
+    partial sum of a row is exact; at 2^53 they are summed as numpy does.
+    Either way the bits are the reference's."""
+    n = 64
+    lm = loss_matrix([[3.0, 2.0 ** exponent / n], [1.0, 7.0]])
+    cfg = SmoothingConfig(q=0.3, m=40)
+    gen = RngStream(exponent).generator()
+    x = (gen.random(n) < 0.5).astype(np.int64)
+    z = (gen.random(n) < 0.5).astype(np.int64)
+    stream = RngStream(exponent).derive("estimation-masks")
+    drawn = mask_set(cfg, n, stream)
+    selected = []
+    where = np.where
+    monkeypatch.setattr(np, "where", lambda *args: selected.append(1) or where(*args))
+    got = smoothed_conditional_loss(lm, ParityCopyDenoiser(), drawn, x, z)
+    monkeypatch.undo()
+    assert bool(selected) is not counted
+    assert got == reference_conditional_loss(lm, ParityCopyDenoiser(), cfg, x, z, stream)
