@@ -74,8 +74,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    spec = _combiner_spec(args)
-    flags = [f"--{key}" for key in spec if key != "type"]
+    flags = [f"--{key}" for key in ("q", "nu", "mode", "m", "seed")
+             if getattr(args, key) is not None]
     if flags and not args.randomized:
         raise ValueError(f"{' '.join(flags)} apply only with --randomized")
     channel = channel_from_json(args.channel, "--channel")
@@ -84,9 +84,9 @@ def cmd_combine(args) -> int:
     lm = hamming_loss(channel.input_size)
     z = _parse_sequence(args.sequence)
     if args.randomized:
-        cfg = smoothing_from_spec(spec, "smoothing flags")
+        cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
         out, sel, mask = randomized_combined_denoise(
-            d1, d2, channel, h, lm, cfg, z, RngStream(args.seed)
+            d1, d2, channel, h, lm, cfg, z, RngStream(args.seed or 0)
         )
         extra = {"mask_weight": int(mask.sum())}
     else:
@@ -111,19 +111,22 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_influence(args) -> int:
+    if args.sequence is not None and args.n is not None:
+        raise ValueError("--n applies only without --sequence")
     cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
     if args.sequence is not None:
         z = _parse_sequence(args.sequence)
     else:
-        if args.n < 1:
-            raise ValueError(f"--n: block length must be >= 1, got {args.n}")
-        build("--n", cfg.check_length, args.n)
-        z = np.zeros(args.n, dtype=np.int64)
+        n = 16 if args.n is None else args.n
+        if n < 1:
+            raise ValueError(f"--n: block length must be >= 1, got {n}")
+        build("--n", cfg.check_length, n)
+        z = np.zeros(n, dtype=np.int64)
 
     def parity(rows: np.ndarray) -> np.ndarray:
         return rows.sum(axis=1) % 2
 
-    value, se = pointwise_influence(parity, cfg, z, RngStream(args.seed))
+    value, se = pointwise_influence(parity, cfg, z, RngStream(args.seed or 0))
     print(json.dumps({"influence": value, "se": se}))
     return 0
 
@@ -150,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("exact", "monte_carlo"),
                        help="smoothing mode (default monte_carlo)")
         p.add_argument("--m", type=int, help="Monte Carlo mask count (default 128)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="mask stream seed (default 0)")
 
     sequence_help = ("symbols: decimal integers separated by commas and/or whitespace, "
                      "or @file for a file of symbols in the same syntax")
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("influence",
                        help="total influence of the smoothed parity functional")
-    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--n", type=int, help="block length (default 16; not with --sequence)")
     p.add_argument("--sequence", default=None, help=sequence_help)
     smoothing_opts(p)
     p.set_defaults(func=cmd_influence)

@@ -181,19 +181,17 @@ class BecParityDenoiser(Denoiser):
     def __init__(self, complement: bool):
         self.complement = bool(complement)
 
-    def _fill(self, n_zeros: np.ndarray) -> np.ndarray:
-        return (n_zeros + self.complement) % 2
-
     def denoise_batch(self, zs: np.ndarray) -> np.ndarray:
-        fill = self._fill((zs == 0).sum(axis=1, keepdims=True))
+        fill = _parity(zs == 0)[:, None] ^ self.complement
         return np.where(zs == ERASURE, fill, zs)
 
     def substituted_outputs_batch(self, zs: np.ndarray) -> np.ndarray:
-        is_zero = (zs == 0).astype(np.int64)
+        is_zero = zs == 0
         tab = np.empty(zs.shape + (3,), dtype=np.int64)
         tab[..., 0] = 0
         tab[..., 1] = 1
-        tab[..., 2] = self._fill(is_zero.sum(axis=1, keepdims=True) - is_zero)
+        # substituting the erasure removes position i's zero, if it held one
+        tab[..., 2] = _parity(is_zero)[:, None] ^ self.complement ^ is_zero
         return tab
 
 

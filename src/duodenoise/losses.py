@@ -11,20 +11,23 @@ A position's estimate depends on the position only through its context:
 the noisy symbol z_i and the substituted outputs t_i(0), ..., t_i(M-1).  So
 the plain estimator evaluates the per-symbol kernel once over all M * K^M
 contexts, and a position reads its context's entry (eight entries for a
-binary channel, whatever the block length); only when there are more
-contexts than positions, as for a large-alphabet DMC on a short block, does
-the kernel run per position.  Either way the entries are the same floats.
-The context table depends only on the channel, h and the loss, so a process
-builds it once per distinct (channel, h, loss), keyed by their values, and
-every later block, oracle chunk or single estimate reads the same read-only
-table.  It is built with the clean symbol x_i in front of each context, and
+binary channel, whatever the block length).  One rule, in
+:func:`_served_table`, picks the route once per call: a batch reads the
+table when its M * K^M contexts are no more than its positions, and
+otherwise (a large-alphabet DMC on a short block) runs the kernel per
+position.  Either way the entries are the same floats.  The context table
+depends only on the channel, h and the loss, so a process builds it once
+per distinct (channel, h, loss), keyed by their values, and every later
+block, oracle chunk or single estimate reads the same read-only table.
+It is built with the clean symbol x_i in front of each context, and
 beside each estimate it holds the loss lambda(x_i, t_i(z_i)), since
 t_i(z_i) is the reconstruction at i: so one code per position, counted
 once, gives a plain trial both its true loss and its estimate
 (:func:`losses_and_estimates`), from one substituted-output pass.
 
 Like the denoisers, the estimator and the true loss have one batch form each,
-:func:`estimate_losses` and :func:`true_losses`: they take a (B, n) integer
+:func:`estimate_losses` and :func:`true_losses`, and a plain trial takes
+both at once from :func:`losses_and_estimates`: they take a (B, n) integer
 array of noisy sequences and trust it, as ``denoise_batch`` does.  The
 one-sequence forms validate their arguments, and h, the loss and the
 denoiser against the channel; :func:`estimate_loss` then runs a batch of one.
@@ -46,16 +49,15 @@ an estimate of a context -- is counted, not gathered: a row's sum depends
 on its codes only through how often each occurs, so one ``np.bincount`` of
 the codes and the table's cached extraction levels give every row's exact
 sum (:func:`_table_means`).  :func:`_row_means` extracts per position, and
-is kept for terms that are no table's values (the smoothed estimates) and
-for the per-position branch, where a table would have more entries than a
-row has positions.  The one exception is :func:`smoothed_conditional_loss`:
-the randomized golden trial CSVs pin each mask's row sum as numpy's
-pairwise sum of its terms, not the correctly rounded one.  It counts as
-well where counting keeps those bits.  For nonnegative integer losses with
-n * max lambda < 2^53, every partial sum of a row is an exact integer, so
-the pairwise sum is sum_{x,y} N[x, y] * lambda(x, y), with the counts N
-taken from two int32 row sums of the output bits; other losses sum the
-selected terms.
+is kept for terms that are no table's values: the smoothed estimates, and
+the kernel's estimates of a batch with fewer positions than contexts.  The
+one exception is :func:`smoothed_conditional_loss`: the randomized golden
+trial CSVs pin each mask's row sum as numpy's pairwise sum of its terms,
+not the correctly rounded one.  It counts as well where counting keeps
+those bits.  For nonnegative integer losses with n * max lambda < 2^53,
+every partial sum of a row is an exact integer, so the pairwise sum is
+sum_{x,y} N[x, y] * lambda(x, y), with the counts N taken from two int32
+row sums of the output bits; other losses sum the selected terms.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ def _estimates_from_table(ch: Channel, h: np.ndarray, z: np.ndarray,
     """Per-symbol estimates from the (K, ..., n, M) loss table
     lam_tab[x, ..., i, a]: the (expected) loss against clean symbol x of the
     output at position i once the noisy symbol there is replaced by a.  ``z``
-    has the table's middle shape: (n,), a (B, n) batch, or the enumerated
-    contexts of :func:`_context_estimates`."""
+    has the table's middle shape: (n,), a batch with fewer positions than
+    M * K^M contexts (:func:`_served_table`), or those contexts, for
+    :func:`_context_table`; an entry's floats do not depend on which."""
     inner = np.einsum("x...a,xa->x...", lam_tab, ch.pi)
     # in place, one clean symbol at a time: no (K, ..., n) temporary
     for x, h_x in enumerate(h):
@@ -136,39 +139,6 @@ def _context_codes(code: np.ndarray, tab: np.ndarray, k: int) -> np.ndarray:
         code *= k
         code += tab[..., a]
     return code
-
-
-def _context_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, z: np.ndarray,
-                       tab: np.ndarray) -> np.ndarray:
-    """Per-symbol estimates of the positions with noisy symbols ``z``, of any
-    shape, and substituted outputs ``tab``, of z's shape plus (M,).
-
-    A position's estimate depends on it only through its context (z_i,
-    t_i(0), ..., t_i(M-1)), so ``_estimates_from_table`` runs once over all
-    M * K^M contexts, enumerated in the order of :func:`_context_codes`,
-    and each position reads its context's entry: the same float operations
-    as per position, so the same bits.  That table comes from
-    :func:`_context_table`, built once per distinct (channel, h, loss).
-    When there are more contexts than positions, the positions themselves
-    go through the kernel.
-    """
-    k, m = len(lm), tab.shape[-1]
-    if m * k ** m > z.size:
-        return _estimates_from_table(ch, h, z, lm[:, tab])
-    table = _context_table(*map(_array_key, (ch.pi, h, lm)))
-    return table[1][_context_codes(z.astype(np.int64), tab, k)]
-
-
-def _estimate_means(ch: Channel, h: np.ndarray, lm: np.ndarray, zs: np.ndarray,
-                    tab: np.ndarray) -> np.ndarray:
-    """Per row of the (B, n) batch zs with substituted outputs ``tab``, the
-    mean of its :func:`_context_estimates`, counted from the context table
-    (:func:`_table_means`) unless there are more contexts than positions."""
-    k, m = len(lm), tab.shape[-1]
-    if m * k ** m > zs.size:
-        return _row_means(_context_estimates(ch, h, lm, zs, tab))
-    table = _context_table(*map(_array_key, (ch.pi, h, lm)))[1:, :m * k ** m]
-    return _table_means(table, _context_codes(zs.astype(np.int64), tab, k))[0]
 
 
 def _array_key(a: np.ndarray) -> tuple:
@@ -191,11 +161,11 @@ def _context_table(pi: tuple, h: tuple, lm: tuple) -> np.ndarray:
     :func:`_array_key` keys, in the order of :func:`_context_codes` with x_i
     in front.  Row 0 holds each joint context's loss lambda(x_i, t_i(z_i));
     row 1 the estimate of its context (z_i, t_i(0), ...), whatever x_i, so
-    its first M * K^M entries are the estimates of all contexts, which
-    :func:`_context_estimates` reads.  One build per distinct (pi, h, loss)
-    in a process, from arrays equal to the keyed ones, so the entries are
-    the bits a build per call gave.  Two threads that miss at once build
-    the same bits."""
+    its first M * K^M entries are the estimates of all contexts; a batch of
+    at least M * K^M positions reads them (:func:`_served_table`).  One
+    build per distinct (pi, h, loss) in a process, from arrays equal to the
+    keyed ones, so the entries are the bits a build per call gave.  Two
+    threads that miss at once build the same bits."""
     pi, h, lm = map(_key_array, (pi, h, lm))
     k, m = pi.shape
     contexts = np.indices((m,) + (k,) * m).reshape(m + 1, -1)
@@ -205,6 +175,18 @@ def _context_table(pi: tuple, h: tuple, lm: tuple) -> np.ndarray:
     table = np.stack([lm[x, outputs[z, np.arange(len(x))]], np.tile(estimates, k)])
     table.flags.writeable = False
     return table
+
+
+def _served_table(ch: Channel, h: np.ndarray, lm: np.ndarray,
+                  zs: np.ndarray) -> np.ndarray | None:
+    """The cached :func:`_context_table` if it serves the batch ``zs``, else
+    None.  The plain estimator's one rule: the table serves a batch with at
+    least as many positions as its M * K^M contexts; a smaller batch runs
+    the kernel per position."""
+    k, m = ch.pi.shape
+    if m * k ** m > zs.size:
+        return None
+    return _context_table(*map(_array_key, (ch.pi, h, lm)))
 
 
 def _check_fit(ch: Channel, h: np.ndarray | None, lm: np.ndarray, d: Denoiser) -> None:
@@ -228,7 +210,7 @@ def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
     """All n per-symbol estimates (one substituted-output table pass)."""
     _check_fit(ch, h, lm, d)
     zs = check_sequence(z, ch.output_size, "noisy sequence")
-    return _context_estimates(ch, h, lm, zs, d.substituted_outputs(zs))
+    return _estimates_from_table(ch, h, zs, lm[:, d.substituted_outputs(zs)])
 
 
 def _row_means(terms: np.ndarray) -> np.ndarray:
@@ -362,7 +344,12 @@ def true_losses(lm: np.ndarray, d: Denoiser, xs: np.ndarray, zs: np.ndarray) -> 
 def estimate_losses(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser,
                     zs: np.ndarray) -> np.ndarray:
     """Per row z of the (B, n) batch zs, estimate_loss(ch, h, lm, d, z)."""
-    return _estimate_means(ch, h, lm, zs, d.substituted_outputs_batch(zs))
+    tab = d.substituted_outputs_batch(zs)
+    table = _served_table(ch, h, lm, zs)
+    if table is None:
+        return _row_means(_estimates_from_table(ch, h, zs, lm[:, tab]))
+    k, m = ch.pi.shape
+    return _table_means(table[1:, :m * k ** m], _context_codes(zs.astype(np.int64), tab, k))[0]
 
 
 def losses_and_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser,
@@ -372,18 +359,19 @@ def losses_and_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser
     no ``denoise_batch`` pass: t_i(z_i) is denoise(z)_i.  xs is one clean
     sequence or a (B, n) block of them.
 
-    One joint code (x_i, z_i, t_i(0), ..., t_i(M-1)) per position indexes
-    both rows of :func:`_context_table`, so both means come from one count
-    of it.  When a row has fewer positions than there are joint codes, the
-    loss is taken from x_i and t_i(z_i) and the estimate as in
-    :func:`estimate_losses`.
+    When the context table serves the batch (:func:`_served_table`), one
+    joint code (x_i, z_i, t_i(0), ..., t_i(M-1)) per position indexes both
+    of its rows, so both means come from one :func:`_table_means` of it.
+    Otherwise the loss is taken from x_i and t_i(z_i), and the estimate
+    from the kernel per position.
     """
     tab = d.substituted_outputs_batch(zs)
-    k, m = ch.pi.shape
-    if k * m * k ** m > zs.shape[1]:
+    table = _served_table(ch, h, lm, zs)
+    if table is None:
         xhat = np.take_along_axis(tab, zs[..., None], axis=-1)[..., 0]
-        return np.stack([_loss_means(lm, xs, xhat), _estimate_means(ch, h, lm, zs, tab)])
-    table = _context_table(*map(_array_key, (ch.pi, h, lm)))
+        return np.stack([_loss_means(lm, xs, xhat),
+                         _row_means(_estimates_from_table(ch, h, zs, lm[:, tab]))])
+    k, m = ch.pi.shape
     return _table_means(table, _context_codes(xs * m + zs, tab, k))
 
 
@@ -465,6 +453,16 @@ def bsc_estimate_from_type(delta: float, t: JointTypeCounts, n: int) -> float:
     return float(total) / n
 
 
+def _check_drawn(drawn, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (masks, weights) of ``drawn``, rejected unless (m, n) and (m,)."""
+    masks, weights = drawn
+    shape = np.shape(masks)
+    if len(shape) != 2 or shape[1] != n or np.shape(weights) != shape[:1]:
+        raise ValueError(f"masks of shape {shape} and weights of shape {np.shape(weights)} "
+                         f"do not fit a sequence of length {n}: need (m, {n}) and (m,)")
+    return masks, weights
+
+
 def smoothed_conditional_loss(lm: np.ndarray, d: Denoiser, drawn, x, z) -> float:
     """Expected (over the flip mask) normalized loss of the smoothed denoiser.
 
@@ -490,7 +488,7 @@ def smoothed_conditional_loss(lm: np.ndarray, d: Denoiser, drawn, x, z) -> float
     zs = check_sequence(z, 2, "noisy sequence")
     if len(xs) != len(zs):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
-    masks, weights = drawn
+    masks, weights = _check_drawn(drawn, len(zs))
     n = len(zs)
     if (lm == np.floor(lm)).all() and not np.signbit(lm).any() and n * lm.max() < 2.0**53:
         x1 = xs.astype(np.uint8)
@@ -538,7 +536,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
         raise ValueError("smoothed estimation targets binary channels")
     _check_fit(ch, h, lm, d)
     zs = check_sequence(z, 2, "noisy sequence")
-    masks, weights = drawn
+    masks, weights = _check_drawn(drawn, len(zs))
     z8 = zs.astype(np.uint8)
     picked = np.empty(masks.shape + (2,), dtype=np.uint8)
     for rows in blocks(*masks.shape):

@@ -86,6 +86,36 @@ def test_combine_names_smoothing_flags_given_without_randomized(capsys):
     assert capsys.readouterr().err == "error: --nu --m apply only with --randomized\n"
 
 
+def test_combine_rejects_a_seed_without_randomized(capsys):
+    code = main([
+        "combine", "--seed", "5",
+        "--channel", '{"type": "bsc", "delta": 0.2}',
+        "--pair", '{"type": "bsc_counterexample_pair", "delta": 0.2}',
+        "--sequence", "0,1",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed apply only with --randomized\n"
+
+
+def test_influence_rejects_a_block_length_beside_a_sequence(capsys):
+    assert main(["influence", "--sequence", "0,1,1", "--n", "999"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --n applies only without --sequence\n")
+
+
+def test_absent_seed_and_block_length_keep_their_defaults(capsys):
+    combine = ["combine", "--randomized", "--m", "16",
+               "--channel", '{"type": "bsc", "delta": 0.2}',
+               "--pair", '{"type": "bsc_counterexample_pair", "delta": 0.2}',
+               "--sequence", ",".join(["1"] + ["0"] * 31)]
+    influence = ["influence", "--q", "0.1", "--m", "64"]
+    for argv, explicit in ((combine, ["--seed", "0"]), (influence, ["--n", "16", "--seed", "0"])):
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + explicit) == 0
+        assert capsys.readouterr().out == default
+
+
 def test_experiment_runs_config(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     config = {

@@ -435,6 +435,22 @@ def test_parity_copy_batches_keep_the_input_dtype(n):
             np.testing.assert_array_equal(got.astype(np.int64), expected)
 
 
+@pytest.mark.parametrize("complement", [False, True])
+def test_bec_parity_batches_match_the_sum_reference(complement):
+    """The XOR-reduced fill gives the ``sum % 2`` reference's values on
+    int64, int32 and uint8 rows, and the substituted table stays int64."""
+    d = BecParityDenoiser(complement)
+    rows = RngStream(22).generator().integers(0, 3, (9, 33))
+    want = [np.stack([reference_denoise(d, r) for r in rows]),
+            np.stack([brute_force_table(d, r) for r in rows])]
+    for dtype in (np.int64, np.int32, np.uint8):
+        zs = rows.astype(dtype)
+        denoised, tab = d.denoise_batch(zs), d.substituted_outputs_batch(zs)
+        assert tab.dtype == np.int64
+        np.testing.assert_array_equal(denoised, want[0])
+        np.testing.assert_array_equal(tab, want[1])
+
+
 def _sum_stratified_weights(masks: np.ndarray, q: float) -> np.ndarray:
     """The reference: stratified_mask_weights with the parity as ``sum % 2``."""
     m, n = masks.shape

@@ -4,7 +4,9 @@ A public top-level name of ``src/duodenoise/*.py`` counts as used when an AST
 name, attribute or import of it is read in a library module (its own module
 beyond its definition, or another one), in ``benchmarks/*.py``, or when the
 benchmark tracer's ``FUNCTIONS`` names it.  The tests do not count: a name
-that only tests reach belongs in the tests.
+that only tests reach belongs in the tests.  A private top-level name
+(``_name``, not a dunder) counts as used only when a library module reads
+it: an intermediate that only tests or the benchmark call is dead code.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _public_names(tree: ast.Module) -> list[str]:
-    """The top-level functions, classes and assigned names not starting with _."""
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The top-level functions, classes and assigned names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -25,7 +27,7 @@ def _public_names(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+    return names
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -41,9 +43,13 @@ def _read_names(tree: ast.Module) -> set[str]:
     return read
 
 
+def _library() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "duodenoise").glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller():
-    library = {path.stem: ast.parse(path.read_text())
-               for path in sorted((ROOT / "src" / "duodenoise").glob("*.py"))}
+    library = _library()
     read = set().union(*map(_read_names, library.values()))
     for path in (ROOT / "benchmarks").glob("*.py"):
         read |= _read_names(ast.parse(path.read_text()))
@@ -52,6 +58,16 @@ def test_every_public_name_has_a_caller():
     spec.loader.exec_module(tracer)
     traced = {(module, attr.partition(".")[0]) for module, attr in tracer.FUNCTIONS}
     unused = [f"{module}.{name}" for module, tree in library.items()
-              for name in _public_names(tree)
-              if name not in read and (module, name) not in traced]
+              for name in _top_level_names(tree)
+              if not name.startswith("_") and name not in read
+              and (module, name) not in traced]
+    assert unused == []
+
+
+def test_every_private_name_has_a_library_caller():
+    library = _library()
+    read = set().union(*map(_read_names, library.values()))
+    unused = [f"{module}.{name}" for module, tree in library.items()
+              for name in _top_level_names(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unused == []

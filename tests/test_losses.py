@@ -46,9 +46,11 @@ from duodenoise.losses import (
     joint_type_counts,
     loss_from_json,
     loss_matrix,
+    losses_and_estimates,
     per_symbol_estimates,
     smoothed_conditional_loss,
     smoothed_per_symbol_estimates,
+    true_losses,
 )
 from duodenoise.rng import RngStream
 
@@ -267,6 +269,22 @@ class TestContextTable:
                 got = estimate_losses(ch, h, lm, d, zs)
             assert np.array_equal(_bits(got), _bits(want))
         assert context_rows == [table] * len(denoisers)
+
+    # both sides of the rule: a binary channel has 8 (BSC) or 24 (BEC)
+    # contexts and 16 or 48 joint codes, dmc5 15625 and 78125
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ESTIMATOR_CASES), st.data())
+    def test_joint_form_equals_the_single_forms_bitwise(self, case, data):
+        name, ch, h, lm, denoisers = case
+        d = data.draw(st.sampled_from(denoisers), label="denoiser")
+        shapes = [(2, 9), (4, 4096)] if name == "dmc5" else [(1, 1), (2, 12), (1, 16), (512, 14)]
+        b, n = data.draw(st.sampled_from(shapes), label="shape")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        zs = gen.integers(0, ch.output_size, (b, n))
+        # one clean sequence for the batch, or one per row
+        xs = gen.integers(0, ch.input_size, data.draw(st.sampled_from([(n,), (b, n)])))
+        want = np.stack([true_losses(lm, d, xs, zs), estimate_losses(ch, h, lm, d, zs)])
+        assert np.array_equal(_bits(losses_and_estimates(ch, h, lm, d, xs, zs)), _bits(want))
 
 
 _DMC23 = Channel([[0.7, 0.2, 0.1], [0.15, 0.25, 0.6]])
@@ -643,6 +661,29 @@ class TestSmoothedLosses:
                 f"loss matrix has shape ({k}, {k}); smoothing needs (2, 2)")):
             smoothed_conditional_loss(hamming_loss(k), IdentityDenoiser(), None,
                                       [0, 1], [0, 1, 1])
+
+    @pytest.mark.parametrize("entry", ["conditional_loss", "per_symbol"])
+    @pytest.mark.parametrize("mask_shape,weight_count", [
+        ((16, 1), 16),            # one bit that would broadcast over every position
+        ((16, 32), 16),           # masks of half the length
+        ((16, 64), 15),           # one weight short
+    ])
+    def test_a_mask_set_of_the_wrong_shape_is_rejected(self, entry, mask_shape, weight_count):
+        ch = make_bsc(0.2)
+        d = make_sliding_window(1, "majority")
+        masks, weights = mask_set(SmoothingConfig(q=0.1, m=16), 64, RngStream(40))
+        drawn = (masks[:, :mask_shape[1]], weights[:weight_count])
+        z = RngStream(41).generator().integers(0, 2, 64)
+        call = {
+            "conditional_loss": lambda: smoothed_conditional_loss(
+                HAMMING, d, drawn, np.zeros(64, dtype=np.int64), z),
+            "per_symbol": lambda: smoothed_per_symbol_estimates(ch, compute_h(ch), HAMMING,
+                                                                d, drawn, z),
+        }[entry]
+        with pytest.raises(ValueError, match=re.escape(
+                f"masks of shape {mask_shape} and weights of shape ({weight_count},) do not "
+                f"fit a sequence of length 64: need (m, 64) and (m,)")):
+            call()
 
     def test_conditional_loss_rejects_length_mismatch(self):
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 4, None)

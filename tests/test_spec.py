@@ -267,9 +267,10 @@ def test_default_loss_is_hamming_over_the_clean_alphabet(loss):
 def test_plain_trial_estimates_each_denoiser_once(monkeypatch):
     """One substituted_outputs_batch and no denoise_batch per denoiser per
     block of plain trials, and no one-sequence estimate: the loss reads
-    t_i(z_i) off the substituted table.  A BSC has 16 joint codes (x_i,
-    z_i, t_i(0), t_i(1)): at n = 12 a block takes the per-position branch
-    of ``losses_and_estimates``, at n = 16 it counts them."""
+    t_i(z_i) off the substituted table.  A BSC has 8 contexts, so both
+    blocks read the context table; of its 16 joint codes (x_i, z_i,
+    t_i(0), t_i(1)), an n = 12 row gathers its terms and an n = 16 row
+    counts them."""
     calls = []
 
     def counted(d, name):
