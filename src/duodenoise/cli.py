@@ -114,6 +114,8 @@ def cmd_influence(args) -> int:
     if args.sequence is not None and args.n is not None:
         raise ValueError("--n applies only without --sequence")
     cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
+    if cfg.mode == "exact" and args.seed is not None:
+        raise ValueError("--seed: exact mode enumerates every mask and draws none")
     if args.sequence is not None:
         z = _parse_sequence(args.sequence)
     else:
@@ -152,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", type=float, default=None, help="rate exponent, q = n^-nu")
         p.add_argument("--mode", choices=("exact", "monte_carlo"),
                        help="smoothing mode (default monte_carlo)")
-        p.add_argument("--m", type=int, help="Monte Carlo mask count (default 128)")
-        p.add_argument("--seed", type=int, help="mask stream seed (default 0)")
+        p.add_argument("--m", type=int,
+                       help="Monte Carlo mask count (default 128; not with --mode exact)")
+        p.add_argument("--seed", type=int,
+                       help="mask stream seed (default 0; influence takes none with --mode exact)")
 
     sequence_help = ("symbols: decimal integers separated by commas and/or whitespace, "
                      "or @file for a file of symbols in the same syntax")

@@ -412,12 +412,13 @@ def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.nda
     below q exactly when r is below ceil(q * 2^53) * 2^11; comparing the raw
     words, drawn chunk by chunk in the same order, skips forming the doubles;
     comparing the doubles in the same chunks ran the benchmark's randomized
-    n=4096 workload 5% slower (2-core machine).
+    n=4096 workload 5% slower (2-core machine).  The chunks are sized by the
+    raw words, the larger temporary: at most BLOCK_BYTES of them, or one row.
     """
     limit = math.ceil(cfg.resolve_q(n) * 2.0**53) << 11
     bits = rng.generator().bit_generator
     masks = np.empty((cfg.m, n), dtype=bool)
-    for rows in blocks(cfg.m, n):
+    for rows in blocks(cfg.m, 8 * n):
         np.less(bits.random_raw((rows.stop - rows.start, n)), limit, out=masks[rows])
     return masks
 

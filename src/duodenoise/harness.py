@@ -34,7 +34,7 @@ from .channel import (
     outputs_from_uniforms,
     parse_symbols,
 )
-from .combine import randomized_combined_denoise, select_min_estimate
+from .combine import randomized_combined_denoise
 from .denoisers import (
     ENUMERATION_LIMIT,
     ConstantDenoiser,
@@ -61,7 +61,7 @@ from .losses import (
     smoothed_conditional_loss,
     true_losses,
 )
-from .rng import RngStream
+from .rng import RngStream, _child_id, uniform_rows
 from .spec import ConfigError, build, load, read, read_typed
 
 #: Rate exponent of a randomized combiner that names neither q nor nu.
@@ -108,7 +108,9 @@ def denoiser_pair_from_spec(spec, channel: Channel,
 
 
 def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
-    """The smoothing of a randomized-combiner spec; None for a plain one."""
+    """The smoothing of a randomized-combiner spec; None for a plain one.
+    Exact mode enumerates every mask, so an exact spec that names m is
+    rejected."""
     v = read_typed(spec, path, "combiner type", {
         "plain": ({}, {}),
         "randomized": ({}, {"q": (float, None), "nu": (float, None), "mode": (str, None),
@@ -116,6 +118,8 @@ def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
     })
     if v.pop("type") == "plain":
         return None
+    if v["mode"] == "exact" and v["m"] is not None:
+        raise ConfigError(f"{path}.m: exact mode enumerates every mask and reads no m")
     if v["q"] is None and v["nu"] is None:
         v["nu"] = DEFAULT_NU
     # absent keys take SmoothingConfig's defaults
@@ -251,37 +255,44 @@ def _parities(channel: Channel, zs: np.ndarray) -> np.ndarray:
 def _block(cfg: ExperimentConfig, ids: range) -> dict[str, list]:
     """The trial table of consecutive trials (see :func:`run_trials`).
 
-    Each trial draws its clean and channel uniforms from its own streams;
-    the rows are stacked into (B, n) blocks, over which each denoiser makes
-    one ``substituted_outputs_batch`` pass, from which
+    Each trial draws its clean and channel uniforms from its own streams,
+    the ``"clean"`` and ``"channel"`` children of its ``trial/<t>`` stream;
+    :func:`rng.uniform_rows` draws each set as one (B, n) block, over which
+    each denoiser makes one ``substituted_outputs_batch`` pass, from which
     :func:`losses.losses_and_estimates` counts its loss and its estimate.
-    A randomized run takes the rest of each row from :func:`_run_trial`.
+    The plain combiner picks per row as :func:`combine.select_min_estimate`
+    does; a randomized run takes the rest of each row from
+    :func:`_run_trial`.
     """
     root = RngStream(cfg.master_seed)
-    trials = [root.derive(f"trial/{t}") for t in ids]
+    seeds = [_child_id(root.stream_id, f"trial/{t}") for t in ids]
     kind = cfg.clean_source["type"]
     if kind == "iid_bernoulli":
-        u = np.stack([trial.derive("clean").uniforms(cfg.n) for trial in trials])
+        u = uniform_rows(cfg.master_seed, [_child_id(s, "clean") for s in seeds], cfg.n)
         x = (u < cfg.clean_source["p"]).astype(np.int64)
     else:
         clean = np.zeros(cfg.n, np.int64) if kind == "all_zeros" else cfg.clean_file
         x = np.broadcast_to(clean, (len(ids), cfg.n))
-    u = np.stack([trial.derive("channel").uniforms(cfg.n) for trial in trials])
+    u = uniform_rows(cfg.master_seed, [_child_id(s, "channel") for s in seeds], cfg.n)
     z = outputs_from_uniforms(cfg.channel, x, u)
-    losses, ests = zip(*(losses_and_estimates(cfg.channel, cfg.h, cfg.lm, d, x, z).tolist()
-                           for d in (cfg.d1, cfg.d2)))
+    (l1, e1), (l2, e2) = (losses_and_estimates(cfg.channel, cfg.h, cfg.lm, d, x, z)
+                          for d in (cfg.d1, cfg.d2))
     table = {
-        "trial": list(ids), "seed": [trial.stream_id for trial in trials],
-        "parity": _parities(cfg.channel, z).tolist(),
-        "loss_d1": losses[0], "loss_d2": losses[1], "est_d1": ests[0], "est_d2": ests[1],
+        "trial": list(ids), "seed": seeds, "parity": _parities(cfg.channel, z).tolist(),
+        "loss_d1": l1.tolist(), "loss_d2": l2.tolist(),
+        "est_d1": e1.tolist(), "est_d2": e2.tolist(),
     }
     if cfg.randomized:
-        rows = zip(*(_run_trial(cfg, t, x[row], z[row], trials[row]) for row, t in enumerate(ids)))
+        rows = zip(*(_run_trial(cfg, t, x[row], z[row], RngStream(cfg.master_seed, seed))
+                     for row, (t, seed) in enumerate(zip(ids, seeds))))
         table.update(zip(("chosen", "loss_combined", "sm_loss_d1", "sm_loss_d2", "sm_est_d1",
                           "sm_est_d2", "mask_weight"), map(list, rows)))
         return table
-    table["chosen"] = [select_min_estimate(*row).chosen_index for row in zip(*ests)]
-    table["loss_combined"] = [losses[c - 1][row] for row, c in enumerate(table["chosen"])]
+    if np.isnan(e1).any() or np.isnan(e2).any():
+        raise ValueError("loss estimates must not be NaN")
+    first = e1 <= e2                # ties resolve to 1
+    table["chosen"] = np.where(first, 1, 2).tolist()
+    table["loss_combined"] = np.where(first, l1, l2).tolist()
     return table
 
 

@@ -336,7 +336,7 @@ def scalar_estimate(ch, h, lm, d, z) -> float:
 
 def reference_rows(cfg: ExperimentConfig, trial: RngStream):
     """The trial's clean and noisy rows, each drawn from a fresh generator of
-    its stream, not through ``RngStream.uniforms``, which the blocked path
+    its stream, not through ``rng.uniform_rows``, which the blocked path
     uses."""
     kind = cfg.clean_source["type"]
     if kind == "all_zeros":
@@ -476,7 +476,7 @@ def test_blocks_at_the_real_budget_equal_per_trial_path(extra):
 
 
 def test_plain_trials_never_build_a_generator(monkeypatch):
-    # every clean and channel row is drawn through RngStream.uniforms
+    # a block's clean rows and its channel rows are each one rng.uniform_rows draw
     def refuse(self):
         raise AssertionError("RngStream.generator called on the plain path")
 
@@ -484,6 +484,56 @@ def test_plain_trials_never_build_a_generator(monkeypatch):
     cfg = ExperimentConfig.from_json(spec_with(
         n=32, trials=7, clean_source={"type": "iid_bernoulli", "p": 0.3}))
     assert len(run_trials(cfg)["trial"]) == 7
+
+
+def test_plain_run_builds_one_stream_per_block(monkeypatch):
+    # the trial, clean and channel stream ids are hashed, not built as streams
+    built = []
+    init = RngStream.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "__init__", counted)
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=2048, trials=10, clean_source={"type": "iid_bernoulli", "p": 0.3}))
+    assert len(blocks(cfg.trials, 8 * cfg.n)) == 3
+    assert len(run_trials(cfg)["trial"]) == 10
+    assert built == [(cfg.master_seed,)] * 3
+
+
+def fixed_losses_and_estimates(monkeypatch, cfg, values):
+    """Make each denoiser's block pass return its rows of ``values``, a dict
+    from denoiser to (losses, estimates) over the run's trials."""
+    def fake(ch, h, lm, d, xs, zs):
+        return np.array(values[d], dtype=np.float64)[:, :len(zs)]
+
+    monkeypatch.setattr(harness, "losses_and_estimates", fake)
+
+
+def test_plain_selection_rejects_a_nan_estimate(monkeypatch):
+    cfg = ExperimentConfig.from_json(spec_with(n=16, trials=4))
+    for nan_in in (cfg.d1, cfg.d2):
+        values = {d: ([0.1] * 4, [0.2] * 4) for d in (cfg.d1, cfg.d2)}
+        values[nan_in][1][2] = math.nan
+        fixed_losses_and_estimates(monkeypatch, cfg, values)
+        with pytest.raises(ValueError, match="NaN"):
+            run_trials(cfg)
+
+
+def test_plain_selection_matches_select_min_estimate(monkeypatch):
+    # equal estimates, signed zeros included, choose the first denoiser
+    e1 = [0.25, 0.25, -0.0, 0.0, 0.1, 0.3, -0.5, 1e-300]
+    e2 = [0.25, 0.3, 0.0, -0.0, 0.1 + 1e-15, 0.2, -0.5, 0.0]
+    l1, l2 = [0.125 * k for k in range(8)], [0.5 + 0.0625 * k for k in range(8)]
+    cfg = ExperimentConfig.from_json(spec_with(n=16, trials=8))
+    fixed_losses_and_estimates(monkeypatch, cfg, {cfg.d1: (l1, e1), cfg.d2: (l2, e2)})
+    table = run_trials(cfg)
+    chosen = [select_min_estimate(a, b).chosen_index for a, b in zip(e1, e2)]
+    assert chosen == [1, 1, 1, 1, 1, 2, 1, 2]
+    assert table["chosen"] == chosen
+    assert table["loss_combined"] == [(l1, l2)[c - 1][row] for row, c in enumerate(chosen)]
 
 
 def test_randomized_records_match_a_rebuilt_combiner_call():

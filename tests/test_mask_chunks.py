@@ -1,7 +1,9 @@
 """The smoothing kernels and the mask draw across chunk boundaries.
 
 Every smoothed quantity walks its bool mask set in chunks of at most
-``BLOCK_BYTES // n`` mask rows.  At the library's chunk size the
+``BLOCK_BYTES // n`` mask rows, and the mask draw makes its raw 64-bit
+words in chunks of at most ``BLOCK_BYTES // (8 * n)``.  At the library's
+chunk size the
 property cases of ``test_smoothing_kernel`` (n <= 300, m <= 64) fit in one
 chunk, so here the size is patched down to one entry, to one row, and to a
 size that leaves a short last chunk.  Chunking is only a speed-up if every
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +114,41 @@ def test_chunked_draw_equals_one_shot_draw(m, n, q, entries, monkeypatch):
     single = draw_smoothing_mask(SmoothingConfig(q=q), n, stream)
     assert single.dtype == np.bool_
     assert np.array_equal(single, stream.uniforms(n) < q)
+
+
+class RecordingBits:
+    """A bit generator's ``random_raw``, recording the size of each call."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.sizes = []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.bits.random_raw(size)
+
+
+@pytest.mark.parametrize("m, n", [(128, 4096), (16, 4096), (40, 1000), (5, 7),
+                                  (3, 8192), (2, 70000)])
+def test_mask_draw_chunks_fit_the_byte_budget(m, n, monkeypatch):
+    # each chunk's raw 64-bit words fill at most BLOCK_BYTES, or one row
+    stream = RngStream(7, m * n)
+    expected = stream.generator().random((m, n)) < 0.1
+    recorders = []
+    generator = RngStream.generator
+
+    def recording(self):
+        recorders.append(RecordingBits(generator(self).bit_generator))
+        return SimpleNamespace(bit_generator=recorders[-1])
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    masks = draw_smoothing_masks(SmoothingConfig(q=0.1, m=m), n, stream)
+    assert np.array_equal(masks, expected)
+    [recorder] = recorders
+    rows = [size[0] for size in recorder.sizes]
+    assert sum(rows) == m and all(size[1] == n for size in recorder.sizes)
+    assert all(8 * k * n <= denoisers.BLOCK_BYTES or k == 1 for k in rows)
+    assert max(rows) == max(1, min(m, denoisers.BLOCK_BYTES // (8 * n)))
 
 
 def test_chunks_cover_the_rows_in_order(monkeypatch):

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from duodenoise.rng import RngStream
+from duodenoise.rng import RngStream, uniform_rows
 
 
 def test_same_key_same_draws():
@@ -66,6 +66,21 @@ def test_uniforms_equal_a_fresh_philox(master_seed, stream_id, n):
     assert np.array_equal(stream.uniforms(n), stream.generator().random(n))
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 256, 1001])
+@pytest.mark.parametrize("master_seed", [0, -1, -(2**65), M64, 2**70 + 3])
+def test_uniform_rows_are_the_streams_draws(master_seed, n):
+    # one block draw resets the generator per row: no row sees its
+    # predecessor's buffered words
+    stream_ids = [0, 5, 2**63, M64, 5, 2**64 + 5, -3]
+    rows = uniform_rows(master_seed, stream_ids, n)
+    assert rows.shape == (len(stream_ids), n) and rows.dtype == np.float64
+    for row, stream_id in zip(rows, stream_ids):
+        stream = RngStream(master_seed, stream_id)
+        assert np.array_equal(row, stream.uniforms(n))
+        assert np.array_equal(row, fresh(stream).random(n))
+    assert uniform_rows(master_seed, [], n).shape == (0, n)
+
+
 def test_threads_interleaving_streams_draw_their_own_words():
     # randomized blocks run on a thread pool; four threads and a tiny switch
     # interval make threads swap between a stream's reset and its draw
@@ -80,6 +95,11 @@ def test_threads_interleaving_streams_draw_their_own_words():
             stream = RngStream(t, t * 10_000 + i)
             n = 1 + i % 9
             failures[t] += not np.array_equal(stream.uniforms(n), fresh(stream).random(n))
+            # and a block draw of three streams
+            ids = [stream.stream_id, stream.stream_id + 1, stream.stream_id + 2]
+            rows = uniform_rows(t, ids, n)
+            failures[t] += not all(np.array_equal(row, fresh(RngStream(t, k)).random(n))
+                                   for row, k in zip(rows, ids))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -129,7 +129,7 @@ LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
     (with_(combiner=RANDOMIZED, channel=DMC3,
            denoisers={"type": "pair", "first": {"type": "identity"},
                       "second": {"type": "constant"}}), "binary channel"),
-    (with_(n=21, combiner={**RANDOMIZED, "mode": "exact"}),
+    (with_(n=21, combiner={"type": "randomized", "nu": 0.75, "mode": "exact"}),
      "exact smoothing limited"),
     (with_(combiner={**RANDOMIZED, "m": 12.5}), r"combiner\.m: expected integer"),
     (with_(n=16.9), r"config\.n: expected integer"),
@@ -246,9 +246,12 @@ def test_mask_count_is_bounded_while_parsing():
             ExperimentConfig.from_json(with_(n=4096, combiner={**RANDOMIZED, "m": m}))
     assert ExperimentConfig.from_json(
         with_(n=4096, combiner={**RANDOMIZED, "m": 2441})).smoothing.m == 2441
-    # exact mode enumerates its own masks and ignores m
+    # exact mode enumerates its own masks and reads no m, so it takes none
+    for m in (10**9, 5):
+        with pytest.raises(ConfigError, match=r"^config\.combiner\.m: exact mode"):
+            ExperimentConfig.from_json(with_(combiner={**RANDOMIZED, "mode": "exact", "m": m}))
     assert ExperimentConfig.from_json(
-        with_(combiner={**RANDOMIZED, "mode": "exact", "m": 10**9})).randomized
+        with_(combiner={"type": "randomized", "nu": 0.75, "mode": "exact"})).randomized
 
 
 @pytest.mark.parametrize("loss", [None, {"type": "hamming"}])
@@ -340,6 +343,31 @@ def test_cli_rejects_malformed_input(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+COMBINE_EXACT = ["combine", "--channel", '{"type":"bsc","delta":0.2}', "--randomized",
+                 "--pair", '{"type":"bsc_counterexample_pair","delta":0.2}',
+                 "--sequence", "0,1,1,0,1", "--q", "0.3", "--mode", "exact"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["influence", "--n", "6", "--q", "0.1", "--mode", "exact", "--m", "7"], "smoothing flags.m"),
+    (["influence", "--n", "6", "--q", "0.1", "--mode", "exact", "--seed", "1"], "--seed"),
+    (COMBINE_EXACT + ["--m", "5"], "smoothing flags.m"),
+], ids=["influence_m", "influence_seed", "combine_m"])
+def test_cli_rejects_flags_exact_mode_never_reads(argv, flag, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: exact mode") and "Traceback" not in err
+
+
+def test_exact_combine_reads_its_seed(capsys):
+    # the estimates are exact; the emitted mask is drawn from the seed's stream
+    weights = set()
+    for seed in range(8):
+        assert main(COMBINE_EXACT + ["--seed", str(seed)]) == 0
+        weights.add(json.loads(capsys.readouterr().out)["mask_weight"])
+    assert len(weights) > 1
 
 
 def test_unrunnable_n_is_rejected_before_any_trial(tmp_path, capsys):
