@@ -69,7 +69,7 @@ class Channel:
             raise ValueError("input alphabet must have at least 2 symbols")
         if m < k:
             raise ValueError("output alphabet cannot be smaller than the input alphabet")
-        if pi.min() < 0.0 or pi.max() > 1.0:
+        if not (pi.min() >= 0.0 and pi.max() <= 1.0):     # NaN fails both
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_err = np.abs(pi.sum(axis=1) - 1.0).max()
         if row_err > ROW_SUM_TOL:
@@ -95,12 +95,18 @@ def h_defect(channel: Channel, h: np.ndarray) -> float:
     return float(np.abs(channel.pi @ h.T - np.eye(k)).max())
 
 
+def check_h_identity(channel: Channel, h: np.ndarray) -> None:
+    """Reject an h that fails pi @ h.T = I by more than ``H_IDENTITY_TOL``,
+    or by a NaN defect."""
+    defect = h_defect(channel, h)
+    if not defect <= H_IDENTITY_TOL:
+        raise ValueError(f"h fails pi @ h.T = I by {defect:g} (> {H_IDENTITY_TOL:g})")
+
+
 def _check_h(channel: Channel, h: np.ndarray) -> np.ndarray:
     """h as a read-only float64 K x M array, once it satisfies pi @ h.T = I."""
     h = np.array(h, dtype=np.float64)
-    defect = h_defect(channel, h)
-    if defect > H_IDENTITY_TOL:
-        raise ValueError(f"h fails pi @ h.T = I by {defect:g} (> {H_IDENTITY_TOL:g})")
+    check_h_identity(channel, h)
     h.flags.writeable = False
     return h
 

@@ -59,7 +59,7 @@ from duodenoise.losses import (
     smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
-from test_harness import records_csv_text
+from reference import parity_functional, records_csv_text
 
 HAMMING = hamming_loss(2)
 
@@ -292,10 +292,6 @@ def test_criterion_07_randomized_combiner_recovers_better_denoiser(
     assert value + 3 * se <= 0.01, f"regret {value:.4f} +- {se:.4f}"
     frac = np.mean([chosen == 2 for chosen in odd_rows(records, "chosen")])
     assert frac >= 0.95, f"chose the better denoiser on {frac:.1%} of odd trials"
-
-
-def parity_functional(rows):
-    return np.atleast_2d(np.asarray(rows)).sum(axis=1) % 2
 
 
 def test_criterion_08_smoothed_parity_influence():

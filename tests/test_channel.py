@@ -20,6 +20,7 @@ from duodenoise.channel import (
     sample_output,
 )
 from duodenoise.rng import RngStream
+from reference import reference_outputs
 
 
 class TestValidation:
@@ -28,8 +29,9 @@ class TestValidation:
             Channel([[0.7, 0.2], [0.5, 0.5]])
 
     def test_probabilities_must_be_in_unit_interval(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Channel([[1.2, -0.2], [0.5, 0.5]])
+        for pi in ([[1.2, -0.2], [0.5, 0.5]], [[np.nan, 1.0], [0.2, 0.8]]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                Channel(pi)
 
     def test_output_alphabet_cannot_shrink(self):
         with pytest.raises(ValueError, match="smaller"):
@@ -108,6 +110,11 @@ class TestDualMatrix:
         with pytest.raises(ValueError, match="read-only"):
             h += 1.0
 
+    def test_an_h_of_nan_defect_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.nan))
+        with pytest.raises(ValueError, match=r"^h fails pi @ h.T = I by nan \(> 1e-09\)$"):
+            compute_h(make_bsc(0.2))
+
     def test_canonical_h_requires_bec(self):
         with pytest.raises(ValueError, match="erasure"):
             canonical_erasure_h(make_bsc(0.2))
@@ -159,13 +166,6 @@ class TestSampling:
         assert (z1 != z2).any()
 
 
-def _former_outputs(channel, xs, u):
-    """The inverse-CDF sampler as one (..., M) comparison, clipped to M - 1."""
-    cum = np.cumsum(channel.pi, axis=1)
-    z = (u[..., None] >= cum[xs]).sum(axis=-1)
-    return np.minimum(z, channel.output_size - 1).astype(np.int64)
-
-
 # the third row's cumulative sum ends at 0.9999999999999999
 DMC3 = Channel([[0.7, 0.2, 0.1], [0.25, 0.5, 0.25], [0.3, 0.15, 1 - 0.3 - 0.15]])
 
@@ -186,7 +186,7 @@ def test_outputs_from_uniforms_match_the_former_sampler(channel):
     for x, uu in blocks:
         got = outputs_from_uniforms(channel, x, uu)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, _former_outputs(channel, x, uu))
+        np.testing.assert_array_equal(got, reference_outputs(channel, x, uu))
 
 
 def test_uniform_past_a_last_cumulative_below_one_gives_the_last_symbol():

@@ -2,8 +2,8 @@
 
 The load-bearing property here is that every denoiser's batch paths,
 ``denoise_batch`` and ``substituted_outputs_batch``, agree row by row with
-an independent one-sequence reference (:func:`reference_denoise`, and the
-brute-force table that re-denoises each modified sequence with it), since
+an independent one-sequence reference (``reference.reference_denoise``, and
+the brute-force table that re-denoises each modified sequence with it), since
 the loss estimator consumes only those tables.
 """
 
@@ -17,12 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duodenoise.channel import ERASURE
 from duodenoise.denoisers import (
     EXACT_MASK_LIMIT,
     BecParityDenoiser,
     ConstantDenoiser,
-    Denoiser,
     IdentityDenoiser,
     ParityCopyDenoiser,
     ParityMarkedZerosDenoiser,
@@ -40,53 +38,12 @@ from duodenoise.denoisers import (
     stratified_mask_weights,
 )
 from duodenoise.rng import RngStream
-
-
-def reference_denoise(d: Denoiser, z) -> np.ndarray:
-    """One-sequence reconstruction written independently of the batch
-    paths; the parity denoisers' bodies are their former scalar methods.
-    Identity and constant are windows of half-width 0, so their own
-    branches come first and do not read the window table."""
-    z = np.asarray(z, dtype=np.int64)
-    if isinstance(d, IdentityDenoiser):
-        return np.array([s if s < d.output_size else 0 for s in z.tolist()], dtype=np.int64)
-    if isinstance(d, ConstantDenoiser):
-        return np.full(len(z), d.symbol, dtype=np.int64)
-    if isinstance(d, SlidingWindowDenoiser):
-        padded = [0] * d.k + z.tolist() + [0] * d.k
-        out = []
-        for i in range(len(z)):
-            code = 0
-            for s in padded[i : i + 2 * d.k + 1]:
-                code = code * d.input_size + s
-            out.append(d.table[code])
-        return np.array(out, dtype=np.int64)
-    if isinstance(d, BecParityDenoiser):
-        fill = ((z == 0).sum() + d.complement) % 2
-        return np.where(z == ERASURE, fill, z)
-    if isinstance(d, ParityCopyDenoiser):
-        if z.sum() % 2:
-            return z.copy()
-        return np.zeros(len(z), dtype=np.int64)
-    if isinstance(d, ParityMarkedZerosDenoiser):
-        out = np.zeros(len(z), dtype=np.int64)
-        if z.sum() % 2:
-            zero_pos = np.flatnonzero(z == 0)
-            out[zero_pos[: math.floor(d.delta * len(zero_pos))]] = 1
-        return out
-    raise TypeError(f"no reference for {type(d).__name__}")
-
-
-def brute_force_table(d: Denoiser, z: np.ndarray) -> np.ndarray:
-    """Reference substituted-output table via full re-denoising."""
-    n = len(z)
-    tab = np.empty((n, d.input_size), dtype=np.int64)
-    for i in range(n):
-        for a in range(d.input_size):
-            w = np.array(z, dtype=np.int64)
-            w[i] = a
-            tab[i, a] = reference_denoise(d, w)[i]
-    return tab
+from reference import (
+    brute_force_table,
+    reference_batch,
+    reference_denoise,
+    reference_stratified_weights,
+)
 
 
 ZOO = [
@@ -119,8 +76,7 @@ def test_batch_paths_match_row_wise(d):
     zs = rng.integers(0, d.input_size, size=(7, 20))
     # int64 rows, and the uint8 and (binary) bool rows the smoothing kernels pass
     dtypes = [np.int64, np.uint8] + [np.bool_] * (d.input_size == 2)
-    denoised = np.stack([reference_denoise(d, r) for r in zs])
-    tables = np.stack([brute_force_table(d, r) for r in zs])
+    denoised, tables = reference_batch(d, zs)
     for dtype in dtypes:
         np.testing.assert_array_equal(d.denoise_batch(zs.astype(dtype)), denoised)
         np.testing.assert_array_equal(d.substituted_outputs_batch(zs.astype(dtype)), tables)
@@ -297,13 +253,9 @@ def test_narrow_batch_inputs_match_row_wise(d, dtype):
     rng = RngStream(5).generator()
     rows = rng.integers(0, d.input_size, size=(9, 33))
     zs = rows.astype(dtype)
-    np.testing.assert_array_equal(
-        d.denoise_batch(zs), np.stack([reference_denoise(d, r) for r in rows])
-    )
-    np.testing.assert_array_equal(
-        d.substituted_outputs_batch(zs),
-        np.stack([brute_force_table(d, r) for r in rows]),
-    )
+    denoised, tables = reference_batch(d, rows)
+    np.testing.assert_array_equal(d.denoise_batch(zs), denoised)
+    np.testing.assert_array_equal(d.substituted_outputs_batch(zs), tables)
 
 
 # Every window half-width up to 3 on rows of 1 to 8 symbols, so that some
@@ -325,10 +277,9 @@ def test_window_edges_match_reference(k, input_size, dtype):
         rows = gen.integers(0, input_size, size=(6, n))
         rows[0] = input_size - 1                # the largest code the row can reach
         zs = rows.astype(dtype)
-        np.testing.assert_array_equal(
-            d.denoise_batch(zs), np.stack([reference_denoise(d, r) for r in rows]))
-        np.testing.assert_array_equal(
-            d.substituted_outputs_batch(zs), np.stack([brute_force_table(d, r) for r in rows]))
+        denoised, tables = reference_batch(d, rows)
+        np.testing.assert_array_equal(d.denoise_batch(zs), denoised)
+        np.testing.assert_array_equal(d.substituted_outputs_batch(zs), tables)
 
 
 # Zero counts N0 where delta * N0 lands on an integer (0.2 * 5k) or just
@@ -389,16 +340,14 @@ def test_marked_zeros_edge_rows_match_reference(delta, dtype):
     for n in (12, 13):
         batch = np.stack([r for r in rows if len(r) == n])
         zs = batch.astype(dtype)
-        np.testing.assert_array_equal(
-            d.denoise_batch(zs), np.stack([reference_denoise(d, r) for r in batch]))
-        np.testing.assert_array_equal(
-            d.substituted_outputs_batch(zs), np.stack([brute_force_table(d, r) for r in batch]))
+        denoised, tables = reference_batch(d, batch)
+        np.testing.assert_array_equal(d.denoise_batch(zs), denoised)
+        np.testing.assert_array_equal(d.substituted_outputs_batch(zs), tables)
     # n = 1: a lone zero is even parity, a lone one odd with no zeros to mark
     single = np.array([[0], [1]])
     np.testing.assert_array_equal(d.denoise_batch(single.astype(dtype)), [[0], [0]])
-    np.testing.assert_array_equal(
-        d.substituted_outputs_batch(single.astype(dtype)),
-        np.stack([brute_force_table(d, r) for r in single]))
+    np.testing.assert_array_equal(d.substituted_outputs_batch(single.astype(dtype)),
+                                  reference_batch(d, single)[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,8 +375,7 @@ def test_parity_copy_batches_keep_the_input_dtype(n):
     rows[0] = 0                         # even parity
     rows[1, :] = 0
     rows[1, -1] = 1                     # odd parity
-    want = [np.stack([reference_denoise(d, r) for r in rows]),
-            np.stack([brute_force_table(d, r) for r in rows])]
+    want = reference_batch(d, rows)
     for dtype in (np.bool_, np.uint8, np.int64):
         zs = rows.astype(dtype)
         for got, expected in zip((d.denoise_batch(zs), d.substituted_outputs_batch(zs)), want):
@@ -441,25 +389,13 @@ def test_bec_parity_batches_match_the_sum_reference(complement):
     int64, int32 and uint8 rows, and the substituted table stays int64."""
     d = BecParityDenoiser(complement)
     rows = RngStream(22).generator().integers(0, 3, (9, 33))
-    want = [np.stack([reference_denoise(d, r) for r in rows]),
-            np.stack([brute_force_table(d, r) for r in rows])]
+    want = reference_batch(d, rows)
     for dtype in (np.int64, np.int32, np.uint8):
         zs = rows.astype(dtype)
         denoised, tab = d.denoise_batch(zs), d.substituted_outputs_batch(zs)
         assert tab.dtype == np.int64
         np.testing.assert_array_equal(denoised, want[0])
         np.testing.assert_array_equal(tab, want[1])
-
-
-def _sum_stratified_weights(masks: np.ndarray, q: float) -> np.ndarray:
-    """The reference: stratified_mask_weights with the parity as ``sum % 2``."""
-    m, n = masks.shape
-    parity = masks.sum(axis=1) % 2
-    n_odd = int(parity.sum())
-    if n_odd == 0 or n_odd == m:
-        return np.full(m, 1.0 / m)
-    p_odd = 0.5 * (1.0 - (1.0 - 2.0 * q) ** n)
-    return np.where(parity == 1, p_odd / n_odd, (1.0 - p_odd) / (m - n_odd))
 
 
 @pytest.mark.parametrize("q", [0.0, 0.01, 0.2, 0.45])
@@ -470,5 +406,5 @@ def test_stratified_weights_match_a_sum_reference_bitwise(q, m, n):
     cases[2][:, 0] = True               # all odd
     for mask_rows in cases:
         got = stratified_mask_weights(mask_rows, q)
-        want = _sum_stratified_weights(mask_rows, q)
+        want = reference_stratified_weights(mask_rows, q)
         assert got.tobytes() == want.tobytes()

@@ -7,6 +7,9 @@ benchmark tracer's ``FUNCTIONS`` names it.  The tests do not count: a name
 that only tests reach belongs in the tests.  A private top-level name
 (``_name``, not a dunder) counts as used only when a library module reads
 it: an intermediate that only tests or the benchmark call is dead code.
+
+``tests/reference.py`` imports from ``duodenoise`` only the names of
+``REFERENCE_IMPORTS``, and no test module imports another.
 """
 
 from __future__ import annotations
@@ -16,6 +19,12 @@ import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the data types and constants that tests/reference.py may import from duodenoise
+REFERENCE_IMPORTS = {
+    "BLOCK_BYTES", "BecParityDenoiser", "Channel", "ConstantDenoiser", "ERASURE",
+    "ExperimentConfig", "IdentityDenoiser", "ParityCopyDenoiser", "ParityMarkedZerosDenoiser",
+    "RngStream", "SlidingWindowDenoiser", "SmoothingConfig"}
 
 
 def _top_level_names(tree: ast.Module) -> list[str]:
@@ -71,3 +80,22 @@ def test_every_private_name_has_a_library_caller():
               for name in _top_level_names(tree)
               if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unused == []
+
+
+def _imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of each ``from module import name``, (module, "") of each ``import``."""
+    return [(alias.name, "") if isinstance(node, ast.Import) else (node.module or "", alias.name)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+
+
+def test_references_import_only_data_types_and_constants():
+    imported = [(module, name) for module, name in _imports(ROOT / "tests" / "reference.py")
+                if module.partition(".")[0] == "duodenoise"]
+    assert imported and [pair for pair in imported if pair[1] not in REFERENCE_IMPORTS] == []
+
+
+def test_no_test_module_imports_another():
+    # test_golden's child script imports its cases from a string, not parsed here
+    assert [(path.name, module) for path in (ROOT / "tests").glob("test_*.py")
+            for module, _ in _imports(path) if module.startswith("test_")] == []

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from duodenoise.harness import ExperimentConfig, run_trials
-from test_harness import records_csv_text
+from reference import records_csv_text
 
 ROOT = Path(__file__).resolve().parents[1]
 

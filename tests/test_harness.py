@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import itertools
 import json
 import math
@@ -25,14 +24,11 @@ from duodenoise.channel import (
     Channel,
     canonical_erasure_h,
     compute_h,
-    is_bec,
     make_bec,
     make_bsc,
-    outputs_from_uniforms,
 )
 from duodenoise.combine import randomized_combined_denoise, select_min_estimate
 from duodenoise.denoisers import (
-    ENUMERATION_LIMIT,
     BecParityDenoiser,
     ConstantDenoiser,
     IdentityDenoiser,
@@ -41,11 +37,9 @@ from duodenoise.denoisers import (
     SlidingWindowDenoiser,
     SmoothingConfig,
     blocks,
-    functional_values,
     make_bsc_counterexample_pair,
     make_sliding_window,
     mask_set,
-    masked_values,
 )
 from duodenoise.harness import (
     ConfigError,
@@ -55,7 +49,6 @@ from duodenoise.harness import (
     enumerate_expectation,
     estimate_functional,
     pointwise_influence,
-    records_to_csv,
     run_experiment,
     run_trials,
     true_loss_functional,
@@ -65,10 +58,20 @@ from duodenoise.losses import (
     estimate_smoothed_loss,
     hamming_loss,
     loss_matrix,
-    per_symbol_estimates,
     smoothed_conditional_loss,
 )
 from duodenoise.rng import RngStream
+from reference import (
+    parity_functional,
+    records_csv_text,
+    reference_denoise,
+    reference_estimate_losses,
+    reference_expectation,
+    reference_plain_trial,
+    reference_pointwise_influence,
+    reference_rows,
+    sine_functional,
+)
 
 PLAIN_SPEC = {
     "channel": {"type": "bsc", "delta": 0.2},
@@ -84,13 +87,6 @@ PLAIN_SPEC = {
 
 def spec_with(**overrides) -> dict:
     return {**PLAIN_SPEC, **overrides}
-
-
-def records_csv_text(table: dict[str, list]) -> str:
-    """The trial CSV that :func:`records_to_csv` writes, as text."""
-    buf = io.StringIO()
-    records_to_csv(table, buf)
-    return buf.getvalue()
 
 
 def table_rows(table: dict[str, list]) -> list[dict]:
@@ -294,8 +290,8 @@ class TestTrials:
             trials=5, output={"path": str(path), "format": "csv"}
         ))
         summary = run_experiment(cfg)
-        assert path.exists() and summary["trials"] == 5
-        assert summary["version"].startswith("duodenoise ")
+        assert path.read_bytes() == records_csv_text(run_trials(cfg)).encode()
+        assert summary["trials"] == 5 and summary["version"].startswith("duodenoise ")
         assert "0.05" in summary["deviation_probability"]
 
     @pytest.mark.parametrize("combiner", [
@@ -326,52 +322,6 @@ class TestTrials:
             n=32, trials=6, combiner=combiner, clean_source=source))))
             for source in ({"type": "all_zeros"}, {"type": "file", "path": str(path)})]
         assert texts[0] == texts[1]
-
-
-def scalar_estimate(ch, h, lm, d, z) -> float:
-    """The one-sequence estimate by its per-symbol form, independent of the
-    batch path that estimate_loss runs."""
-    return math.fsum(per_symbol_estimates(ch, h, lm, d, z)) / len(z)
-
-
-def reference_rows(cfg: ExperimentConfig, trial: RngStream):
-    """The trial's clean and noisy rows, each drawn from a fresh generator of
-    its stream, not through ``rng.uniform_rows``, which the blocked path
-    uses."""
-    kind = cfg.clean_source["type"]
-    if kind == "all_zeros":
-        x = np.zeros(cfg.n, dtype=np.int64)
-    elif kind == "iid_bernoulli":
-        u = trial.derive("clean").generator().random(cfg.n)
-        x = (u < cfg.clean_source["p"]).astype(np.int64)
-    else:
-        x = cfg.clean_file
-    return x, outputs_from_uniforms(cfg.channel, x, trial.derive("channel").generator().random(cfg.n))
-
-
-def reference_plain_trial(cfg: ExperimentConfig, t: int) -> dict:
-    """The per-trial plain path the blocked one replaced: one-sequence
-    sampling, denoising and estimation, and a fresh loss of the winner.
-    Its losses and estimates are ``math.fsum`` means of per-position terms,
-    so it shares no summation code with the blocked path."""
-    trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
-    x, z = reference_rows(cfg, trial)
-    o1, o2 = cfg.d1.denoise(z), cfg.d2.denoise(z)
-    loss = lambda out: math.fsum(cfg.lm[x, out].tolist()) / cfg.n
-    est1 = scalar_estimate(cfg.channel, cfg.h, cfg.lm, cfg.d1, z)
-    est2 = scalar_estimate(cfg.channel, cfg.h, cfg.lm, cfg.d2, z)
-    sel = select_min_estimate(est1, est2)
-    if cfg.channel.output_size == 2:
-        parity = int(z.sum() % 2)
-    elif is_bec(cfg.channel):
-        parity = int((z == 0).sum() % 2)
-    else:
-        parity = -1
-    return dict(
-        trial=t, seed=trial.stream_id, parity=parity,
-        loss_d1=loss(o1), loss_d2=loss(o2), est_d1=est1, est_d2=est2,
-        chosen=sel.chosen_index, loss_combined=loss(o1 if sel.chosen_index == 1 else o2),
-    )
 
 
 @st.composite
@@ -883,52 +833,6 @@ class TestEnumeration:
             assert abs(e_est - e_loss) <= 1e-10
 
 
-def reference_expectation(ch, x, functional):
-    """The scalar oracle the batched one replaced: one functional call on
-    each int64 sequence of every state of M^n with positive weight."""
-    xs = np.asarray(x, dtype=np.int64)
-    n, m = len(xs), ch.output_size
-    rows = ch.pi[xs]
-    total = []
-    z = np.zeros(n, dtype=np.int64)
-    while True:
-        weight = float(rows[np.arange(n), z].prod())
-        if weight > 0.0:
-            total.append(weight * float(functional(z)))
-        for pos in range(n - 1, -1, -1):
-            z[pos] += 1
-            if z[pos] < m:
-                break
-            z[pos] = 0
-        else:
-            return math.fsum(total)
-
-
-def reference_enumerate(ch, x, functional):
-    """The decoder the trailing-digit table replaced: each chunk decodes
-    every state index digit by digit, the last position fastest, and
-    gathers its factors from pi; the chunks, the underflow filter and the
-    one fsum are enumerate_expectation's."""
-    xs = np.asarray(x, dtype=np.int64)
-    rows = ch.pi[xs]
-    support = [np.flatnonzero(row) for row in rows]
-
-    def chunk(part):
-        index = np.arange(part.start, part.stop)
-        z = np.empty((len(index), len(xs)), dtype=np.int64)
-        for pos in range(len(xs) - 1, -1, -1):
-            index, digit = np.divmod(index, len(support[pos]))
-            z[:, pos] = support[pos][digit]
-        weights = rows[np.arange(len(xs)), z].prod(axis=1)
-        z, weights = z[weights > 0.0], weights[weights > 0.0]
-        if not len(z):
-            return []
-        return (weights * functional_values(functional(z), len(z))).tolist()
-
-    states = math.prod(len(s) for s in support)
-    return math.fsum(itertools.chain.from_iterable(map(chunk, blocks(states, 8 * len(xs)))))
-
-
 # A BSC, a BEC, and a DMC with a noiseless row, zero entries and an entry
 # whose square underflows to 0.0
 DECODER_CHANNELS = {
@@ -961,7 +865,7 @@ def test_table_decoder_equals_divmod_decoder(monkeypatch, kind, per_chunk):
             return functional
 
         got = enumerate_expectation(ch, x, recording(calls["table"]))
-        want = reference_enumerate(ch, x, recording(calls["divmod"]))
+        want = reference_expectation(ch, x, recording(calls["divmod"]), denoisers.BLOCK_BYTES)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert len(calls["table"]) == len(calls["divmod"])
         for a, b in zip(calls["table"], calls["divmod"]):
@@ -1017,8 +921,10 @@ def test_batched_oracle_equals_scalar_oracle(case):
     value, and a total equal to the scalar oracle's."""
     ch, h, lm, d, x = case
     for scalar, batch in (
-        (lambda z: scalar_estimate(ch, h, lm, d, z), estimate_functional(ch, h, lm, d)),
-        (lambda z: cumulative_loss(lm, x, d.denoise(z)), true_loss_functional(lm, d, x)),
+        (lambda z: reference_estimate_losses(ch, h, lm, d, z[None])[0],
+         estimate_functional(ch, h, lm, d)),
+        (lambda z: math.fsum(lm[x, reference_denoise(d, z)].tolist()) / len(z),
+         true_loss_functional(lm, d, x)),
     ):
         values = {}
 
@@ -1040,49 +946,7 @@ def test_batched_oracle_equals_scalar_oracle(case):
         assert seen == list(values)
 
 
-def parity_functional(rows):
-    return np.atleast_2d(np.asarray(rows)).sum(axis=1) % 2
-
-
-def sine_functional(rows):
-    """A functional that is not a function of parity alone."""
-    return np.sin(rows @ np.linspace(0.3, 1.7, rows.shape[1])) + parity_functional(rows)
-
-
-def reference_pointwise_influence(f, cfg, z, rng=None):
-    """The former two-branch body of ``pointwise_influence``: exact mode
-    evaluates z and its n flips against all 2^n masks in calls of at most
-    10^7 entries; Monte Carlo mode evaluates 64 flips against every mask
-    per call."""
-    zs = np.asarray(z, dtype=np.int64)
-    n = len(zs)
-    masks, weights = mask_set(cfg, n, rng)
-    if cfg.mode == "exact":
-        rows = np.tile(zs, (n + 1, 1))
-        rows[np.arange(1, n + 1), np.arange(n)] ^= 1
-        per_call = max(1, ENUMERATION_LIMIT // masks.size)
-        chunks = (rows[start:start + per_call] for start in range(0, n + 1, per_call))
-        fbar = np.concatenate([
-            np.asarray(f((chunk[:, None, :] ^ masks).reshape(-1, n)),
-                       dtype=np.float64).reshape(len(chunk), -1) @ weights
-            for chunk in chunks])
-        return float(np.abs(fbar[0] - fbar[1:]).sum()), 0.0
-
-    m = masks.shape[0]
-    base = np.asarray(f(zs[None, :] ^ masks), dtype=np.float64)
-    value_terms, se_terms = [], []
-    for start in range(0, n, 64):
-        js = np.arange(start, min(start + 64, n))
-        flipped = np.repeat((zs[None, :] ^ masks)[None, :, :], len(js), axis=0)
-        flipped[np.arange(len(js)), :, js] ^= 1
-        vals = np.asarray(f(flipped.reshape(-1, n)), dtype=np.float64)
-        diffs = base[None, :] - vals.reshape(len(js), m)
-        value_terms.append(np.abs(diffs.mean(axis=1)).sum())
-        se_terms.append((diffs.std(axis=1, ddof=1) / math.sqrt(m)).sum())
-    return float(math.fsum(value_terms)), float(math.fsum(se_terms))
-
-
-# (config, n) of the influence calls checked against the former body
+# (config, n) of the influence calls checked against the reference
 INFLUENCE_CASES = (
     (SmoothingConfig(q=0.2, mode="exact"), 1),
     (SmoothingConfig(q=0.1, mode="exact"), 5),
@@ -1137,26 +1001,19 @@ class TestInfluence:
                             ParityMarkedZerosDenoiser(0.2)),
     ], ids=["parity", "sine", "majority_estimate", "marked_zeros_estimate"])
     def test_pointwise_exact_equals_a_walk_per_flip(self, f):
-        """The one walk of exact mode gives the bits of walking the masks
-        again for each flipped sequence."""
+        """The one walk of exact mode gives the bits of the reference's walk
+        of the masks for each flipped sequence."""
         for n, q in itertools.product((1, 5, 12), (0.0, 0.1, 0.25)):
             cfg = SmoothingConfig(q=q, mode="exact")
             z = (RngStream(n).generator().random(n) < 0.5).astype(np.int64)
-            masks, weights = mask_set(cfg, n, None)
-            base = masked_values(f, masks, z)
-            flipped = np.tile(z, (n, 1))
-            flipped[np.arange(n), np.arange(n)] ^= 1
-            want = math.fsum(abs((base - masked_values(f, masks, row)) @ weights)
-                             for row in flipped)
-            assert pointwise_influence(f, cfg, z) == (want, 0.0)
+            assert pointwise_influence(f, cfg, z) == reference_pointwise_influence(f, cfg, z)
 
     @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
     def test_pointwise_exact_chunks_keep_values(self, chunk, monkeypatch):
-        """Value and SE within 1e-12 relative of the former body, in both
-        modes, at mask chunks that leave several calls per sequence.  The
-        former exact body subtracts two smoothed values of size up to 2, so
-        each of its n terms may be a few ulps of 2 off: where the terms
-        nearly cancel (parity at q = 0.3), n * 1e-14 absolute is allowed."""
+        """Value and SE within 1e-12 relative of the reference's walk per
+        flip, in both modes, at mask chunks that leave several calls per
+        sequence; where the terms nearly cancel (parity at q = 0.3), n *
+        1e-14 absolute."""
         for (cfg, n), f in itertools.product(INFLUENCE_CASES,
                                              (parity_functional, sine_functional)):
             z = (RngStream(n).generator().random(n) < 0.5).astype(np.int64)

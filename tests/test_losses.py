@@ -53,6 +53,7 @@ from duodenoise.losses import (
     true_losses,
 )
 from duodenoise.rng import RngStream
+from reference import estimates_kernel, fsum_means, gathered_means, reference_estimate_losses
 
 HAMMING = hamming_loss(2)
 
@@ -179,16 +180,6 @@ class TestEstimator:
         assert math.fsum(vals) / 64 == estimate_loss(ch, h, HAMMING, d, z)
 
 
-def reference_per_symbol_estimates(ch, h, lm, d, zs) -> np.ndarray:
-    """The former estimator body: the (K, B, n, M) loss table of every
-    position goes through the kernel, with no context table."""
-    return _estimates_from_table(ch, h, zs, lm[:, d.substituted_outputs_batch(zs)])
-
-
-def reference_estimate_losses(ch, h, lm, d, zs) -> np.ndarray:
-    return _row_means(reference_per_symbol_estimates(ch, h, lm, d, zs))
-
-
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -220,9 +211,8 @@ ESTIMATOR_CASES = [
 
 
 def _assert_estimates_match_reference(ch, h, lm, d, zs):
-    want = reference_per_symbol_estimates(ch, h, lm, d, zs)
-    assert np.array_equal(_bits(estimate_losses(ch, h, lm, d, zs)),
-                          _bits(_row_means(want.copy())))
+    want = estimates_kernel(ch, h, lm[:, d.substituted_outputs_batch(zs)], zs)
+    assert np.array_equal(_bits(estimate_losses(ch, h, lm, d, zs)), _bits(fsum_means(want)))
     for row, z in enumerate(zs[:3]):
         assert np.array_equal(_bits(per_symbol_estimates(ch, h, lm, d, z)), _bits(want[row]))
         assert _bits(estimate_loss(ch, h, lm, d, z)) == _bits(reference_estimate_losses(
@@ -351,11 +341,6 @@ class TestContextTableCache:
         assert _context_table.cache_info().misses == 3
 
 
-def _fsum_means(terms: np.ndarray) -> np.ndarray:
-    """The reference: each row's math.fsum over its n terms, divided by n."""
-    return np.array([math.fsum(row) / terms.shape[1] for row in terms.tolist()])
-
-
 @st.composite
 def _term_blocks(draw):
     """(B, n) float64 blocks whose rows take one extraction level (small
@@ -394,7 +379,7 @@ class TestExactRowSums:
     @given(_term_blocks())
     def test_equals_fsum_bytewise(self, terms):
         try:
-            want = _fsum_means(terms)
+            want = fsum_means(terms)
         except OverflowError:
             with pytest.raises(OverflowError):
                 _row_means(terms.copy())
@@ -406,7 +391,7 @@ class TestExactRowSums:
     def test_any_floats_give_fsums_result_or_exception(self, row, copies):
         terms = np.array([row] * copies)
         try:
-            want = _fsum_means(terms)
+            want = fsum_means(terms)
         except (OverflowError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 _row_means(terms.copy())
@@ -425,8 +410,7 @@ class TestExactRowSums:
         ch = make_bsc(0.2)
         h = compute_h(ch)
         zs = RngStream(14).generator().integers(0, 2, shape)
-        pairs = [(d, _fsum_means(np.array([per_symbol_estimates(ch, h, HAMMING, d, z)
-                                           for z in zs])))
+        pairs = [(d, reference_estimate_losses(ch, h, HAMMING, d, zs))
                  for d in (*make_bsc_counterexample_pair(0.2), make_sliding_window(1, "majority"))]
 
         def no_fsum(values):
@@ -466,23 +450,17 @@ def _table_cases(draw):
     return tables, gen.integers(0, prefixes, (rows, n))
 
 
-def _gathered_means(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The reference: each table gathered at the codes, then _row_means."""
-    return np.array([_row_means(table[codes]) for table in tables])
-
-
 class TestCountedTableMeans:
     """losses._table_means counts each row's codes and sums the table's
-    levels from the counts; it equals gathering, then _row_means, bit for
-    bit, with math.fsum's results and exceptions on the rows it falls back
-    on."""
+    levels from the counts; it equals gathering, then each row's math.fsum
+    over n, bit for bit, exceptions included."""
 
     @settings(max_examples=300, deadline=None)
     @given(_table_cases())
     def test_equals_gathered_row_means_bytewise(self, case):
         tables, codes = case
         try:
-            want = _gathered_means(tables, codes)
+            want = gathered_means(tables, codes)
         except (OverflowError, ValueError) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 _table_means(tables, codes.copy())
@@ -501,7 +479,7 @@ class TestCountedTableMeans:
         gen = RngStream(41).generator()
         tables = np.array([[1.0, 2.0**-60, 3.0 * 2.0**-120, -0.75]])
         codes = gen.integers(0, 4, (5, 4096))
-        want = _gathered_means(tables, codes)
+        want = gathered_means(tables, codes)
         calls = []
         real = math.fsum
         monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or real(values))
@@ -512,7 +490,7 @@ class TestCountedTableMeans:
         monkeypatch.setattr(np, "bincount", None)
         tables = np.arange(9.0)[None]
         codes = np.array([[8, 0, 3], [1, 2, 7]])
-        assert _table_means(tables, codes).tobytes() == _gathered_means(tables, codes).tobytes()
+        assert _table_means(tables, codes).tobytes() == gathered_means(tables, codes).tobytes()
 
 
 class TestErasureShortcut:

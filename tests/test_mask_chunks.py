@@ -45,10 +45,7 @@ from duodenoise.losses import (
     smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
-from test_smoothing_kernel import (
-    reference_conditional_loss,
-    reference_per_symbol,
-)
+from reference import reference_conditional_loss, reference_per_symbol
 
 DENOISERS = {
     "window": SlidingWindowDenoiser(1, np.array([0, 1, 1, 0, 1, 0, 0, 1])),

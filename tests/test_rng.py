@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from duodenoise.rng import RngStream, uniform_rows
+from reference import M64, fresh
 
 
 def test_same_key_same_draws():
@@ -43,16 +44,6 @@ def test_uniforms_in_unit_interval():
     u = RngStream(0).uniforms(10_000)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.02
-
-
-M64 = (1 << 64) - 1
-
-
-def fresh(stream: RngStream) -> np.random.Generator:
-    """A generator built from the stream's Philox key, independent of
-    ``RngStream``."""
-    key = ((stream.master_seed & M64) << 64) | (stream.stream_id & M64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 256, 1001])

@@ -1,11 +1,10 @@
 """The smoothing kernels against their int64 reference, bit for bit.
 
-The reference below is the former kernel: every call draws its own int64
-masks from the stream, builds the int64 flipped table with
-``take_along_axis`` and averages it in float64.  The library now shares one
-bool mask set between calls and selects in one-byte tables; that is only a
-speed-up if every estimate keeps every bit, so these tests use
-``np.array_equal`` and ``==``, never a tolerance.
+The reference is the former kernel: each call draws its own int64 masks,
+builds the int64 flipped table with ``take_along_axis`` and averages it in
+float64.  The library shares one bool mask set between calls and selects in
+one-byte tables; that is only a speed-up if every estimate keeps every bit,
+so these tests use ``np.array_equal`` and ``==``, never a tolerance.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from duodenoise.denoisers import (
     ParityMarkedZerosDenoiser,
     SlidingWindowDenoiser,
     SmoothingConfig,
-    exact_mask_weights,
     make_sliding_window,
     mask_set,
-    stratified_mask_weights,
 )
 from duodenoise.losses import (
     estimate_smoothed_loss,
@@ -38,41 +35,7 @@ from duodenoise.losses import (
     smoothed_per_symbol_estimates,
 )
 from duodenoise.rng import RngStream
-
-
-def reference_mask_set(cfg, n, rng):
-    """int64 masks and their weights, drawn afresh on every call."""
-    q = cfg.resolve_q(n)
-    if cfg.mode == "exact":
-        masks = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-        return masks, exact_mask_weights(masks, q)
-    masks = (rng.generator().random((cfg.m, n)) < q).astype(np.int64)
-    return masks, stratified_mask_weights(masks, q)
-
-
-def reference_per_symbol(ch, h, lm, d, cfg, z, rng):
-    zs = np.asarray(z, dtype=np.int64)
-    masks, weights = reference_mask_set(cfg, len(zs), rng)
-    tabs = d.substituted_outputs_batch(zs[None, :] ^ masks)
-    sub_flip = masks[:, :, None] ^ np.arange(2)[None, None, :]
-    mean_out = np.einsum(
-        "b,bia->ia", weights, np.take_along_axis(tabs, sub_flip, axis=2).astype(float)
-    )
-    exp_loss = (
-        lm[:, 0][:, None, None] * (1.0 - mean_out)[None, :, :]
-        + lm[:, 1][:, None, None] * mean_out[None, :, :]
-    )
-    inner = np.einsum("xia,xa->xi", exp_loss, ch.pi)
-    return (h[:, zs] * inner).sum(axis=0)
-
-
-def reference_conditional_loss(lm, d, cfg, x, z, rng):
-    xs, zs = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
-    n = len(zs)
-    masks, weights = reference_mask_set(cfg, n, rng)
-    outs = d.denoise_batch(zs[None, :] ^ masks)
-    per_mask = lm[xs[None, :], outs].sum(axis=1) / n
-    return float(weights @ per_mask)
+from reference import reference_conditional_loss, reference_per_symbol
 
 
 @st.composite
