@@ -22,6 +22,7 @@ from .combine import combined_denoise, randomized_combined_denoise
 from .denoisers import ENUMERATION_LIMIT
 from .harness import (
     ExperimentConfig,
+    check_binary_channel,
     denoiser_from_spec,
     denoiser_pair_from_spec,
     pointwise_influence,
@@ -50,9 +51,10 @@ def _combiner_spec(args) -> dict:
 
 def cmd_verify(args) -> int:
     # the battery enumerates all 2^n channel outputs; the cap keeps 2^n cheap
-    if args.n < 1 or 2 ** min(args.n, 64) > ENUMERATION_LIMIT:
-        raise ValueError(f"--n: verify enumerates 2^n outputs, so n must lie in "
-                         f"[1, {ENUMERATION_LIMIT.bit_length() - 1}], got {args.n}")
+    if args.n < 2 or 2 ** min(args.n, 64) > ENUMERATION_LIMIT:
+        raise ValueError(f"--n: verify needs n in [2, {ENUMERATION_LIMIT.bit_length() - 1}]: "
+                         f"its parity counterexample holds from n = 2, and it enumerates "
+                         f"2^n outputs; got {args.n}")
     results = default_battery(args.n)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -79,6 +81,8 @@ def cmd_combine(args) -> int:
     if flags and not args.randomized:
         raise ValueError(f"{' '.join(flags)} apply only with --randomized")
     channel = channel_from_json(args.channel, "--channel")
+    if args.randomized:
+        check_binary_channel(channel, "--channel")
     _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
     d1, d2 = denoiser_pair_from_spec(args.pair, channel, "--pair")
     lm = hamming_loss(channel.input_size)
@@ -116,6 +120,8 @@ def cmd_influence(args) -> int:
     cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
     if cfg.mode == "exact" and args.seed is not None:
         raise ValueError("--seed: exact mode enumerates every mask and draws none")
+    if cfg.mode != "exact" and cfg.m < 2:
+        raise ValueError(f"--m: the influence's standard error needs m >= 2 masks, got {cfg.m}")
     if args.sequence is not None:
         z = _parse_sequence(args.sequence)
     else:

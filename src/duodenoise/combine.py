@@ -7,7 +7,6 @@ The randomized combiner first estimates the expected losses of the smoothed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +28,16 @@ class Selection:
     tie: bool
 
 
-def select_min_estimate(e1: float, e2: float) -> Selection:
-    """Pick the index with the smaller estimate; ties resolve to 1."""
-    if math.isnan(e1) or math.isnan(e2):
+def choose(e1, e2) -> np.ndarray:
+    """Elementwise 1 where e1 <= e2, so ties go to 1, else 2; NaN is rejected."""
+    if np.isnan(e1).any() or np.isnan(e2).any():
         raise ValueError("loss estimates must not be NaN")
-    chosen = 1 if e1 <= e2 else 2
-    return Selection(chosen, (float(e1), float(e2)), tie=abs(e1 - e2) <= TIE_TOL)
+    return np.where(e1 <= e2, 1, 2)
+
+
+def select_min_estimate(e1: float, e2: float) -> Selection:
+    """The :func:`choose` of two scalar estimates, with a near-tie flag."""
+    return Selection(int(choose(e1, e2)), (float(e1), float(e2)), tie=abs(e1 - e2) <= TIE_TOL)
 
 
 def combined_denoise(d1: Denoiser, d2: Denoiser, ch: Channel, h: np.ndarray,

@@ -34,7 +34,7 @@ from .channel import (
     outputs_from_uniforms,
     parse_symbols,
 )
-from .combine import randomized_combined_denoise
+from .combine import choose, randomized_combined_denoise
 from .denoisers import (
     ENUMERATION_LIMIT,
     ConstantDenoiser,
@@ -105,6 +105,12 @@ def denoiser_pair_from_spec(spec, channel: Channel,
         return build(path, make_bsc_counterexample_pair, v["delta"])
     return (denoiser_from_spec(v["first"], channel, f"{path}.first"),
             denoiser_from_spec(v["second"], channel, f"{path}.second"))
+
+
+def check_binary_channel(channel: Channel, path: str) -> None:
+    """Reject a channel that is not binary, which randomized combining needs."""
+    if channel.pi.shape != (2, 2):
+        raise ConfigError(f"{path}: randomized combining needs a binary channel")
 
 
 def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
@@ -219,9 +225,8 @@ class ExperimentConfig:
             v["clean_source"], channel, n, "config.clean_source")
         d1, d2 = denoiser_pair_from_spec(v["denoisers"], channel, "config.denoisers")
         smoothing = smoothing_from_spec(v["combiner"], "config.combiner")
-        if smoothing is not None and channel.pi.shape != (2, 2):
-            raise ConfigError("config.combiner: randomized combining needs a binary channel")
         if smoothing is not None:
+            check_binary_channel(channel, "config.combiner")
             build("config.combiner", smoothing.check_length, n)
         h_choice, h = h_from_choice(channel, v["h"], "config.h")
         lm = loss_from_json(v["loss"], channel.input_size, "config.loss")
@@ -260,9 +265,8 @@ def _block(cfg: ExperimentConfig, ids: range) -> dict[str, list]:
     :func:`rng.uniform_rows` draws each set as one (B, n) block, over which
     each denoiser makes one ``substituted_outputs_batch`` pass, from which
     :func:`losses.losses_and_estimates` counts its loss and its estimate.
-    The plain combiner picks per row as :func:`combine.select_min_estimate`
-    does; a randomized run takes the rest of each row from
-    :func:`_run_trial`.
+    The plain combiner picks per row by :func:`combine.choose`; a randomized
+    run takes the rest of each row from :func:`_run_trial`.
     """
     root = RngStream(cfg.master_seed)
     seeds = [_child_id(root.stream_id, f"trial/{t}") for t in ids]
@@ -288,11 +292,9 @@ def _block(cfg: ExperimentConfig, ids: range) -> dict[str, list]:
         table.update(zip(("chosen", "loss_combined", "sm_loss_d1", "sm_loss_d2", "sm_est_d1",
                           "sm_est_d2", "mask_weight"), map(list, rows)))
         return table
-    if np.isnan(e1).any() or np.isnan(e2).any():
-        raise ValueError("loss estimates must not be NaN")
-    first = e1 <= e2                # ties resolve to 1
-    table["chosen"] = np.where(first, 1, 2).tolist()
-    table["loss_combined"] = np.where(first, l1, l2).tolist()
+    chosen = choose(e1, e2)
+    table["chosen"] = chosen.tolist()
+    table["loss_combined"] = np.where(chosen == 1, l1, l2).tolist()
     return table
 
 
@@ -573,9 +575,13 @@ def pointwise_influence(f, cfg: SmoothingConfig, z,
     weighs them by plain 1/m, not by the stratified weights of ``mask_set``,
     and reports, as the error scale, the sum of the per-coordinate standard
     errors of the signed differences -- a conservative bound, since taking
-    absolute values folds that noise into the estimate itself.
+    absolute values folds that noise into the estimate itself.  Those errors
+    need m >= 2, so a smaller m is rejected before any mask is drawn.
     """
     zs = check_sequence(z, 2, "sequence")
+    if cfg.mode != "exact" and cfg.m < 2:
+        raise ValueError(f"a Monte Carlo influence's standard error needs m >= 2 masks, "
+                         f"got {cfg.m}")
     n = len(zs)
     masks, weights = mask_set(cfg, n, rng)
     base = masked_values(f, masks, zs)

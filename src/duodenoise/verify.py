@@ -24,6 +24,7 @@ from .channel import (
     make_bec,
     make_bsc,
 )
+from .combine import choose
 from .denoisers import Denoiser, IdentityDenoiser, make_bec_parity_pair, make_sliding_window
 from .harness import (
     enumerate_expectation,
@@ -74,7 +75,11 @@ def check_parity_counterexample(n: int = 10) -> CheckResult:
     """On a half-erasure channel the parity pair's estimates cross over:
     each denoiser's exact expected loss is 1/4, while following the smaller
     estimate yields 1/2 - 2^-n (the fully erased sequence ties and happens to
-    fill correctly; every other outcome fills every erasure wrongly)."""
+    fill correctly; every other outcome fills every erasure wrongly).  At
+    n = 1 the one erased word has an even zero count, so d1 never errs and
+    the claim needs n >= 2."""
+    if n < 2:
+        raise ValueError(f"the parity counterexample needs n >= 2, got {n}")
     channel = make_bec(0.5)
     h = canonical_erasure_h(channel)
     lm = hamming_loss(2)
@@ -84,8 +89,7 @@ def check_parity_counterexample(n: int = 10) -> CheckResult:
     loss1, loss2 = (true_loss_functional(lm, d, x) for d in (d1, d2))
 
     def combined(zs):
-        # row by row, the loss of the smaller estimate's denoiser; ties go to d1
-        return np.where(est1(zs) <= est2(zs), loss1(zs), loss2(zs))
+        return np.where(choose(est1(zs), est2(zs)) == 1, loss1(zs), loss2(zs))
 
     e1 = enumerate_expectation(channel, x, loss1)
     e2 = enumerate_expectation(channel, x, loss2)

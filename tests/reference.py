@@ -196,6 +196,31 @@ def reference_plain_trial(cfg, t: int) -> dict:
                 loss_combined=loss(o1 if chosen == 1 else o2))
 
 
+def reference_randomized_trial(cfg, t: int) -> dict:
+    """Trial t's seven randomized columns, afresh: each candidate's smoothed
+    estimate, the fsum mean of :func:`reference_per_symbol` over the
+    ``estimation-masks`` set of the trial's ``combiner`` stream; the smaller
+    one chosen, ties to the first; the winner emitted on z flipped by one
+    ``random(n) < q`` mask of the combiner's ``emitted-mask`` stream; and
+    each candidate's smoothed loss over the trial's ``smoothed-loss`` set."""
+    trial = RngStream(cfg.master_seed).derive(f"trial/{t}")
+    x, z = reference_rows(cfg, trial)
+    ch, smoothing, combiner = cfg.channel, cfg.smoothing, trial.derive("combiner")
+    est1, est2 = (fsum_means(reference_per_symbol(ch, cfg.h, cfg.lm, d, smoothing, z,
+                                                  combiner.derive("estimation-masks"))[None])[0]
+                  for d in (cfg.d1, cfg.d2))
+    chosen = 1 if est1 <= est2 else 2
+    q = smoothing.resolve_q(cfg.n)
+    mask = (fresh(combiner.derive("emitted-mask")).random(cfg.n) < q).astype(np.int64)
+    out = reference_denoise((cfg.d1, cfg.d2)[chosen - 1], z ^ mask)
+    drawn = trial.derive("smoothed-loss")
+    sm1, sm2 = (reference_conditional_loss(cfg.lm, d, smoothing, x, z, drawn)
+                for d in (cfg.d1, cfg.d2))
+    return dict(chosen=chosen, loss_combined=math.fsum(cfg.lm[x, out].tolist()) / cfg.n,
+                sm_loss_d1=sm1, sm_loss_d2=sm2, sm_est_d1=est1, sm_est_d2=est2,
+                mask_weight=int(mask.sum()))
+
+
 def reference_expectation(ch, x, functional, block_bytes=None) -> float:
     """E f(Z) for Z drawn through the channel from x: the support's states in
     counter order, each weighted by its product of pi entries, those of

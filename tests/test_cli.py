@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from duodenoise import cli
+from duodenoise import cli, denoisers
 from duodenoise.cli import main
 from duodenoise.harness import ConfigError, ExperimentConfig
 from duodenoise.verify import CheckResult
@@ -23,6 +23,16 @@ def test_verify_exits_2_on_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "default_battery", lambda n: [failed])
     assert main(["verify"]) == 2
     assert capsys.readouterr().out == "[FAIL] broken: made to fail\n"
+
+
+def test_verify_rejects_a_block_length_below_two(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "default_battery", lambda n: ran.append(n) or [])
+    for n in ("1", "0"):
+        assert main(["verify", "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --n: verify needs n in [2, 23]")
+    assert ran == []
 
 
 def test_estimate_identity_on_bsc(capsys):
@@ -47,6 +57,10 @@ def test_estimate_erasure_form(capsys):
     assert code == 0
     # both unerased symbols would be reconstructed as 0 had they been erased
     assert float(capsys.readouterr().out) == pytest.approx(0.25, abs=1e-12)
+
+
+COMBINE_BSC = ["combine", "--channel", '{"type": "bsc", "delta": 0.2}',
+               "--pair", '{"type": "bsc_counterexample_pair", "delta": 0.2}']
 
 
 def test_combine_plain(capsys):
@@ -175,6 +189,56 @@ def test_influence_sequence_equals_block_length(capsys):
     assert main(["influence", "--n", "4"] + smoothing) == 0
     assert capsys.readouterr().out == from_sequence
     assert json.loads(from_sequence) == {"influence": 4 * 0.8 ** 4, "se": 0.0}
+
+
+def test_influence_rejects_one_mask_before_any_draw(monkeypatch, capsys):
+    # a standard error over the masks needs two of them
+    monkeypatch.setattr(cli, "pointwise_influence", lambda *args: pytest.fail("influence ran"))
+    assert main(["influence", "--q", "0.1", "--m", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: --m: the influence's standard error needs m >= 2 masks, got 1\n")
+
+
+@pytest.mark.parametrize("channel, pair", [
+    ('{"type":"bec","epsilon":0.5}', '{"type":"bec_parity_pair"}'),
+    ('{"type":"dmc","pi":[[0.8,0.1,0.1],[0.1,0.1,0.8]]}',
+     '{"type":"pair","first":{"type":"identity"},"second":{"type":"identity"}}'),
+], ids=["bec", "dmc_2x3"])
+def test_randomized_combine_rejects_a_non_binary_channel_before_any_draw(
+        monkeypatch, capsys, channel, pair):
+    drawn = []
+    monkeypatch.setattr(denoisers, "draw_smoothing_masks", lambda *args: drawn.append(args))
+    argv = ["combine", "--randomized", "--channel", channel, "--pair", pair,
+            "--sequence", "0,1,2,0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: --channel: randomized combining needs a binary channel\n")
+    assert drawn == []
+    assert main(argv[:1] + argv[2:]) == 0          # the plain combiner takes it
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    COMBINE_BSC + ["--sequence", "1,0,0,0,0,0,0,0"],
+    COMBINE_BSC + ["--sequence", ",".join(["1"] + ["0"] * 31), "--randomized", "--m", "1"],
+    COMBINE_BSC + ["--sequence", "0,1,1,0,1", "--randomized", "--q", "0.3", "--mode", "exact"],
+    ["influence", "--q", "0.1", "--m", "2"],
+    ["influence", "--q", "0.1", "--m", "2", "--sequence", "1"],
+    ["influence", "--n", "6", "--q", "0.25", "--mode", "exact"],
+], ids=["combine", "combine_one_mask", "combine_exact", "influence_two_masks",
+        "influence_one_symbol", "influence_exact"])
+def test_printed_lines_are_strict_json(argv, capsys):
+    # NaN and Infinity are not JSON: json.loads hands them to parse_constant
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)
 
 
 def test_influence_rejects_empty_block(capsys):

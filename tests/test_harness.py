@@ -69,6 +69,7 @@ from reference import (
     reference_expectation,
     reference_plain_trial,
     reference_pointwise_influence,
+    reference_randomized_trial,
     reference_rows,
     sine_functional,
 )
@@ -502,6 +503,22 @@ def test_randomized_records_match_a_rebuilt_combiner_call():
         assert r["chosen"] == sel.chosen_index
         assert r["loss_combined"] == cumulative_loss(cfg.lm, x, out)
         assert r["mask_weight"] == mask.sum()
+
+
+@pytest.mark.parametrize("denoisers", [
+    {"type": "bsc_counterexample_pair", "delta": 0.2},
+    {"type": "pair", "first": {"type": "sliding_window", "k": 1, "rule": "majority"},
+     "second": {"type": "identity"}},
+], ids=["parity_pair", "window_pair"])
+def test_randomized_records_match_the_reference_trial(denoisers):
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=32, trials=12, denoisers=denoisers, clean_source={"type": "iid_bernoulli", "p": 0.3},
+        combiner={"type": "randomized", "nu": 0.75, "m": 8}))
+    for r in table_rows(run_trials(cfg)):
+        expected = reference_randomized_trial(cfg, r["trial"])
+        assert (r["chosen"], r["mask_weight"]) == (expected["chosen"], expected["mask_weight"])
+        for name in ("loss_combined", "sm_loss_d1", "sm_loss_d2", "sm_est_d1", "sm_est_d2"):
+            assert r[name] == pytest.approx(expected[name], rel=0, abs=1e-12), name
 
 
 def test_smoothed_loss_masks_are_independent_of_estimation_masks(monkeypatch):
@@ -1040,6 +1057,13 @@ class TestInfluence:
         cfg = SmoothingConfig(q=0.1)
         with pytest.raises(ValueError, match="RngStream"):
             pointwise_influence(parity_functional, cfg, np.zeros(50, dtype=np.int64))
+
+    def test_pointwise_monte_carlo_rejects_one_mask_before_any_draw(self, monkeypatch):
+        # its standard error is a std(ddof=1) over the masks
+        monkeypatch.setattr(harness, "mask_set", lambda *args: pytest.fail("masks drawn"))
+        with pytest.raises(ValueError, match="needs m >= 2 masks, got 1$"):
+            pointwise_influence(parity_functional, SmoothingConfig(q=0.1, m=1),
+                                np.zeros(8, dtype=np.int64), RngStream(31))
 
     def test_pointwise_monte_carlo_runs(self):
         cfg = SmoothingConfig(q=0.02, m=64)

@@ -4,6 +4,7 @@ reports FAIL rather than PASS."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from duodenoise import verify
 from duodenoise.channel import compute_h, make_bsc
@@ -27,3 +28,10 @@ def test_parity_counterexample_fails_for_a_same_fill_pair(monkeypatch):
     assert result.passed is False
     # both candidates are the same denoiser, so the combined loss is its 1/4
     assert result.detail.endswith(f"combined {0.25:.6f}")
+
+
+def test_parity_counterexample_rejects_a_block_length_below_two():
+    # at n = 1 the one erased word has an even zero count, so d1 never errs
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=rf"^the parity counterexample needs n >= 2, got {n}"):
+            verify.check_parity_counterexample(n)
