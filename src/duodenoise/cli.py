@@ -51,9 +51,9 @@ def _combiner_spec(args) -> dict:
 
 def cmd_verify(args) -> int:
     # the battery enumerates all 2^n channel outputs; the cap keeps 2^n cheap
-    if args.n < 2 or 2 ** min(args.n, 64) > ENUMERATION_LIMIT:
-        raise ValueError(f"--n: verify needs n in [2, {ENUMERATION_LIMIT.bit_length() - 1}]: "
-                         f"its parity counterexample holds from n = 2, and it enumerates "
+    if args.n < 3 or 2 ** min(args.n, 64) > ENUMERATION_LIMIT:
+        raise ValueError(f"--n: verify needs n in [3, {ENUMERATION_LIMIT.bit_length() - 1}]: "
+                         f"its parity counterexample holds from n = 3, and it enumerates "
                          f"2^n outputs; got {args.n}")
     results = default_battery(args.n)
     for r in results:
@@ -62,6 +62,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.erasure_form and args.h != "auto":
+        raise ValueError("--h: the erasure form uses no h; give --h only without --erasure-form")
     channel = channel_from_json(args.channel, "--channel")
     _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
     d = denoiser_from_spec(args.denoiser, channel, "--denoiser")

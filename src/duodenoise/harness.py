@@ -232,6 +232,14 @@ class ExperimentConfig:
         lm = loss_from_json(v["loss"], channel.input_size, "config.loss")
         if len(lm) != channel.input_size:
             raise ConfigError("config.loss: loss matrix size does not match the clean alphabet")
+        # a position's estimate is at most K * max|h| * max lambda in magnitude,
+        # its loss at most max lambda, and so are a trial's means of them
+        bound = channel.input_size * float(np.abs(h).max()) * float(lm.max())
+        sums = n * max(float(lm.max()), bound), 2 * bound * 2 * bound * v["trials"]
+        if not all(map(math.isfinite, sums)):
+            raise ConfigError(f"config.loss: a largest loss of {lm.max():g} can overflow a "
+                              f"run's sums: n * max lambda * max(1, K * max|h|) and "
+                              f"(2 * K * max|h| * max lambda)^2 * trials must be finite")
         output_path, output_format = output_from_spec(v["output"], "config.output")
         return cls(
             channel=channel, h=h, h_choice=h_choice, lm=lm, n=n,

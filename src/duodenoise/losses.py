@@ -40,8 +40,10 @@ their temporaries stay cache-sized.  For the whole set they hold only the
 masks, per-mask scalars and, for the per-symbol estimates, one table of the
 picked substituted outputs at one byte per entry.
 
-Position sums are correctly rounded, bit for bit ``math.fsum``, so results
-do not depend on scheduling, vectorization or the BLAS kernel.  They run in
+Every position sum is correctly rounded, bit for bit ``math.fsum``, so it
+does not depend on scheduling, vectorization or the BLAS kernel.  (The
+mask-axis means are not: the smoothed loss weighs its masks by a BLAS dot,
+the smoothed estimates by an ``einsum``.)  Position sums run in
 numpy, by the error-free extraction of Rump, Ogita and Oishi ("Accurate
 floating-point summation, part I", SIAM J. Sci. Comput. 2008; see
 :func:`_extraction`).  A mean of table values -- a loss lambda(x_i, y_i),
@@ -50,14 +52,9 @@ on its codes only through how often each occurs, so one ``np.bincount`` of
 the codes and the table's cached extraction levels give every row's exact
 sum (:func:`_table_means`).  :func:`_row_means` extracts per position, and
 is kept for terms that are no table's values: the smoothed estimates, and
-the kernel's estimates of a batch with fewer positions than contexts.  The
-one exception is :func:`smoothed_conditional_loss`: the randomized golden
-trial CSVs pin each mask's row sum as numpy's pairwise sum of its terms,
-not the correctly rounded one.  It counts as well where counting keeps
-those bits.  For nonnegative integer losses with n * max lambda < 2^53,
-every partial sum of a row is an exact integer, so the pairwise sum is
-sum_{x,y} N[x, y] * lambda(x, y), with the counts N taken from two int32
-row sums of the output bits; other losses sum the selected terms.
+the kernel's estimates of a batch with fewer positions than contexts.
+:func:`smoothed_conditional_loss` counts too, from row sums of its output
+bits instead of a ``bincount`` (:func:`_count_means`).
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ERASURE, Channel, check_h_identity, check_sequence, is_bec
-from .denoisers import Denoiser, blocks, check_binary, masked_values
+from .denoisers import Denoiser, blocks, check_binary
 from .spec import build, read_typed
 
 
@@ -296,6 +293,29 @@ def _table_levels(tables: tuple, b: int) -> tuple[np.ndarray, np.ndarray]:
     return levels, wide
 
 
+def _count_means(tables: np.ndarray, counts: np.ndarray, n: int, terms) -> np.ndarray:
+    """Per row of the (T, C) ``tables`` and per row of the (B, C) ``counts``
+    of its entries in a row of n terms: the row's correctly rounded sum,
+    divided by n, shape (T, B).
+
+    All levels of :func:`_table_levels` sum as one ``counts @ levels``:
+    every partial sum of a level's column is a multiple of the level's grid
+    below sigma, so it is exact in any order, BLAS included (see
+    :func:`_extraction`), and :func:`_level_means` rounds the rows as
+    ``_row_means`` does.  A row r that counts a wide entry of table i goes
+    to ``math.fsum(terms(i, r))``.
+    """
+    rows = len(counts)
+    t = len(tables)
+    levels, wide = _table_levels(_array_key(tables), (n + 1).bit_length())
+    fallback = {}
+    if wide.any():
+        for i, r in zip(*np.nonzero(wide.astype(np.int64) @ counts.T)):
+            fallback[i * rows + r] = math.fsum(terms(i, r))
+    sums = (counts.astype(np.float64) @ levels).T.reshape(-1, t * rows)
+    return _level_means(list(sums), fallback, t * rows, n).reshape(t, rows)
+
+
 def _table_means(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Per row of the (T, C) ``tables`` and per row of the (B, n) int64
     ``codes``, indices into a table: bit for bit ``_row_means(table[codes])``,
@@ -303,29 +323,18 @@ def _table_means(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
     overwrites.
 
     A row's sum depends on its codes only through how often each occurs,
-    so one ``np.bincount`` gives the (B, C) counts and all levels of
-    :func:`_table_levels` sum as one ``counts @ levels``: every partial sum
-    of a level's column is a multiple of the level's grid below sigma, so
-    it is exact in any order, BLAS included (see :func:`_extraction`), and
-    :func:`_level_means` rounds the rows as ``_row_means`` does.  A row
-    that counts a wide entry of a table goes to ``math.fsum`` over its
-    gathered terms in position order.  A table longer than a row would
-    count into more entries than it has positions; its terms are gathered
-    as before.
+    so one ``np.bincount`` gives the (B, C) counts of :func:`_count_means`.
+    A row that counts a wide entry goes to ``math.fsum`` over its gathered
+    terms in position order.  A table longer than a row would count into
+    more entries than it has positions; its terms are gathered as before.
     """
     rows, n = codes.shape
-    t, c = tables.shape
+    c = tables.shape[1]
     if c > n:
         return np.array([_row_means(table[codes]) for table in tables])
-    levels, wide = _table_levels(_array_key(tables), (n + 1).bit_length())
     codes += np.arange(0, rows * c, c)[:, None]
     counts = np.bincount(codes.ravel(), minlength=rows * c).reshape(rows, c)
-    fallback = {}
-    if wide.any():
-        for i, r in zip(*np.nonzero(wide.astype(np.int64) @ counts.T)):
-            fallback[i * rows + r] = math.fsum(tables[i, codes[r] - r * c].tolist())
-    sums = (counts.astype(np.float64) @ levels).T.reshape(-1, t * rows)
-    return _level_means(list(sums), fallback, t * rows, n).reshape(t, rows)
+    return _count_means(tables, counts, n, lambda i, r: tables[i, codes[r] - r * c].tolist())
 
 
 def _loss_means(lm: np.ndarray, xs: np.ndarray, xhat: np.ndarray) -> np.ndarray:
@@ -467,19 +476,12 @@ def smoothed_conditional_loss(lm: np.ndarray, d: Denoiser, drawn, x, z) -> float
     """Expected (over the flip mask) normalized loss of the smoothed denoiser.
 
     ``drawn`` is a (masks, weights) pair from :func:`denoisers.mask_set`;
-    the expectation is the weighted sum over its masks.  Each mask's loss
-    sum has the bits of numpy's pairwise row sum of the terms
-    lambda(x_i, y_i), which the randomized golden trial CSVs pin.
-
-    When every loss entry is a nonnegative integer and n times the largest
-    is below 2^53, every partial sum of those terms is an integer below
-    2^53, exact in any order, so the pairwise sum equals the exact count
-    sum_{x,y} N[x, y] * lambda(x, y).  N comes from two int32 row sums: the
-    ones of the output y and, when x has ones, those of y & x.  Other
-    losses, and a -0.0 entry, which could sign a zero sum differently, sum
-    the selected terms.  Neither is a :func:`true_losses` call, whose int64
-    codes and ``bincount`` ran the benchmark's randomized n=4096 workload
-    24% slower (2-core machine).
+    the expectation is the weighted sum over its masks.  Each mask's mean
+    loss is counted: two int32 row sums of its output y, the ones of y and,
+    when x has ones, those of y & x, give the counts N[x, y] of
+    :func:`_count_means`.  A row that counts a wide entry expands its
+    counts for ``math.fsum``: the terms are nonnegative, so their order
+    changes neither the sum nor the exception.
     """
     check_binary(d)
     if np.shape(lm) != (2, 2):
@@ -490,26 +492,20 @@ def smoothed_conditional_loss(lm: np.ndarray, d: Denoiser, drawn, x, z) -> float
         raise ValueError(f"length mismatch: {len(xs)} vs {len(zs)}")
     masks, weights = _check_drawn(drawn, len(zs))
     n = len(zs)
-    if (lm == np.floor(lm)).all() and not np.signbit(lm).any() and n * lm.max() < 2.0**53:
-        x1 = xs.astype(np.uint8)
-        n1 = int(np.count_nonzero(x1))
-        (l00, l01), (l10, l11) = lm
-
-        def row_sums(rows):
-            y = d.denoise_batch(rows)
-            ones = y.sum(axis=1, dtype=np.int32)
-            o11 = (y & x1).sum(axis=1, dtype=np.int32) if n1 else 0
-            return ((n - n1 - ones + o11) * l00 + (ones - o11) * l01
-                    + (n1 - o11) * l10 + o11 * l11)
-    else:
-        # binary outputs: each position's loss is one of its two loss entries;
-        # np.where selects fastest from contiguous columns on a bool condition
-        lam0, lam1 = np.ascontiguousarray(lm[xs].T)
-
-        def row_sums(rows):
-            return np.where(d.denoise_batch(rows).astype(bool), lam1, lam0).sum(axis=1)
-    sums = masked_values(row_sums, masks, zs.astype(np.uint8))
-    return float(weights @ (sums / n))
+    x1 = xs.astype(np.uint8)
+    z8 = zs.astype(np.uint8)
+    n1 = int(np.count_nonzero(x1))
+    counts = np.empty((len(masks), 4), dtype=np.int64)    # columns N00, N01, N10, N11
+    for rows in blocks(*masks.shape):
+        y = d.denoise_batch(z8 ^ masks[rows])
+        block = counts[rows]
+        block[:, 3] = (y & x1).sum(axis=1, dtype=np.int32) if n1 else 0
+        block[:, 1] = y.sum(axis=1, dtype=np.int32) - block[:, 3]
+        block[:, 2] = n1 - block[:, 3]
+        block[:, 0] = n - n1 - block[:, 1]
+    table = lm.reshape(1, 4)
+    means = _count_means(table, counts, n, lambda i, r: np.repeat(table[i], counts[r]).tolist())
+    return float(weights @ means[0])
 
 
 def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,

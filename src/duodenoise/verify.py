@@ -76,10 +76,12 @@ def check_parity_counterexample(n: int = 10) -> CheckResult:
     each denoiser's exact expected loss is 1/4, while following the smaller
     estimate yields 1/2 - 2^-n (the fully erased sequence ties and happens to
     fill correctly; every other outcome fills every erasure wrongly).  At
-    n = 1 the one erased word has an even zero count, so d1 never errs and
-    the claim needs n >= 2."""
-    if n < 2:
-        raise ValueError(f"the parity counterexample needs n >= 2, got {n}")
+    n = 1 the one erased word has an even zero count, so d1 never errs, and
+    at n = 2 the combined 1/2 - 2^-2 is the candidates' 1/4: the combiner
+    loses to the better candidate only from n = 3 on, so the check needs
+    n >= 3 and passes only when it does lose."""
+    if n < 3:
+        raise ValueError(f"the parity counterexample needs n >= 3, got {n}")
     channel = make_bec(0.5)
     h = canonical_erasure_h(channel)
     lm = hamming_loss(2)
@@ -95,7 +97,7 @@ def check_parity_counterexample(n: int = 10) -> CheckResult:
     e2 = enumerate_expectation(channel, x, loss2)
     ec = enumerate_expectation(channel, x, combined)
     ok = (abs(e1 - 0.25) <= UNBIASED_TOL and abs(e2 - 0.25) <= UNBIASED_TOL
-          and abs(ec - (0.5 - 2.0**-n)) <= UNBIASED_TOL)
+          and abs(ec - (0.5 - 2.0**-n)) <= UNBIASED_TOL and ec - min(e1, e2) > UNBIASED_TOL)
     return CheckResult(
         "parity-counterexample",
         ok,

@@ -150,11 +150,12 @@ def reference_per_symbol(ch, h, lm, d, cfg, z, rng) -> np.ndarray:
 
 
 def reference_conditional_loss(lm, d, cfg, x, z, rng) -> float:
-    """The smoothed conditional loss: each mask's mean loss as numpy's sum
-    of its gathered terms, weighted over the masks."""
+    """The smoothed conditional loss: each mask's mean loss as the
+    ``math.fsum`` of its gathered terms, weighted over the masks."""
     xs, zs = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
     masks, weights = reference_mask_set(cfg, len(zs), rng)
-    per_mask = lm[xs[None, :], d.denoise_batch(zs[None, :] ^ masks)].sum(axis=1) / len(zs)
+    terms = lm[xs[None, :], d.denoise_batch(zs[None, :] ^ masks)]
+    per_mask = np.array([math.fsum(row) / len(zs) for row in terms.tolist()])
     return float(weights @ per_mask)
 
 

@@ -28,10 +28,10 @@ def test_verify_exits_2_on_a_failed_check(monkeypatch, capsys):
 def test_verify_rejects_a_block_length_below_two(monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(cli, "default_battery", lambda n: ran.append(n) or [])
-    for n in ("1", "0"):
+    for n in ("2", "1", "0"):
         assert main(["verify", "--n", n]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: --n: verify needs n in [2, 23]")
+        assert out == "" and err.startswith("error: --n: verify needs n in [3, 23]")
     assert ran == []
 
 
@@ -57,6 +57,23 @@ def test_estimate_erasure_form(capsys):
     assert code == 0
     # both unerased symbols would be reconstructed as 0 had they been erased
     assert float(capsys.readouterr().out) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", ["min_norm", "canonical_erasure"])
+def test_estimate_erasure_form_rejects_an_h(h, monkeypatch, capsys):
+    """The erasure form reads no h, so an explicit --h is an error, raised
+    before the sequence is read."""
+    monkeypatch.setattr(cli, "_parse_sequence", None)
+    code = main([
+        "estimate",
+        "--channel", '{"type": "bec", "epsilon": 0.5}',
+        "--denoiser", '{"type": "identity"}',
+        "--sequence", "0,2,1,2",
+        "--erasure-form", "--h", h,
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --h: ")
 
 
 COMBINE_BSC = ["combine", "--channel", '{"type": "bsc", "delta": 0.2}',

@@ -590,10 +590,13 @@ class TestSmoothedLosses:
         assert estimate_smoothed_loss(ch, h, HAMMING, d, drawn, z) == pytest.approx(
             estimate_loss(ch, h, HAMMING, d, z), abs=1e-12
         )
-        x = np.zeros(10, dtype=np.int64)
-        assert smoothed_conditional_loss(HAMMING, d, drawn, x, z) == pytest.approx(
-            cumulative_loss(HAMMING, x, d.denoise(z)), abs=1e-12
-        )
+        # mask 0 has weight 1 and every other weight is 0, so the smoothed
+        # loss is the plain one bit for bit: for a loss whose pairwise row
+        # sum (4.599999999999999 here) is not the correctly rounded 4.6 too
+        for lm, x in ((HAMMING, np.zeros(10, dtype=np.int64)),
+                      (loss_matrix([[0.1, 2.5], [0.7, 0.3]]), np.array([1] * 6 + [0] * 4))):
+            assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
+                cumulative_loss(lm, x, d.denoise(z))
 
     def test_monte_carlo_tracks_exact(self):
         ch = make_bsc(0.2)

@@ -123,11 +123,11 @@ def test_parity_pair_matches_reference_at_experiment_size():
                     reference_conditional_loss(lm, d, cfg, x, z, stream)
 
 
-@pytest.mark.parametrize("exponent, counted", [(52, True), (53, False)])
-def test_conditional_loss_counts_below_two_to_the_53(exponent, counted, monkeypatch):
-    """Integer losses are counted while n * max lambda < 2^53, where every
-    partial sum of a row is exact; at 2^53 they are summed as numpy does.
-    Either way the bits are the reference's."""
+@pytest.mark.parametrize("exponent", [52, 53])
+def test_conditional_loss_counts_below_two_to_the_53(exponent):
+    """Integer losses are counted on both sides of n * max lambda = 2^53,
+    below which every partial sum of a row is an exact integer; either way
+    the bits are the reference's fsum."""
     n = 64
     lm = loss_matrix([[3.0, 2.0 ** exponent / n], [1.0, 7.0]])
     cfg = SmoothingConfig(q=0.3, m=40)
@@ -136,10 +136,29 @@ def test_conditional_loss_counts_below_two_to_the_53(exponent, counted, monkeypa
     z = (gen.random(n) < 0.5).astype(np.int64)
     stream = RngStream(exponent).derive("estimation-masks")
     drawn = mask_set(cfg, n, stream)
-    selected = []
-    where = np.where
-    monkeypatch.setattr(np, "where", lambda *args: selected.append(1) or where(*args))
     got = smoothed_conditional_loss(lm, ParityCopyDenoiser(), drawn, x, z)
-    monkeypatch.undo()
-    assert bool(selected) is not counted
     assert got == reference_conditional_loss(lm, ParityCopyDenoiser(), cfg, x, z, stream)
+
+
+def test_conditional_loss_sums_wide_entries_by_fsum():
+    """A mask whose row counts an entry too wide to extract sums its
+    expanded terms by ``math.fsum``: the reference's bits when the sum is
+    finite, and fsum's ``OverflowError`` when it is not."""
+    cfg = SmoothingConfig(q=0.3, m=40)
+    stream = RngStream(8).derive("estimation-masks")
+    d = make_sliding_window(1, "majority")
+    for n, lm, finite in ((64, [[0.5, 1e306], [0.1, 3e305]], True),
+                          (8, [[0.0, 1e308], [1e308, 0.0]], False)):
+        lm = loss_matrix(lm)
+        gen = RngStream(n).generator()
+        x = (gen.random(n) < 0.5).astype(np.int64)
+        z = (gen.random(n) < 0.5).astype(np.int64)
+        drawn = mask_set(cfg, n, stream)
+        if finite:
+            assert smoothed_conditional_loss(lm, d, drawn, x, z) == \
+                reference_conditional_loss(lm, d, cfg, x, z, stream)
+        else:
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                reference_conditional_loss(lm, d, cfg, x, z, stream)
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                smoothed_conditional_loss(lm, d, drawn, x, z)

@@ -189,6 +189,12 @@ LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
     (with_(output={"path": ""}), r"^config\.output\.path: an empty path names no file$"),
     (with_(epsilons=[0.05, 0.01, 0.05]),
      r"^config\.epsilons: deviation thresholds must be distinct$"),
+    # a loss whose trial sums, or the summary's squared deviations, could
+    # overflow: an fsum OverflowError mid-run, or "se": Infinity in the summary
+    (with_(n=8, loss={"type": "matrix", "lambda": [[0, 1e308], [1e308, 0]]}),
+     r"^config\.loss: a largest loss of 1e\+308 can overflow a run's sums"),
+    (with_(n=8, combiner=RANDOMIZED, loss={"type": "matrix", "lambda": [[1e307, 1e307]] * 2}),
+     r"^config\.loss: a largest loss of 1e\+307 can overflow a run's sums"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -252,6 +258,16 @@ def test_mask_count_is_bounded_while_parsing():
             ExperimentConfig.from_json(with_(combiner={**RANDOMIZED, "mode": "exact", "m": m}))
     assert ExperimentConfig.from_json(
         with_(combiner={"type": "randomized", "nu": 0.75, "mode": "exact"})).randomized
+
+
+def test_a_large_loss_that_cannot_overflow_a_run_parses():
+    """The overflow rule on the loss (see test_rejected_while_parsing)
+    leaves room: a loss of 1e100 at n = 4096 over 10^6 trials parses."""
+    for combiner in (PLAIN["combiner"], RANDOMIZED):
+        cfg = ExperimentConfig.from_json(with_(
+            n=4096, trials=10**6, combiner=combiner,
+            loss={"type": "matrix", "lambda": [[0, 1e100], [1e100, 0]]}))
+        assert cfg.lm.max() == 1e100
 
 
 @pytest.mark.parametrize("loss", [None, {"type": "hamming"}])

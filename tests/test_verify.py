@@ -31,7 +31,8 @@ def test_parity_counterexample_fails_for_a_same_fill_pair(monkeypatch):
 
 
 def test_parity_counterexample_rejects_a_block_length_below_two():
-    # at n = 1 the one erased word has an even zero count, so d1 never errs
-    for n in (1, 0):
-        with pytest.raises(ValueError, match=rf"^the parity counterexample needs n >= 2, got {n}"):
+    # at n = 1 the one erased word has an even zero count, so d1 never errs;
+    # at n = 2 the combined 1/2 - 2^-2 equals each candidate's 1/4
+    for n in (2, 1, 0):
+        with pytest.raises(ValueError, match=rf"^the parity counterexample needs n >= 3, got {n}"):
             verify.check_parity_counterexample(n)
