@@ -8,10 +8,12 @@ Bernoulli-smoothed versions restores the guarantee.
 
 The API lives in the submodules, all but ``cli`` imported with the package:
 ``channel``, ``denoisers``, ``losses``, ``combine``, ``harness`` (experiment
-configs, trials and oracles), ``spec`` (the strict spec reader), ``rng`` and
-``verify``.
+configs, trials and oracles), ``spec`` (the strict spec reader), ``rng``,
+``record`` (the immutable base of the small data types) and ``verify``.
 """
 
 __version__ = "0.1.0"
 
-from . import channel, combine, denoisers, harness, losses, rng, spec, verify  # noqa: E402,F401
+from . import (  # noqa: E402,F401
+    channel, combine, denoisers, harness, losses, record, rng, spec, verify,
+)

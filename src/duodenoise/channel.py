@@ -9,10 +9,9 @@ minimum-norm choice and the conventional erasure-channel choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .record import Record
 from .rng import RngStream
 from .spec import ConfigError, build, read_typed
 
@@ -54,14 +53,12 @@ def check_sequence(seq, alphabet_size: int, name: str = "sequence") -> np.ndarra
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """A DMC given by its K x M row-stochastic transition matrix."""
+class Channel(Record):
+    """A DMC given by its K x M row-stochastic transition matrix ``pi``, held
+    as a read-only float64 array.  Immutable, and equal only to itself."""
 
-    pi: np.ndarray
-
-    def __post_init__(self):
-        pi = np.array(self.pi, dtype=np.float64)
+    def __init__(self, pi: np.ndarray):
+        pi = np.array(pi, dtype=np.float64)
         if pi.ndim != 2:
             raise ValueError("pi must be a 2-d matrix")
         k, m = pi.shape
@@ -78,7 +75,7 @@ class Channel:
                 "normalize explicitly if that is intended"
             )
         pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
+        self.__dict__.update(pi=pi)
 
     @property
     def input_size(self) -> int:

@@ -23,6 +23,7 @@ from .denoisers import ENUMERATION_LIMIT
 from .harness import (
     ExperimentConfig,
     check_binary_channel,
+    check_seed,
     denoiser_from_spec,
     denoiser_pair_from_spec,
     pointwise_influence,
@@ -82,6 +83,7 @@ def cmd_combine(args) -> int:
              if getattr(args, key) is not None]
     if flags and not args.randomized:
         raise ValueError(f"{' '.join(flags)} apply only with --randomized")
+    seed = check_seed(args.seed or 0, "--seed")
     channel = channel_from_json(args.channel, "--channel")
     if args.randomized:
         check_binary_channel(channel, "--channel")
@@ -92,7 +94,7 @@ def cmd_combine(args) -> int:
     if args.randomized:
         cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
         out, sel, mask = randomized_combined_denoise(
-            d1, d2, channel, h, lm, cfg, z, RngStream(args.seed or 0)
+            d1, d2, channel, h, lm, cfg, z, RngStream(seed)
         )
         extra = {"mask_weight": int(mask.sum())}
     else:
@@ -119,6 +121,7 @@ def cmd_experiment(args) -> int:
 def cmd_influence(args) -> int:
     if args.sequence is not None and args.n is not None:
         raise ValueError("--n applies only without --sequence")
+    seed = check_seed(args.seed or 0, "--seed")
     cfg = smoothing_from_spec(_combiner_spec(args), "smoothing flags")
     if cfg.mode == "exact" and args.seed is not None:
         raise ValueError("--seed: exact mode enumerates every mask and draws none")
@@ -136,7 +139,7 @@ def cmd_influence(args) -> int:
     def parity(rows: np.ndarray) -> np.ndarray:
         return rows.sum(axis=1) % 2
 
-    value, se = pointwise_influence(parity, cfg, z, RngStream(args.seed or 0))
+    value, se = pointwise_influence(parity, cfg, z, RngStream(seed))
     print(json.dumps({"influence": value, "se": se}))
     return 0
 
@@ -165,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int,
                        help="Monte Carlo mask count (default 128; not with --mode exact)")
         p.add_argument("--seed", type=int,
-                       help="mask stream seed (default 0; influence takes none with --mode exact)")
+                       help="mask stream seed in [0, 2^64) (default 0; influence takes none "
+                            "with --mode exact)")
 
     sequence_help = ("symbols: decimal integers separated by commas and/or whitespace, "
                      "or @file for a file of symbols in the same syntax")

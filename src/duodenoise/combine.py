@@ -7,25 +7,23 @@ The randomized combiner first estimates the expected losses of the smoothed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import Channel, check_sequence
 from .denoisers import Denoiser, SmoothingConfig, draw_smoothing_mask, mask_set
 from .losses import estimate_loss, estimate_smoothed_loss
+from .record import ValueRecord
 from .rng import RngStream
 
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Selection:
-    """Which of the two candidates won, and with what estimates."""
+class Selection(ValueRecord):
+    """Which of the two candidates won, and with what estimates: immutable,
+    and equal to any selection with the same three fields."""
 
-    chosen_index: int
-    estimates: tuple[float, float]
-    tie: bool
+    def __init__(self, chosen_index: int, estimates: tuple[float, float], tie: bool):
+        self.__dict__.update(chosen_index=chosen_index, estimates=estimates, tie=tie)
 
 
 def choose(e1, e2) -> np.ndarray:

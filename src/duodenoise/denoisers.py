@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ERASURE, check_sequence
+from .record import ValueRecord
 from .rng import RngStream
 
 
@@ -330,32 +330,29 @@ ENUMERATION_LIMIT = 10**7
 BLOCK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
+class SmoothingConfig(ValueRecord):
     """How to randomize a denoiser with an i.i.d. Bernoulli-q flip mask.
 
     Exactly one of ``q`` (explicit flip rate) or ``nu`` (rate exponent,
     q = n^-nu) must be given.  ``mode`` selects exact enumeration of all 2^n
     masks (only for n <= EXACT_MASK_LIMIT) or Monte Carlo with ``m`` masks
-    (only for m * n <= ENUMERATION_LIMIT).
+    (only for m * n <= ENUMERATION_LIMIT).  Immutable, and equal to any
+    config with the same four fields.
     """
 
-    q: float | None = None
-    nu: float | None = None
-    mode: str = "monte_carlo"
-    m: int = 128
-
-    def __post_init__(self):
-        if (self.q is None) == (self.nu is None):
+    def __init__(self, q: float | None = None, nu: float | None = None,
+                 mode: str = "monte_carlo", m: int = 128):
+        if (q is None) == (nu is None):
             raise ValueError("specify exactly one of q and nu")
-        if self.q is not None and not 0.0 <= self.q < 0.5:
-            raise ValueError(f"flip rate q must lie in [0, 1/2), got {self.q}")
-        if self.nu is not None and not 0.0 < self.nu < 1.0:
-            raise ValueError(f"exponent nu must lie in (0, 1), got {self.nu}")
-        if self.mode not in ("exact", "monte_carlo"):
-            raise ValueError(f"unknown smoothing mode {self.mode!r}")
-        if self.m < 1:
+        if q is not None and not 0.0 <= q < 0.5:
+            raise ValueError(f"flip rate q must lie in [0, 1/2), got {q}")
+        if nu is not None and not 0.0 < nu < 1.0:
+            raise ValueError(f"exponent nu must lie in (0, 1), got {nu}")
+        if mode not in ("exact", "monte_carlo"):
+            raise ValueError(f"unknown smoothing mode {mode!r}")
+        if m < 1:
             raise ValueError("Monte Carlo sample count m must be >= 1")
+        self.__dict__.update(q=q, nu=nu, mode=mode, m=m)
 
     def resolve_q(self, n: int) -> float:
         return self.q if self.q is not None else float(n) ** (-self.nu)
@@ -426,7 +423,7 @@ def draw_smoothing_masks(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.nda
 def draw_smoothing_mask(cfg: SmoothingConfig, n: int, rng: RngStream) -> np.ndarray:
     """One i.i.d. Bernoulli-q flip mask of length n, as bool: the single
     mask of a one-mask draw, bit for bit ``rng.uniforms(n) < q``."""
-    return draw_smoothing_masks(replace(cfg, m=1), n, rng)[0]
+    return draw_smoothing_masks(SmoothingConfig(cfg.q, cfg.nu, cfg.mode, 1), n, rng)[0]
 
 
 def enumerate_masks(n: int) -> np.ndarray:

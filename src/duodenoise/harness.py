@@ -20,7 +20,6 @@ import math
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +60,7 @@ from .losses import (
     smoothed_conditional_loss,
     true_losses,
 )
+from .record import Record
 from .rng import RngStream, _child_id, uniform_rows
 from .spec import ConfigError, build, load, read, read_typed
 
@@ -169,26 +169,27 @@ def output_from_spec(spec, path: str = "output") -> tuple[str | None, str]:
     return v["path"], v["format"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully parsed, immutable experiment description."""
+def check_seed(seed: int, path: str) -> int:
+    """The seed, once it lies in [0, 2^64): a stream keys on its master seed
+    modulo 2^64, so any other seed would alias one in that range."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{path}: a seed must lie in [0, 2^64), got {seed}")
+    return seed
 
-    channel: Channel
-    h: np.ndarray
-    h_choice: str
-    lm: np.ndarray
-    n: int
-    clean_source: dict
-    clean_file: np.ndarray | None
-    d1: Denoiser
-    d2: Denoiser
-    smoothing: SmoothingConfig | None
-    trials: int
-    epsilons: tuple[float, ...]
-    master_seed: int
-    output_path: str | None
-    output_format: str
-    raw: dict
+
+class ExperimentConfig(Record):
+    """A fully parsed experiment description: immutable, and equal only to
+    itself."""
+
+    def __init__(self, channel: Channel, h: np.ndarray, h_choice: str, lm: np.ndarray, n: int,
+                 clean_source: dict, clean_file: np.ndarray | None, d1: Denoiser, d2: Denoiser,
+                 smoothing: SmoothingConfig | None, trials: int, epsilons: tuple[float, ...],
+                 master_seed: int, output_path: str | None, output_format: str, raw: dict):
+        self.__dict__.update(
+            channel=channel, h=h, h_choice=h_choice, lm=lm, n=n, clean_source=clean_source,
+            clean_file=clean_file, d1=d1, d2=d2, smoothing=smoothing, trials=trials,
+            epsilons=epsilons, master_seed=master_seed, output_path=output_path,
+            output_format=output_format, raw=raw)
 
     @property
     def randomized(self) -> bool:
@@ -216,6 +217,7 @@ class ExperimentConfig:
             raise ConfigError("config.epsilons: deviation thresholds must be positive")
         if len(set(v["epsilons"])) < len(v["epsilons"]):
             raise ConfigError("config.epsilons: deviation thresholds must be distinct")
+        check_seed(v["master_seed"], "config.master_seed")
         channel = channel_from_json(v["channel"], "config.channel")
         if n * channel.output_size > ENUMERATION_LIMIT:
             raise ConfigError(f"config.n: a trial's substituted-output table of {n} x "

@@ -61,12 +61,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ERASURE, Channel, check_h_identity, check_sequence, is_bec
 from .denoisers import Denoiser, blocks, check_binary
+from .record import Record
 from .spec import build, read_typed
 
 
@@ -413,19 +413,17 @@ def erasure_estimate_loss(ch: Channel, lm: np.ndarray, d: Denoiser, z) -> float:
     return float(_table_means(np.append(lm, 0.0)[None], codes[None])[0, 0])
 
 
-@dataclass(frozen=True, eq=False)
-class JointTypeCounts:
+class JointTypeCounts(Record):
     """Counts N[b0, b1, b2] of positions with noisy symbol b0, denoised symbol
-    b1, and denoised symbol b2 after flipping that noisy position."""
+    b1, and denoised symbol b2 after flipping that noisy position, held as a
+    read-only int64 array.  Immutable, and equal only to itself."""
 
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+    def __init__(self, counts: np.ndarray):
+        counts = np.array(counts, dtype=np.int64)
         if counts.shape != (2, 2, 2) or counts.min() < 0:
             raise ValueError("counts must be a nonnegative 2x2x2 table")
         counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        self.__dict__.update(counts=counts)
 
 
 def joint_type_counts(z, d: Denoiser) -> JointTypeCounts:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import ValueRecord
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,12 +60,15 @@ def uniform_rows(master_seed: int, stream_ids, n: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """A reproducible stream of randomness keyed by (master_seed, stream_id)."""
+class RngStream(ValueRecord):
+    """A reproducible stream of randomness keyed by (master_seed, stream_id).
 
-    master_seed: int
-    stream_id: int = 0
+    Immutable, and equal to and hashed like any stream with the same two
+    integers.  The key takes each of them modulo 2^64.
+    """
+
+    def __init__(self, master_seed: int, stream_id: int = 0):
+        self.__dict__.update(master_seed=master_seed, stream_id=stream_id)
 
     def generator(self) -> np.random.Generator:
         """Fresh Philox generator for this stream, always at counter zero."""

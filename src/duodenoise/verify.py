@@ -10,8 +10,6 @@ out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import (
@@ -32,15 +30,17 @@ from .harness import (
     true_loss_functional,
 )
 from .losses import estimate_losses, hamming_loss
+from .record import ValueRecord
 
 UNBIASED_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(ValueRecord):
+    """One check's name, verdict and detail line: immutable, and equal to any
+    result with the same three fields."""
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 def check_h_identity(channel: Channel) -> CheckResult:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,29 @@ class TestStructure:
     def test_unknown_channel_type(self):
         with pytest.raises(ValueError, match="unknown channel"):
             channel_from_json({"type": "awgn"})
+
+    def test_channel_is_immutable(self):
+        dmc = [[0.5, 0.2, 0.3], [0.0, 0.7, 0.3]]
+        for ch in (Channel(dmc), Channel(pi=dmc), make_bsc(0.2), make_bec(0.4)):
+            with pytest.raises(AttributeError):
+                ch.pi = np.eye(2)
+            assert ch == ch and ch != Channel(ch.pi)    # equal only to itself
+
+    @pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)),
+                                            copy.copy, copy.deepcopy])
+    def test_channel_round_trips_keep_its_matrix(self, round_trip):
+        for ch in (make_bsc(0.2), make_bec(0.4)):
+            twin = round_trip(ch)
+            assert type(twin) is Channel and np.array_equal(twin.pi, ch.pi)
+            assert twin.pi.dtype == np.float64 and is_bec(twin) == is_bec(ch)
+            np.testing.assert_array_equal(compute_h(twin), compute_h(ch))
+            with pytest.raises(AttributeError):
+                twin.pi = ch.pi
+
+    def test_channel_round_trips_rebuild_a_read_only_validated_matrix(self):
+        # a round trip calls Channel(pi), which validates pi and freezes its copy
+        for twin in (pickle.loads(pickle.dumps(make_bsc(0.2))), copy.deepcopy(make_bec(0.4))):
+            assert not twin.pi.flags.writeable
 
 
 class TestSampling:

@@ -128,6 +128,26 @@ def test_combine_rejects_a_seed_without_randomized(capsys):
     assert capsys.readouterr().err == "error: --seed apply only with --randomized\n"
 
 
+SEEDED = {
+    "combine": ["combine", "--channel", '{"type": "bsc", "delta": 0.2}', "--pair",
+                '{"type": "bsc_counterexample_pair", "delta": 0.2}', "--sequence", "1,0,0,0,0",
+                "--randomized", "--q", "0.1", "--m", "4"],
+    "influence": ["influence", "--n", "6", "--q", "0.1", "--m", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_seed_must_lie_below_two_to_the_64(command, monkeypatch, capsys):
+    for seed in ("0", str(2**64 - 1)):
+        assert main(SEEDED[command] + ["--seed", seed]) == 0
+        assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "RngStream", None)     # rejected before any stream is built
+    for seed in ("-1", str(2**64)):
+        assert main(SEEDED[command] + ["--seed", seed]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --seed: a seed must lie in [0, 2^64), got {seed}\n"
+
+
 def test_influence_rejects_a_block_length_beside_a_sequence(capsys):
     assert main(["influence", "--sequence", "0,1,1", "--n", "999"]) == 1
     captured = capsys.readouterr()

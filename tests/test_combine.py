@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from duodenoise import combine
 from duodenoise.channel import compute_h, make_bsc
 from duodenoise.combine import (
+    Selection,
     combined_denoise,
     randomized_combined_denoise,
     select_min_estimate,
@@ -43,6 +46,18 @@ class TestSelection:
 
     def test_negative_estimates_are_comparable(self):
         assert select_min_estimate(-0.3, 0.0).chosen_index == 1
+
+    def test_selection_is_an_immutable_value(self):
+        sel = select_min_estimate(0.3, 0.2)
+        assert sel == Selection(2, (0.3, 0.2), tie=False)
+        assert sel == Selection(chosen_index=2, estimates=(0.3, 0.2), tie=False)
+        assert sel != Selection(1, (0.3, 0.2), False)
+        for field in ("chosen_index", "estimates", "tie"):
+            with pytest.raises(AttributeError):
+                setattr(sel, field, None)
+        twin = pickle.loads(pickle.dumps(sel))
+        assert twin == sel and (twin.chosen_index, twin.estimates, twin.tie) == (2, (0.3, 0.2),
+                                                                                False)
 
 
 class TestPlainCombiner:

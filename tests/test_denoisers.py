@@ -9,8 +9,10 @@ the loss estimator consumes only those tables.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +180,26 @@ class TestSmoothing:
             SmoothingConfig(q=0.1, nu=0.5)
         with pytest.raises(ValueError, match="exactly one"):
             SmoothingConfig()
+
+    def test_config_is_an_immutable_value(self):
+        cfg = SmoothingConfig(q=0.1, mode="exact")
+        assert cfg == SmoothingConfig(0.1, None, "exact", 128)
+        assert (cfg.q, cfg.nu, cfg.mode, cfg.m) == (0.1, None, "exact", 128)
+        assert SmoothingConfig(nu=0.5).m == 128 and SmoothingConfig(nu=0.5).mode == "monte_carlo"
+        assert cfg != SmoothingConfig(q=0.1) and cfg != SmoothingConfig(q=0.2, mode="exact")
+        for field in ("q", "nu", "mode", "m"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, field, 1)
+
+    @pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)),
+                                            copy.copy, copy.deepcopy])
+    def test_config_round_trips_keep_its_fields(self, round_trip):
+        for cfg in (SmoothingConfig(q=0.1, mode="exact"), SmoothingConfig(nu=0.75, m=64)):
+            twin = round_trip(cfg)
+            assert (twin.q, twin.nu, twin.mode, twin.m) == (cfg.q, cfg.nu, cfg.mode, cfg.m)
+            assert twin == cfg and twin.resolve_q(256) == cfg.resolve_q(256)
+            with pytest.raises(AttributeError):
+                twin.m = 1
 
     def test_config_resolves_rate_exponent(self):
         assert SmoothingConfig(nu=0.5).resolve_q(256) == pytest.approx(1 / 16)

@@ -9,7 +9,8 @@ that only tests reach belongs in the tests.  A private top-level name
 it: an intermediate that only tests or the benchmark call is dead code.
 
 ``tests/reference.py`` imports from ``duodenoise`` only the names of
-``REFERENCE_IMPORTS``, and no test module imports another.
+``REFERENCE_IMPORTS``, and no test module imports another.  No library
+module generates code at import (``CODE_GENERATORS``).
 """
 
 from __future__ import annotations
@@ -99,3 +100,20 @@ def test_no_test_module_imports_another():
     # test_golden's child script imports its cases from a string, not parsed here
     assert [(path.name, module) for path in (ROOT / "tests").glob("test_*.py")
             for module, _ in _imports(path) if module.startswith("test_")] == []
+
+
+# Each of these compiles generated source when the module that uses it is
+# imported: a frozen dataclass about 0.5-1.6 ms of import per class (2-core
+# machine, Python 3.11), most of the library's import time when it had seven,
+# and a namedtuple or NamedTuple an eval of its own.  The library's records
+# are plain classes (duodenoise.record) instead.
+CODE_GENERATORS = {"dataclasses", "dataclass", "make_dataclass", "namedtuple", "NamedTuple",
+                   "exec", "eval"}
+
+
+def test_no_library_module_generates_code_at_import():
+    found = []
+    for path in sorted((ROOT / "src" / "duodenoise").glob("*.py")):
+        names = _read_names(ast.parse(path.read_text())) | {m for m, _ in _imports(path)}
+        found += [(path.stem, name) for name in sorted(names & CODE_GENERATORS)]
+    assert found == []

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -116,6 +118,17 @@ class TestConfigParsing:
         del bad["channel"]
         with pytest.raises(ConfigError, match="missing required"):
             ExperimentConfig.from_json(bad)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_master_seed_in_range_accepted(self, seed):
+        assert ExperimentConfig.from_json(spec_with(master_seed=seed)).master_seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**70 + 3])
+    def test_master_seed_outside_range_rejected(self, seed):
+        # a stream keys on the seed modulo 2^64: -1 would run 2^64 - 1's trials
+        with pytest.raises(ConfigError, match=rf"^config.master_seed: a seed must lie in "
+                                              rf"\[0, 2\^64\), got {seed}$"):
+            ExperimentConfig.from_json(spec_with(master_seed=seed))
 
     def test_accepts_json_text(self):
         cfg = ExperimentConfig.from_json(json.dumps(PLAIN_SPEC))
@@ -452,6 +465,44 @@ def test_plain_run_builds_one_stream_per_block(monkeypatch):
     assert len(blocks(cfg.trials, 8 * cfg.n)) == 3
     assert len(run_trials(cfg)["trial"]) == 10
     assert built == [(cfg.master_seed,)] * 3
+
+
+EXPERIMENT_FIELDS = ("channel", "h", "h_choice", "lm", "n", "clean_source", "clean_file", "d1",
+                     "d2", "smoothing", "trials", "epsilons", "master_seed", "output_path",
+                     "output_format", "raw")
+
+
+def test_experiment_config_is_immutable():
+    cfg = ExperimentConfig.from_json(spec_with(n=8, trials=2))
+    for field in EXPERIMENT_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, None)
+    assert cfg.trials == 2 and cfg.raw == spec_with(n=8, trials=2)
+
+
+COMBINERS = [{"type": "plain"}, {"type": "randomized", "m": 8}]
+
+
+@pytest.mark.parametrize("combiner", COMBINERS)
+def test_experiment_config_built_by_keyword_runs_the_same_trials(combiner):
+    cfg = ExperimentConfig.from_json(spec_with(n=32, trials=5, combiner=combiner))
+    built = ExperimentConfig(**{field: getattr(cfg, field) for field in EXPERIMENT_FIELDS})
+    assert [getattr(built, field) for field in EXPERIMENT_FIELDS] == [
+        getattr(cfg, field) for field in EXPERIMENT_FIELDS]
+    assert built.randomized == cfg.randomized
+    assert records_csv_text(run_trials(built)) == records_csv_text(run_trials(cfg))
+
+
+@pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy])
+@pytest.mark.parametrize("combiner", COMBINERS)
+def test_experiment_config_round_trips_run_the_same_trials(combiner, round_trip):
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=32, trials=5, combiner=combiner, clean_source={"type": "iid_bernoulli", "p": 0.3}))
+    twin = round_trip(cfg)
+    assert type(twin) is ExperimentConfig and twin.raw == cfg.raw
+    assert records_csv_text(run_trials(twin)) == records_csv_text(run_trials(cfg))
+    with pytest.raises(AttributeError):
+        twin.trials = 1
 
 
 def fixed_losses_and_estimates(monkeypatch, cfg, values):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -546,6 +547,23 @@ class TestJointType:
         with pytest.raises(ValueError, match="^joint type counts are defined for binary "
                                              "channels$"):
             joint_type_counts([0, 2, 1], BecParityDenoiser(False))
+
+    def test_counts_are_immutable(self):
+        counts = np.arange(8).reshape(2, 2, 2)
+        for t in (JointTypeCounts(counts), JointTypeCounts(counts=counts.tolist()),
+                  joint_type_counts([0, 1, 1], IdentityDenoiser())):
+            assert t.counts.dtype == np.int64 and not t.counts.flags.writeable
+            with pytest.raises(AttributeError):
+                t.counts = counts
+            twin = pickle.loads(pickle.dumps(t))
+            assert np.array_equal(twin.counts, t.counts) and twin.counts.dtype == np.int64
+            with pytest.raises(AttributeError):
+                twin.counts = counts
+
+    def test_round_trip_rebuilds_read_only_counts(self):
+        # unpickling calls JointTypeCounts(counts), which freezes its copy
+        twin = pickle.loads(pickle.dumps(JointTypeCounts(np.ones((2, 2, 2)))))
+        assert not twin.counts.flags.writeable
         t = joint_type_counts([0, 1], IdentityDenoiser())
         with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/2\), got 0\.5$"):
             bsc_estimate_from_type(0.5, t, 2)

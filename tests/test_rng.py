@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -115,3 +117,27 @@ def test_uniforms_leave_a_held_generator_undisturbed():
     second = bits.random_raw(6)
     whole = stream.generator().bit_generator.random_raw(11)
     assert np.array_equal(np.concatenate([first, second]), whole)
+
+
+def test_stream_is_an_immutable_value():
+    stream = RngStream(5, 7)
+    for same in (RngStream(5, 7), RngStream(master_seed=5, stream_id=7)):
+        assert stream == same and hash(stream) == hash(same)
+    assert stream != RngStream(5, 8) and stream != RngStream(6, 7)
+    assert RngStream(5) == RngStream(5, 0) and RngStream(5).stream_id == 0
+    for field in ("master_seed", "stream_id"):
+        with pytest.raises(AttributeError):
+            setattr(stream, field, 1)
+    assert (stream.master_seed, stream.stream_id) == (5, 7)
+
+
+@pytest.mark.parametrize("round_trip", [lambda s: pickle.loads(pickle.dumps(s)),
+                                        copy.copy, copy.deepcopy])
+def test_stream_round_trips_keep_its_fields(round_trip):
+    stream = RngStream(2**64 - 1, 2**63)
+    twin = round_trip(stream)
+    assert (twin.master_seed, twin.stream_id) == (2**64 - 1, 2**63)
+    assert twin == stream and hash(twin) == hash(stream)
+    assert np.array_equal(twin.uniforms(5), stream.uniforms(5))
+    with pytest.raises(AttributeError):
+        twin.stream_id = 0

@@ -3,6 +3,8 @@ reports FAIL rather than PASS."""
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,15 @@ def test_parity_counterexample_rejects_a_block_length_below_two():
     for n in (2, 1, 0):
         with pytest.raises(ValueError, match=rf"^the parity counterexample needs n >= 3, got {n}"):
             verify.check_parity_counterexample(n)
+
+
+def test_check_result_is_an_immutable_value():
+    result = verify.CheckResult("h-identity", True, "max defect 0")
+    assert result == verify.CheckResult(name="h-identity", passed=True, detail="max defect 0")
+    assert result != verify.CheckResult("h-identity", False, "max defect 0")
+    for field in ("name", "passed", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+    twin = pickle.loads(pickle.dumps(result))
+    assert twin == result and (twin.name, twin.passed, twin.detail) == ("h-identity", True,
+                                                                        "max defect 0")
