@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import channel_from_json, h_from_choice, parse_symbols
 from .combine import combined_denoise, randomized_combined_denoise
-from .denoisers import ENUMERATION_LIMIT
+from .denoisers import ENUMERATION_LIMIT, _parity
 from .harness import (
     ExperimentConfig,
     check_binary_channel,
@@ -135,11 +135,7 @@ def cmd_influence(args) -> int:
             raise ValueError(f"--n: block length must be >= 1, got {n}")
         build("--n", cfg.check_length, n)
         z = np.zeros(n, dtype=np.int64)
-
-    def parity(rows: np.ndarray) -> np.ndarray:
-        return rows.sum(axis=1) % 2
-
-    value, se = pointwise_influence(parity, cfg, z, RngStream(seed))
+    value, se = pointwise_influence(_parity, cfg, z, RngStream(seed))
     print(json.dumps({"influence": value, "se": se}))
     return 0
 

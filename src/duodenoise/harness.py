@@ -132,7 +132,7 @@ def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
     return build(path, SmoothingConfig, **{key: x for key, x in v.items() if x is not None})
 
 
-def clean_source_from_spec(spec, channel: Channel, n: int, path: str = "clean_source"):
+def clean_source_from_spec(spec, channel: Channel, path: str = "clean_source"):
     """(source, clean sequence read from a file or None) of a clean-source spec."""
     source = read_typed(spec, path, "clean source", {
         "all_zeros": ({}, {}),
@@ -148,8 +148,6 @@ def clean_source_from_spec(spec, channel: Channel, n: int, path: str = "clean_so
             clean = check_sequence(parse_symbols(fh.read()), channel.input_size, "clean file")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}.path: {exc}") from exc
-    if len(clean) != n:
-        raise ConfigError(f"{path}: clean file length {len(clean)} does not match n = {n}")
     return source, clean
 
 
@@ -177,14 +175,61 @@ def check_seed(seed: int, path: str) -> int:
     return seed
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when it already
+    is one that owns its data, else a read-only copy, so that no array a
+    caller can still write is frozen or shared."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class ExperimentConfig(Record):
     """A fully parsed experiment description: immutable, and equal only to
-    itself."""
+    itself.
+
+    The constructor checks the rules that tie the fields together, raising
+    :class:`ConfigError`, and holds ``h``, ``lm`` and ``clean_file`` as
+    read-only arrays, whether the config comes from :meth:`from_json`, a
+    direct call, ``pickle`` or ``copy``.
+    """
 
     def __init__(self, channel: Channel, h: np.ndarray, h_choice: str, lm: np.ndarray, n: int,
                  clean_source: dict, clean_file: np.ndarray | None, d1: Denoiser, d2: Denoiser,
                  smoothing: SmoothingConfig | None, trials: int, epsilons: tuple[float, ...],
                  master_seed: int, output_path: str | None, output_format: str, raw: dict):
+        h, lm, epsilons = _frozen(h, np.float64), _frozen(lm, np.float64), tuple(epsilons)
+        clean_file = None if clean_file is None else _frozen(clean_file, np.int64)
+        if n < 1 or trials < 1:
+            raise ConfigError(f"config: n and trials must be >= 1, got {n} and {trials}")
+        if any(e <= 0 for e in epsilons):
+            raise ConfigError("config.epsilons: deviation thresholds must be positive")
+        if len(set(epsilons)) < len(epsilons):
+            raise ConfigError("config.epsilons: deviation thresholds must be distinct")
+        check_seed(master_seed, "config.master_seed")
+        if n * channel.output_size > ENUMERATION_LIMIT:
+            raise ConfigError(f"config.n: a trial's substituted-output table of {n} x "
+                              f"{channel.output_size} entries exceeds the limit "
+                              f"{ENUMERATION_LIMIT}")
+        if clean_file is not None and len(clean_file) != n:
+            raise ConfigError(f"config.clean_source: clean file length {len(clean_file)} "
+                              f"does not match n = {n}")
+        if smoothing is not None:
+            check_binary_channel(channel, "config.combiner")
+            build("config.combiner", smoothing.check_length, n)
+        if len(lm) != channel.input_size:
+            raise ConfigError("config.loss: loss matrix size does not match the clean alphabet")
+        # a position's estimate is at most K * max|h| * max lambda in magnitude,
+        # its loss at most max lambda, and so are a trial's means of them
+        bound = channel.input_size * float(np.abs(h).max()) * float(lm.max())
+        sums = n * max(float(lm.max()), bound), 2 * bound * 2 * bound * trials
+        if not all(map(math.isfinite, sums)):
+            raise ConfigError(f"config.loss: a largest loss of {lm.max():g} can overflow a "
+                              f"run's sums: n * max lambda * max(1, K * max|h|) and "
+                              f"(2 * K * max|h| * max lambda)^2 * trials must be finite")
         self.__dict__.update(
             channel=channel, h=h, h_choice=h_choice, lm=lm, n=n, clean_source=clean_source,
             clean_file=clean_file, d1=d1, d2=d2, smoothing=smoothing, trials=trials,
@@ -198,7 +243,8 @@ class ExperimentConfig(Record):
     @classmethod
     def from_json(cls, spec) -> "ExperimentConfig":
         """Parse an experiment config (dict or JSON text); every malformed or
-        inconsistent config raises :class:`ConfigError` here."""
+        inconsistent config raises :class:`ConfigError` here, in the parsers
+        of its parts or in the constructor."""
         spec = load(spec, "config")
         v = read(spec, "config", {
             "channel": dict, "n": int, "denoisers": dict, "trials": int, "master_seed": int,
@@ -210,43 +256,18 @@ class ExperimentConfig(Record):
             "loss": (dict, {"type": "hamming"}),
             "output": (dict, {}),
         })
-        n = v["n"]
-        if n < 1 or v["trials"] < 1:
-            raise ConfigError(f"config: n and trials must be >= 1, got {n} and {v['trials']}")
-        if any(e <= 0 for e in v["epsilons"]):
-            raise ConfigError("config.epsilons: deviation thresholds must be positive")
-        if len(set(v["epsilons"])) < len(v["epsilons"]):
-            raise ConfigError("config.epsilons: deviation thresholds must be distinct")
-        check_seed(v["master_seed"], "config.master_seed")
         channel = channel_from_json(v["channel"], "config.channel")
-        if n * channel.output_size > ENUMERATION_LIMIT:
-            raise ConfigError(f"config.n: a trial's substituted-output table of {n} x "
-                              f"{channel.output_size} entries exceeds the limit "
-                              f"{ENUMERATION_LIMIT}")
         source, clean_file = clean_source_from_spec(
-            v["clean_source"], channel, n, "config.clean_source")
+            v["clean_source"], channel, "config.clean_source")
         d1, d2 = denoiser_pair_from_spec(v["denoisers"], channel, "config.denoisers")
         smoothing = smoothing_from_spec(v["combiner"], "config.combiner")
-        if smoothing is not None:
-            check_binary_channel(channel, "config.combiner")
-            build("config.combiner", smoothing.check_length, n)
         h_choice, h = h_from_choice(channel, v["h"], "config.h")
         lm = loss_from_json(v["loss"], channel.input_size, "config.loss")
-        if len(lm) != channel.input_size:
-            raise ConfigError("config.loss: loss matrix size does not match the clean alphabet")
-        # a position's estimate is at most K * max|h| * max lambda in magnitude,
-        # its loss at most max lambda, and so are a trial's means of them
-        bound = channel.input_size * float(np.abs(h).max()) * float(lm.max())
-        sums = n * max(float(lm.max()), bound), 2 * bound * 2 * bound * v["trials"]
-        if not all(map(math.isfinite, sums)):
-            raise ConfigError(f"config.loss: a largest loss of {lm.max():g} can overflow a "
-                              f"run's sums: n * max lambda * max(1, K * max|h|) and "
-                              f"(2 * K * max|h| * max lambda)^2 * trials must be finite")
         output_path, output_format = output_from_spec(v["output"], "config.output")
         return cls(
-            channel=channel, h=h, h_choice=h_choice, lm=lm, n=n,
+            channel=channel, h=h, h_choice=h_choice, lm=lm, n=v["n"],
             clean_source=source, clean_file=clean_file, d1=d1, d2=d2,
-            smoothing=smoothing, trials=v["trials"], epsilons=tuple(v["epsilons"]),
+            smoothing=smoothing, trials=v["trials"], epsilons=v["epsilons"],
             master_seed=v["master_seed"], output_path=output_path,
             output_format=output_format, raw=spec,
         )

@@ -36,6 +36,11 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 Channel(pi)
 
+    def test_pi_must_be_a_matrix(self):
+        for pi in ([0.5, 0.5], [[[1.0, 0.0], [0.0, 1.0]]], 1.0):
+            with pytest.raises(ValueError, match=r"^pi must be a 2-d matrix$"):
+                Channel(pi)
+
     def test_output_alphabet_cannot_shrink(self):
         with pytest.raises(ValueError, match="smaller"):
             Channel([[1.0], [1.0]])  # 2x1

@@ -8,6 +8,8 @@ that only tests reach belongs in the tests.  A private top-level name
 (``_name``, not a dunder) counts as used only when a library module reads
 it: an intermediate that only tests or the benchmark call is dead code.
 
+No public top-level name is defined in two library modules.
+
 ``tests/reference.py`` imports from ``duodenoise`` only the names of
 ``REFERENCE_IMPORTS``, and no test module imports another.  No library
 module generates code at import (``CODE_GENERATORS``).
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +75,13 @@ def test_every_public_name_has_a_caller():
               if not name.startswith("_") and name not in read
               and (module, name) not in traced]
     assert unused == []
+
+
+def test_no_public_name_is_defined_in_two_library_modules():
+    # two definitions of one name leave a reader to guess which one a caller gets
+    defined = Counter(name for tree in _library().values()
+                      for name in set(_top_level_names(tree)) if not name.startswith("_"))
+    assert sorted(name for name, count in defined.items() if count > 1) == []
 
 
 def test_every_private_name_has_a_library_caller():

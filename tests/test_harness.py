@@ -25,7 +25,9 @@ from duodenoise import combine, denoisers, harness
 from duodenoise.channel import (
     Channel,
     canonical_erasure_h,
+    channel_from_json,
     compute_h,
+    h_from_choice,
     make_bec,
     make_bsc,
 )
@@ -47,18 +49,22 @@ from duodenoise.harness import (
     ConfigError,
     ExperimentConfig,
     aggregate,
+    clean_source_from_spec,
     denoiser_from_spec,
+    denoiser_pair_from_spec,
     enumerate_expectation,
     estimate_functional,
     pointwise_influence,
     run_experiment,
     run_trials,
+    smoothing_from_spec,
     true_loss_functional,
 )
 from duodenoise.losses import (
     cumulative_loss,
     estimate_smoothed_loss,
     hamming_loss,
+    loss_from_json,
     loss_matrix,
     smoothed_conditional_loss,
 )
@@ -493,16 +499,111 @@ def test_experiment_config_built_by_keyword_runs_the_same_trials(combiner):
     assert records_csv_text(run_trials(built)) == records_csv_text(run_trials(cfg))
 
 
-@pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy])
+ROUND_TRIPS = [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy]
+
+
+def assert_read_only_arrays(cfg):
+    arrays = [cfg.h, cfg.lm] + ([] if cfg.clean_file is None else [cfg.clean_file])
+    assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS)
 @pytest.mark.parametrize("combiner", COMBINERS)
 def test_experiment_config_round_trips_run_the_same_trials(combiner, round_trip):
     cfg = ExperimentConfig.from_json(spec_with(
         n=32, trials=5, combiner=combiner, clean_source={"type": "iid_bernoulli", "p": 0.3}))
     twin = round_trip(cfg)
     assert type(twin) is ExperimentConfig and twin.raw == cfg.raw
+    assert_read_only_arrays(twin)
     assert records_csv_text(run_trials(twin)) == records_csv_text(run_trials(cfg))
     with pytest.raises(AttributeError):
         twin.trials = 1
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS)
+@pytest.mark.parametrize("combiner", COMBINERS)
+def test_file_sourced_config_round_trips_run_the_same_trials(tmp_path, combiner, round_trip):
+    path = tmp_path / "clean.txt"
+    path.write_text("0 1 1 0\n" * 8)
+    cfg = ExperimentConfig.from_json(spec_with(
+        n=32, trials=5, combiner=combiner, clean_source={"type": "file", "path": str(path)}))
+    twin = round_trip(cfg)
+    # the parsed clean file is read-only, and so is each rebuilt array
+    assert_read_only_arrays(cfg)
+    assert_read_only_arrays(twin)
+    np.testing.assert_array_equal(twin.clean_file, cfg.clean_file)
+    assert records_csv_text(run_trials(twin)) == records_csv_text(run_trials(cfg))
+
+
+def test_constructor_freezes_copies_of_arrays_its_caller_holds():
+    cfg = ExperimentConfig.from_json(spec_with(n=4, trials=2))
+    h, lm, clean = np.array(cfg.h), np.array(cfg.lm), np.array([0, 1, 1, 0])
+    fields = {field: getattr(cfg, field) for field in EXPERIMENT_FIELDS}
+    built = ExperimentConfig(**{**fields, "h": h, "lm": lm, "clean_file": clean,
+                                "clean_source": {"type": "file", "path": "clean.txt"}})
+    assert h.flags.writeable and lm.flags.writeable and clean.flags.writeable
+    assert_read_only_arrays(built)
+    h[:], lm[:], clean[:] = 0.0, 0.0, 1
+    np.testing.assert_array_equal(built.h, cfg.h)
+    np.testing.assert_array_equal(built.lm, cfg.lm)
+    assert built.clean_file.tolist() == [0, 1, 1, 0]
+    with pytest.raises(ConfigError, match=r"^config\.clean_source: clean file length 3 "
+                                          r"does not match n = 4$"):
+        ExperimentConfig(**{**fields, "clean_file": clean[:3]})
+
+
+def constructor_arguments(spec: dict) -> dict:
+    """The arguments of ``ExperimentConfig`` for a spec, each read by the
+    parser of its part and none checked against another."""
+    channel = channel_from_json(spec["channel"])
+    source, clean_file = clean_source_from_spec(
+        spec.get("clean_source", {"type": "all_zeros"}), channel)
+    d1, d2 = denoiser_pair_from_spec(spec["denoisers"], channel)
+    h_choice, h = h_from_choice(channel, spec.get("h"))
+    return dict(
+        channel=channel, h=h, h_choice=h_choice, n=spec["n"],
+        lm=loss_from_json(spec.get("loss", {"type": "hamming"}), channel.input_size),
+        clean_source=source, clean_file=clean_file, d1=d1, d2=d2,
+        smoothing=smoothing_from_spec(spec.get("combiner", {"type": "plain"})),
+        trials=spec["trials"], epsilons=spec.get("epsilons", []),
+        master_seed=spec["master_seed"], output_path=None, output_format="csv", raw=spec)
+
+
+BEC = {"type": "bec", "epsilon": 0.5}
+DMC3 = {"type": "dmc", "pi": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}
+DMC3_PAIR = {"type": "pair", "first": {"type": "identity"}, "second": {"type": "constant"}}
+RANDOMIZED = {"type": "randomized", "nu": 0.75, "mode": "monte_carlo", "m": 8}
+
+
+# the defects of test_spec.py's rejected list that no part's parser sees,
+# and a seed and a mask count out of range
+@pytest.mark.parametrize("defect", [
+    dict(combiner=RANDOMIZED, channel=BEC, denoisers={"type": "bec_parity_pair"}),
+    dict(combiner=RANDOMIZED, channel=DMC3, denoisers=DMC3_PAIR),
+    dict(n=21, combiner={"type": "randomized", "nu": 0.75, "mode": "exact"}),
+    dict(n=10**12),
+    dict(n=3333334, channel=BEC, denoisers={"type": "bec_parity_pair"}),
+    dict(loss={"type": "matrix", "lambda": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}),
+    dict(channel=DMC3, loss={"type": "matrix", "lambda": [[0, 1], [1, 0]]}, denoisers=DMC3_PAIR),
+    dict(n=0),
+    dict(trials=0),
+    dict(epsilons=[0.0]),
+    dict(epsilons=[0.05, 0.01, 0.05]),
+    dict(combiner={"type": "randomized", "nu": 0.2}),
+    dict(n=2, combiner={"type": "randomized"}),
+    dict(n=1, combiner={"type": "randomized", "mode": "exact"}),
+    dict(n=8, loss={"type": "matrix", "lambda": [[0, 1e308], [1e308, 0]]}),
+    dict(n=8, combiner=RANDOMIZED, loss={"type": "matrix", "lambda": [[1e307, 1e307]] * 2}),
+    dict(master_seed=2**64),
+    dict(n=4096, combiner={**RANDOMIZED, "m": 2442}),
+])
+def test_constructor_rejects_what_from_json_rejects(defect):
+    spec = {**spec_with(n=12, trials=2, epsilons=[0.05, 0.1], master_seed=1), **defect}
+    with pytest.raises(ConfigError) as parsed:
+        ExperimentConfig.from_json(spec)
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig(**constructor_arguments(spec))
+    assert str(built.value) == str(parsed.value)
 
 
 def fixed_losses_and_estimates(monkeypatch, cfg, values):

@@ -41,12 +41,12 @@ def test_parity_counterexample_rejects_a_block_length_below_two():
 
 
 def test_check_result_is_an_immutable_value():
-    result = verify.CheckResult("h-identity", True, "max defect 0")
-    assert result == verify.CheckResult(name="h-identity", passed=True, detail="max defect 0")
-    assert result != verify.CheckResult("h-identity", False, "max defect 0")
+    result = verify.CheckResult("unbiasedness", True, "gap 0")
+    assert result == verify.CheckResult(name="unbiasedness", passed=True, detail="gap 0")
+    assert result != verify.CheckResult("unbiasedness", False, "gap 0")
     for field in ("name", "passed", "detail"):
         with pytest.raises(AttributeError):
             setattr(result, field, None)
     twin = pickle.loads(pickle.dumps(result))
-    assert twin == result and (twin.name, twin.passed, twin.detail) == ("h-identity", True,
-                                                                        "max defect 0")
+    assert twin == result
+    assert (twin.name, twin.passed, twin.detail) == ("unbiasedness", True, "gap 0")
