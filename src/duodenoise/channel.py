@@ -108,6 +108,12 @@ def _check_h(channel: Channel, h: np.ndarray) -> np.ndarray:
     return h
 
 
+def check_binary_channel(channel: Channel) -> None:
+    """Reject a channel that is not binary, which randomized combining needs."""
+    if channel.pi.shape != (2, 2):
+        raise ValueError("randomized combining needs a binary channel")
+
+
 def make_bsc(delta: float) -> Channel:
     """Binary symmetric channel with crossover probability delta in (0, 1/2)."""
     if not 0.0 < delta < 0.5:

@@ -17,12 +17,11 @@ import sys
 
 import numpy as np
 
-from .channel import channel_from_json, h_from_choice, parse_symbols
+from .channel import channel_from_json, check_binary_channel, h_from_choice, parse_symbols
 from .combine import combined_denoise, randomized_combined_denoise
 from .denoisers import ENUMERATION_LIMIT, _parity
 from .harness import (
     ExperimentConfig,
-    check_binary_channel,
     check_seed,
     denoiser_from_spec,
     denoiser_pair_from_spec,
@@ -86,7 +85,7 @@ def cmd_combine(args) -> int:
     seed = check_seed(args.seed or 0, "--seed")
     channel = channel_from_json(args.channel, "--channel")
     if args.randomized:
-        check_binary_channel(channel, "--channel")
+        build("--channel", check_binary_channel, channel)
     _, h = h_from_choice(channel, None if args.h == "auto" else args.h, "--h")
     d1, d2 = denoiser_pair_from_spec(args.pair, channel, "--pair")
     lm = hamming_loss(channel.input_size)

@@ -58,6 +58,13 @@ class Denoiser(ABC):
         return self.substituted_outputs_batch(zs[None])[0]
 
 
+def _window_width(k: int) -> int:
+    """The width 2k+1 of a window of half-width k, once k >= 0."""
+    if k < 0:
+        raise ValueError("window half-width must be nonnegative")
+    return 2 * k + 1
+
+
 class SlidingWindowDenoiser(Denoiser):
     """Each output symbol is a fixed function of the window of 2k+1 noisy
     symbols centred there: ``table`` at the base-``input_size`` window code,
@@ -66,9 +73,7 @@ class SlidingWindowDenoiser(Denoiser):
 
     def __init__(self, k: int, table: np.ndarray, input_size: int = 2,
                  output_size: int = 2):
-        if k < 0:
-            raise ValueError("window half-width must be nonnegative")
-        width = 2 * k + 1
+        width = _window_width(k)
         table = np.asarray(table, dtype=np.int64)
         if table.shape != (input_size ** width,):
             raise ValueError(
@@ -152,9 +157,10 @@ def make_sliding_window(k: int, rule, input_size: int = 2,
     ``rule`` is ``"majority"`` (vote among window symbols equal to 1 vs 0,
     ties and non-binary symbols resolving to 0) or a flat table indexed by
     the base-``input_size`` window code.  A window whose table would have
-    more than ENUMERATION_LIMIT entries is rejected before anything is built.
+    more than ENUMERATION_LIMIT entries, or of a negative k, is rejected
+    before anything is built.
     """
-    width = 2 * k + 1
+    width = _window_width(k)
     # input_size >= 2, so capping the exponent keeps a huge k cheap to reject
     if input_size ** min(width, 64) > ENUMERATION_LIMIT:
         raise ValueError(f"a window of width {width} over {input_size} symbols needs "

@@ -1,13 +1,16 @@
 """Monte Carlo experiment driver, exact-enumeration oracles, and influence.
 
 Experiments are declared as JSON configs (channel, block length, clean
-source, denoiser pair, combiner, trial count, master seed).  Each trial gets
-its own derived random streams, so results are independent of blocking,
-worker count and execution order.  Trials run in blocks through the
-denoisers' batch paths; plain blocks run in the calling thread, randomized
-blocks on `DUO_THREADS` threads, which change speed only.  The module also
-provides exact expectations by state-space enumeration (the unbiasedness
-oracle) and pointwise total-influence measurements.
+source, denoiser pair, combiner, trial count, master seed).  The parsers of
+a config's parts only read JSON; the :class:`ExperimentConfig` constructor
+checks every rule on the values, so a config is checked the same way
+however it is built.  Each trial gets its own derived random streams, so
+results are independent of blocking, worker count and execution order.
+Trials run in blocks through the denoisers' batch paths; plain blocks run
+in the calling thread, randomized blocks on `DUO_THREADS` threads, which
+change speed only.  The module also provides exact expectations by
+state-space enumeration (the unbiasedness oracle) and pointwise
+total-influence measurements.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import json
 import math
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from . import __version__
 from .channel import (
     Channel,
     channel_from_json,
+    check_binary_channel,
     check_sequence,
     h_from_choice,
     is_bec,
@@ -51,7 +54,10 @@ from .denoisers import (
 )
 from .losses import (
     _array_key,
+    _check_denoiser_fit,
     _check_fit,
+    _check_h_fit,
+    _check_loss_fit,
     _key_array,
     cumulative_loss,
     estimate_losses,
@@ -81,8 +87,8 @@ def denoiser_from_spec(spec, channel: Channel, path: str = "denoiser") -> Denois
         return IdentityDenoiser(k, m)
     if v["type"] == "constant":
         return build(path, ConstantDenoiser, v["symbol"], k, m)
-    if (v["rule"] is None) == (v["table"] is None) or v["k"] < 0:
-        raise ConfigError(f"{path}: sliding_window needs k >= 0 and one of rule and table")
+    if (v["rule"] is None) == (v["table"] is None):
+        raise ConfigError(f"{path}: sliding_window needs exactly one of rule and table")
     rule = v["rule"] if v["table"] is None else np.asarray(v["table"])
     return build(path, make_sliding_window, v["k"], rule, m, k)
 
@@ -107,12 +113,6 @@ def denoiser_pair_from_spec(spec, channel: Channel,
             denoiser_from_spec(v["second"], channel, f"{path}.second"))
 
 
-def check_binary_channel(channel: Channel, path: str) -> None:
-    """Reject a channel that is not binary, which randomized combining needs."""
-    if channel.pi.shape != (2, 2):
-        raise ConfigError(f"{path}: randomized combining needs a binary channel")
-
-
 def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
     """The smoothing of a randomized-combiner spec; None for a plain one.
     Exact mode enumerates every mask, so an exact spec that names m is
@@ -132,39 +132,20 @@ def smoothing_from_spec(spec, path: str = "combiner") -> SmoothingConfig | None:
     return build(path, SmoothingConfig, **{key: x for key, x in v.items() if x is not None})
 
 
-def clean_source_from_spec(spec, channel: Channel, path: str = "clean_source"):
+def clean_source_from_spec(spec, path: str = "clean_source"):
     """(source, clean sequence read from a file or None) of a clean-source spec."""
     source = read_typed(spec, path, "clean source", {
         "all_zeros": ({}, {}),
         "iid_bernoulli": ({}, {"p": (float, 0.5)}),
         "file": ({"path": str}, {}),
     })
-    if not 0.0 <= source.get("p", 0.0) <= 1.0:
-        raise ConfigError(f"{path}: Bernoulli parameter must lie in [0, 1], got {source['p']}")
     if source["type"] != "file":
         return source, None
     try:
         with open(source["path"]) as fh:
-            clean = check_sequence(parse_symbols(fh.read()), channel.input_size, "clean file")
+            return source, parse_symbols(fh.read())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}.path: {exc}") from exc
-    return source, clean
-
-
-def output_from_spec(spec, path: str = "output") -> tuple[str | None, str]:
-    """(path or None, format) of an output spec."""
-    v = read(spec, path, {}, {"path": (str, None), "format": (str, "csv")})
-    if v["format"] not in ("csv", "json"):
-        raise ConfigError(f"{path}: unknown output format: {v['format']!r}")
-    if v["path"] == "":
-        raise ConfigError(f"{path}.path: an empty path names no file")
-    if v["path"] is not None:
-        directory = os.path.dirname(v["path"]) or "."
-        if not os.path.isdir(directory):
-            raise ConfigError(f"{path}.path: {directory!r} is not an existing directory")
-        if os.path.isdir(v["path"]):
-            raise ConfigError(f"{path}.path: {v['path']!r} is a directory, not a file")
-    return v["path"], v["format"]
 
 
 def check_seed(seed: int, path: str) -> int:
@@ -191,10 +172,10 @@ class ExperimentConfig(Record):
     """A fully parsed experiment description: immutable, and equal only to
     itself.
 
-    The constructor checks the rules that tie the fields together, raising
-    :class:`ConfigError`, and holds ``h``, ``lm`` and ``clean_file`` as
-    read-only arrays, whether the config comes from :meth:`from_json`, a
-    direct call, ``pickle`` or ``copy``.
+    The constructor checks every rule on a config's values, raising
+    :class:`ConfigError` that names the part at fault, and holds ``h``,
+    ``lm`` and ``clean_file`` as read-only arrays, whether the config comes
+    from :meth:`from_json`, a direct call, ``pickle`` or ``copy``.
     """
 
     def __init__(self, channel: Channel, h: np.ndarray, h_choice: str, lm: np.ndarray, n: int,
@@ -202,11 +183,10 @@ class ExperimentConfig(Record):
                  smoothing: SmoothingConfig | None, trials: int, epsilons: tuple[float, ...],
                  master_seed: int, output_path: str | None, output_format: str, raw: dict):
         h, lm, epsilons = _frozen(h, np.float64), _frozen(lm, np.float64), tuple(epsilons)
-        clean_file = None if clean_file is None else _frozen(clean_file, np.int64)
         if n < 1 or trials < 1:
             raise ConfigError(f"config: n and trials must be >= 1, got {n} and {trials}")
-        if any(e <= 0 for e in epsilons):
-            raise ConfigError("config.epsilons: deviation thresholds must be positive")
+        if not all(0.0 < e < math.inf for e in epsilons):     # NaN fails too
+            raise ConfigError("config.epsilons: deviation thresholds must be positive and finite")
         if len(set(epsilons)) < len(epsilons):
             raise ConfigError("config.epsilons: deviation thresholds must be distinct")
         check_seed(master_seed, "config.master_seed")
@@ -214,14 +194,29 @@ class ExperimentConfig(Record):
             raise ConfigError(f"config.n: a trial's substituted-output table of {n} x "
                               f"{channel.output_size} entries exceeds the limit "
                               f"{ENUMERATION_LIMIT}")
-        if clean_file is not None and len(clean_file) != n:
-            raise ConfigError(f"config.clean_source: clean file length {len(clean_file)} "
-                              f"does not match n = {n}")
+        kind = clean_source.get("type")
+        if kind not in ("all_zeros", "iid_bernoulli", "file"):
+            raise ConfigError(f"config.clean_source: unknown clean source: {kind!r}")
+        p = clean_source.get("p") if kind == "iid_bernoulli" else 0.0
+        if p is None or not 0.0 <= p <= 1.0:
+            raise ConfigError(f"config.clean_source: Bernoulli parameter must lie in [0, 1], "
+                              f"got {p}")
+        if (kind == "file") != (clean_file is not None):
+            raise ConfigError(f"config.clean_source: source type {kind!r} "
+                              f"{'needs a' if kind == 'file' else 'takes no'} clean file")
+        if clean_file is not None:
+            clean_file = _frozen(build("config.clean_source.path", check_sequence, clean_file,
+                                       channel.input_size, "clean file"), np.int64)
+            if len(clean_file) != n:
+                raise ConfigError(f"config.clean_source: clean file length {len(clean_file)} "
+                                  f"does not match n = {n}")
         if smoothing is not None:
-            check_binary_channel(channel, "config.combiner")
+            build("config.combiner", check_binary_channel, channel)
             build("config.combiner", smoothing.check_length, n)
-        if len(lm) != channel.input_size:
-            raise ConfigError("config.loss: loss matrix size does not match the clean alphabet")
+        build("config.h", _check_h_fit, channel, h)
+        build("config.loss", _check_loss_fit, channel, lm)
+        for d in (d1, d2):
+            build("config.denoisers", _check_denoiser_fit, channel, d)
         # a position's estimate is at most K * max|h| * max lambda in magnitude,
         # its loss at most max lambda, and so are a trial's means of them
         bound = channel.input_size * float(np.abs(h).max()) * float(lm.max())
@@ -230,6 +225,16 @@ class ExperimentConfig(Record):
             raise ConfigError(f"config.loss: a largest loss of {lm.max():g} can overflow a "
                               f"run's sums: n * max lambda * max(1, K * max|h|) and "
                               f"(2 * K * max|h| * max lambda)^2 * trials must be finite")
+        if output_format not in ("csv", "json"):
+            raise ConfigError(f"config.output: unknown output format: {output_format!r}")
+        if output_path == "":
+            raise ConfigError("config.output.path: an empty path names no file")
+        if output_path is not None:
+            directory = os.path.dirname(output_path) or "."
+            if not os.path.isdir(directory):
+                raise ConfigError(f"config.output.path: {directory!r} is not an existing directory")
+            if os.path.isdir(output_path):
+                raise ConfigError(f"config.output.path: {output_path!r} is a directory, not a file")
         self.__dict__.update(
             channel=channel, h=h, h_choice=h_choice, lm=lm, n=n, clean_source=clean_source,
             clean_file=clean_file, d1=d1, d2=d2, smoothing=smoothing, trials=trials,
@@ -242,9 +247,12 @@ class ExperimentConfig(Record):
 
     @classmethod
     def from_json(cls, spec) -> "ExperimentConfig":
-        """Parse an experiment config (dict or JSON text); every malformed or
-        inconsistent config raises :class:`ConfigError` here, in the parsers
-        of its parts or in the constructor."""
+        """Parse an experiment config (dict or JSON text).  The parsers of its
+        parts read JSON only: they reject unknown keys, missing keys, values
+        of the wrong JSON type and unreadable clean files, and build each
+        part.  Every rule on the values, within a part or across parts, is
+        the constructor's; either way a defect raises :class:`ConfigError`
+        here."""
         spec = load(spec, "config")
         v = read(spec, "config", {
             "channel": dict, "n": int, "denoisers": dict, "trials": int, "master_seed": int,
@@ -257,19 +265,19 @@ class ExperimentConfig(Record):
             "output": (dict, {}),
         })
         channel = channel_from_json(v["channel"], "config.channel")
-        source, clean_file = clean_source_from_spec(
-            v["clean_source"], channel, "config.clean_source")
+        source, clean_file = clean_source_from_spec(v["clean_source"], "config.clean_source")
         d1, d2 = denoiser_pair_from_spec(v["denoisers"], channel, "config.denoisers")
         smoothing = smoothing_from_spec(v["combiner"], "config.combiner")
         h_choice, h = h_from_choice(channel, v["h"], "config.h")
         lm = loss_from_json(v["loss"], channel.input_size, "config.loss")
-        output_path, output_format = output_from_spec(v["output"], "config.output")
+        output = read(v["output"], "config.output", {},
+                      {"path": (str, None), "format": (str, "csv")})
         return cls(
             channel=channel, h=h, h_choice=h_choice, lm=lm, n=v["n"],
             clean_source=source, clean_file=clean_file, d1=d1, d2=d2,
             smoothing=smoothing, trials=v["trials"], epsilons=v["epsilons"],
-            master_seed=v["master_seed"], output_path=output_path,
-            output_format=output_format, raw=spec,
+            master_seed=v["master_seed"], output_path=output["path"],
+            output_format=output["format"], raw=spec,
         )
 
     @classmethod
@@ -378,6 +386,8 @@ def run_trials(cfg: ExperimentConfig) -> dict[str, list]:
     workers = min(worker_count(), len(ids), _usable_cpus())
     if workers == 1 or not cfg.randomized:
         return _concatenate(_block(cfg, block) for block in ids)
+    # imported here: most runs start no pool, and the import costs milliseconds
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return _concatenate(pool.map(_block, [cfg] * len(ids), ids))
 

@@ -64,7 +64,14 @@ import math
 
 import numpy as np
 
-from .channel import ERASURE, Channel, check_h_identity, check_sequence, is_bec
+from .channel import (
+    ERASURE,
+    Channel,
+    check_binary_channel,
+    check_h_identity,
+    check_sequence,
+    is_bec,
+)
 from .denoisers import Denoiser, blocks, check_binary
 from .record import Record
 from .spec import build, read_typed
@@ -186,20 +193,36 @@ def _served_table(ch: Channel, h: np.ndarray, lm: np.ndarray,
     return _context_table(*map(_array_key, (ch.pi, h, lm)))
 
 
-def _check_fit(ch: Channel, h: np.ndarray | None, lm: np.ndarray, d: Denoiser) -> None:
-    """Reject an h (unless None) that is not K x M or fails pi @ h.T = I by
-    more than ``H_IDENTITY_TOL``, a loss that is not K x K, or a denoiser
-    that does not map the channel's M noisy symbols to its K clean ones."""
+def _check_h_fit(ch: Channel, h: np.ndarray) -> None:
+    """Reject an h that is not K x M or fails pi @ h.T = I by more than
+    ``H_IDENTITY_TOL``."""
     k, m = ch.pi.shape
-    if h is not None:
-        if np.shape(h) != (k, m):
-            raise ValueError(f"h has shape {np.shape(h)}; the channel needs ({k}, {m})")
-        check_h_identity(ch, h)
+    if np.shape(h) != (k, m):
+        raise ValueError(f"h has shape {np.shape(h)}; the channel needs ({k}, {m})")
+    check_h_identity(ch, h)
+
+
+def _check_loss_fit(ch: Channel, lm: np.ndarray) -> None:
+    """Reject a loss that is not K x K."""
+    k = ch.input_size
     if np.shape(lm) != (k, k):
         raise ValueError(f"loss matrix has shape {np.shape(lm)}; the channel needs ({k}, {k})")
+
+
+def _check_denoiser_fit(ch: Channel, d: Denoiser) -> None:
+    """Reject a denoiser that does not map the channel's M noisy symbols to
+    its K clean ones."""
+    k, m = ch.pi.shape
     if (d.input_size, d.output_size) != (m, k):
         raise ValueError(f"denoiser maps {d.input_size} noisy to {d.output_size} clean "
                          f"symbols; the channel has {m} noisy and {k} clean")
+
+
+def _check_fit(ch: Channel, h: np.ndarray, lm: np.ndarray, d: Denoiser) -> None:
+    """Reject an h, a loss or a denoiser that does not fit the channel."""
+    _check_h_fit(ch, h)
+    _check_loss_fit(ch, lm)
+    _check_denoiser_fit(ch, d)
 
 
 def per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
@@ -405,7 +428,8 @@ def erasure_estimate_loss(ch: Channel, lm: np.ndarray, d: Denoiser, z) -> float:
     """
     if not is_bec(ch):
         raise ValueError("erasure estimate requires a binary erasure channel")
-    _check_fit(ch, None, lm, d)
+    _check_loss_fit(ch, lm)
+    _check_denoiser_fit(ch, d)
     zs = check_sequence(z, ch.output_size, "noisy sequence")
     tab = d.substituted_outputs(zs)[:, ERASURE]
     # code K * K reads the zero term of an erased position
@@ -526,8 +550,7 @@ def smoothed_per_symbol_estimates(ch: Channel, h: np.ndarray, lm: np.ndarray,
     would move low-order bits).
     """
     check_binary(d)
-    if ch.input_size != 2 or ch.output_size != 2:
-        raise ValueError("smoothed estimation targets binary channels")
+    check_binary_channel(ch)
     _check_fit(ch, h, lm, d)
     zs = check_sequence(z, 2, "noisy sequence")
     masks, weights = _check_drawn(drawn, len(zs))

@@ -12,13 +12,17 @@ No public top-level name is defined in two library modules.
 
 ``tests/reference.py`` imports from ``duodenoise`` only the names of
 ``REFERENCE_IMPORTS``, and no test module imports another.  No library
-module generates code at import (``CODE_GENERATORS``).
+module generates code at import (``CODE_GENERATORS``), and importing the
+CLI loads no thread pool.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -127,3 +131,12 @@ def test_no_library_module_generates_code_at_import():
         names = _read_names(ast.parse(path.read_text())) | {m for m, _ in _imports(path)}
         found += [(path.stem, name) for name in sorted(names & CODE_GENERATORS)]
     assert found == []
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # only a randomized run on two or more threads starts a pool, so only it
+    # pays for concurrent.futures and the logging it imports
+    code = "import sys, duodenoise.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout == "False\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import gc
 import itertools
@@ -69,6 +70,7 @@ from duodenoise.losses import (
     smoothed_conditional_loss,
 )
 from duodenoise.rng import RngStream
+from duodenoise.spec import read
 from reference import (
     parity_functional,
     records_csv_text,
@@ -249,7 +251,7 @@ class TestTrials:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(denoisers, "BLOCK_BYTES", 8 * 16)   # one n = 16 trial a block
         monkeypatch.setenv("DUO_THREADS", "1000")
@@ -549,24 +551,27 @@ def test_constructor_freezes_copies_of_arrays_its_caller_holds():
     assert built.clean_file.tolist() == [0, 1, 1, 0]
     with pytest.raises(ConfigError, match=r"^config\.clean_source: clean file length 3 "
                                           r"does not match n = 4$"):
-        ExperimentConfig(**{**fields, "clean_file": clean[:3]})
+        ExperimentConfig(**{**fields, "clean_file": clean[:3],
+                            "clean_source": {"type": "file", "path": "clean.txt"}})
 
 
 def constructor_arguments(spec: dict) -> dict:
     """The arguments of ``ExperimentConfig`` for a spec, each read by the
     parser of its part and none checked against another."""
     channel = channel_from_json(spec["channel"])
-    source, clean_file = clean_source_from_spec(
-        spec.get("clean_source", {"type": "all_zeros"}), channel)
+    source, clean_file = clean_source_from_spec(spec.get("clean_source", {"type": "all_zeros"}))
     d1, d2 = denoiser_pair_from_spec(spec["denoisers"], channel)
     h_choice, h = h_from_choice(channel, spec.get("h"))
+    output = read(spec.get("output", {}), "output", {},
+                  {"path": (str, None), "format": (str, "csv")})
     return dict(
         channel=channel, h=h, h_choice=h_choice, n=spec["n"],
         lm=loss_from_json(spec.get("loss", {"type": "hamming"}), channel.input_size),
         clean_source=source, clean_file=clean_file, d1=d1, d2=d2,
         smoothing=smoothing_from_spec(spec.get("combiner", {"type": "plain"})),
         trials=spec["trials"], epsilons=spec.get("epsilons", []),
-        master_seed=spec["master_seed"], output_path=None, output_format="csv", raw=spec)
+        master_seed=spec["master_seed"], output_path=output["path"],
+        output_format=output["format"], raw=spec)
 
 
 BEC = {"type": "bec", "epsilon": 0.5}
@@ -575,8 +580,10 @@ DMC3_PAIR = {"type": "pair", "first": {"type": "identity"}, "second": {"type": "
 RANDOMIZED = {"type": "randomized", "nu": 0.75, "mode": "monte_carlo", "m": 8}
 
 
-# the defects of test_spec.py's rejected list that no part's parser sees,
-# and a seed and a mask count out of range
+# the defects of test_spec.py's rejected list that no part's parser sees, a
+# seed and a mask count out of range, and the rules that only the parsers
+# stated before the constructor took them: a Bernoulli p, a clean file's
+# symbols and the output's path and format
 @pytest.mark.parametrize("defect", [
     dict(combiner=RANDOMIZED, channel=BEC, denoisers={"type": "bec_parity_pair"}),
     dict(combiner=RANDOMIZED, channel=DMC3, denoisers=DMC3_PAIR),
@@ -596,14 +603,66 @@ RANDOMIZED = {"type": "randomized", "nu": 0.75, "mode": "monte_carlo", "m": 8}
     dict(n=8, combiner=RANDOMIZED, loss={"type": "matrix", "lambda": [[1e307, 1e307]] * 2}),
     dict(master_seed=2**64),
     dict(n=4096, combiner={**RANDOMIZED, "m": 2442}),
+    dict(clean_source={"type": "iid_bernoulli", "p": 1.5}),
+    dict(clean_source={"type": "iid_bernoulli", "p": -0.5}),
+    dict(clean_source={"type": "file", "path": "fives.txt"}),
+    dict(clean_source={"type": "file", "path": "empty.txt"}),
+    dict(output={"format": "xml"}),
+    dict(output={"path": ""}),
+    dict(output={"path": "no-such-directory/trials.csv"}),
+    dict(output={"path": "."}),
 ])
-def test_constructor_rejects_what_from_json_rejects(defect):
+def test_constructor_rejects_what_from_json_rejects(tmp_path, monkeypatch, defect):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fives.txt").write_text("0 5 " * 6)
+    (tmp_path / "empty.txt").write_text("\n")
     spec = {**spec_with(n=12, trials=2, epsilons=[0.05, 0.1], master_seed=1), **defect}
     with pytest.raises(ConfigError) as parsed:
         ExperimentConfig.from_json(spec)
     with pytest.raises(ConfigError) as built:
         ExperimentConfig(**constructor_arguments(spec))
     assert str(built.value) == str(parsed.value)
+
+
+SYMBOL_5 = r"^config\.clean_source\.path: clean file has symbols outside \[0, 2\): range \[0, 5\]$"
+EPSILONS = r"^config\.epsilons: deviation thresholds must be positive and finite$"
+
+
+# direct calls whose defect no spec can spell, or one that only a part's
+# parser caught before the constructor checked it; each ran, or failed
+# mid-run, when the constructor did not check it
+@pytest.mark.parametrize("change, message", [
+    (lambda f: {"h": 2 * f["h"]}, r"^config\.h: h fails pi @ h\.T = I by 1 \(> 1e-09\)$"),
+    (lambda f: {"h": np.hstack([f["h"], np.zeros((2, 1))])},
+     r"^config\.h: h has shape \(2, 3\); the channel needs \(2, 2\)$"),
+    (lambda f: {"lm": np.ones((3, 3))},
+     r"^config\.loss: loss matrix has shape \(3, 3\); the channel needs \(2, 2\)$"),
+    (lambda f: {"d2": BecParityDenoiser(False)},
+     r"^config\.denoisers: denoiser maps 3 noisy to 2 clean symbols; "
+     r"the channel has 2 noisy and 2 clean$"),
+    (lambda f: {"clean_source": {"type": "file", "path": "clean.txt"},
+                "clean_file": np.array([0, 5, 1, 0] * 3)}, SYMBOL_5),
+    (lambda f: {"clean_source": {"type": "iid_bernoulli"}},
+     r"^config\.clean_source: Bernoulli parameter must lie in \[0, 1\], got None$"),
+    (lambda f: {"clean_source": {"type": "iid_bernoulli", "p": 1.5}},
+     r"^config\.clean_source: Bernoulli parameter must lie in \[0, 1\], got 1\.5$"),
+    (lambda f: {"clean_source": {"type": "file", "path": "clean.txt"}},
+     r"^config\.clean_source: source type 'file' needs a clean file$"),
+    (lambda f: {"clean_file": np.zeros(12, np.int64)},
+     r"^config\.clean_source: source type 'all_zeros' takes no clean file$"),
+    (lambda f: {"clean_source": {"type": "markov"}},
+     r"^config\.clean_source: unknown clean source: 'markov'$"),
+    (lambda f: {"output_format": "xml"}, r"^config\.output: unknown output format: 'xml'$"),
+    (lambda f: {"output_path": "."}, r"^config\.output\.path: '\.' is a directory, not a file$"),
+    (lambda f: {"epsilons": (0.05, math.nan)}, EPSILONS),
+    (lambda f: {"epsilons": (math.inf,)}, EPSILONS),
+    (lambda f: {"epsilons": (-math.inf,)}, EPSILONS),
+])
+def test_constructor_rejects_what_no_parser_sees(change, message):
+    cfg = ExperimentConfig.from_json(spec_with(n=12, trials=2))
+    fields = {field: getattr(cfg, field) for field in EXPERIMENT_FIELDS}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{**fields, **change(fields)})
 
 
 def fixed_losses_and_estimates(monkeypatch, cfg, values):

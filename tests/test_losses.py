@@ -649,7 +649,7 @@ class TestSmoothedLosses:
     def test_per_symbol_estimates_reject_an_erasure_channel(self):
         ch = make_bec(0.3)
         drawn = mask_set(SmoothingConfig(q=0.1, mode="exact"), 2, None)
-        with pytest.raises(ValueError, match="^smoothed estimation targets binary channels$"):
+        with pytest.raises(ValueError, match="^randomized combining needs a binary channel$"):
             smoothed_per_symbol_estimates(ch, canonical_erasure_h(ch), HAMMING,
                                           IdentityDenoiser(), drawn, [0, 1])
 

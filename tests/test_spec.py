@@ -4,6 +4,7 @@ is rejected with ConfigError before any trial runs."""
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import os
@@ -118,7 +119,7 @@ class TestReader:
             read("{", "where", {})
 
 
-LOSS_SIZE = r"^config\.loss: loss matrix size does not match the clean alphabet$"
+LOSS_SIZE = r"^config\.loss: loss matrix has shape \(\d, \d\); the channel needs \(\d, \d\)$"
 # Hamming loss is over the channel's K: a spec has no size to give
 LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
 
@@ -159,7 +160,8 @@ LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
     (with_(loss={"type": "hamming", "k": -1}), LOSS_K),
     (with_(n=0), r"^config: n and trials must be >= 1, got 0 and 2$"),
     (with_(trials=0), r"^config: n and trials must be >= 1, got 12 and 0$"),
-    (with_(epsilons=[0.0]), r"^config\.epsilons: deviation thresholds must be positive$"),
+    (with_(epsilons=[0.0]),
+     r"^config\.epsilons: deviation thresholds must be positive and finite$"),
     (with_(combiner={"type": "randomized", "q": 0.5}),
      r"^config\.combiner: flip rate q must lie in \[0, 1/2\), got 0\.5$"),
     (with_(combiner={"type": "randomized", "nu": 1.0}),
@@ -195,6 +197,13 @@ LOSS_K = r"^unknown keys in config\.loss: \['k'\]$"
      r"^config\.loss: a largest loss of 1e\+308 can overflow a run's sums"),
     (with_(n=8, combiner=RANDOMIZED, loss={"type": "matrix", "lambda": [[1e307, 1e307]] * 2}),
      r"^config\.loss: a largest loss of 1e\+307 can overflow a run's sums"),
+    # rejected before a window is sized: a width of 2k + 1 < 0 sizes no table
+    (with_(denoisers={"type": "pair", "first": {"type": "identity"},
+                      "second": {"type": "sliding_window", "k": -1, "rule": "majority"}}),
+     r"^config\.denoisers\.second: window half-width must be nonnegative$"),
+    (with_(denoisers={"type": "pair", "first": {"type": "identity"},
+                      "second": {"type": "sliding_window", "k": -10**9, "table": [0, 1]}}),
+     r"^config\.denoisers\.second: window half-width must be nonnegative$"),
 ])
 def test_rejected_while_parsing(spec, message):
     with pytest.raises(ConfigError, match=message):
@@ -419,7 +428,7 @@ def _at(node, path):
 
 
 @st.composite
-def mutants(draw):
+def spec_mutants(draw):
     """A base config writing its output to a file in the working directory,
     with one key dropped, one unknown key added at any depth, one value
     replaced by a value of another JSON type or by a boundary value of its
@@ -447,6 +456,61 @@ def mutants(draw):
     return spec
 
 
+FIELDS = ("channel", "h", "h_choice", "lm", "n", "clean_source", "clean_file", "d1", "d2",
+          "smoothing", "trials", "epsilons", "master_seed", "output_path", "output_format", "raw")
+FILE = {"type": "file", "path": "clean.txt"}
+
+# Constructor arguments that no spec can spell, or that a part's parser
+# rejects: each a change to a base config's fields, or a function of them.
+ARGUMENT_DEFECTS = [
+    lambda f: {"h": 2 * f["h"]},
+    lambda f: {"h": f["h"][:, :1]},
+    lambda f: {"h": np.full(f["h"].shape, math.nan)},
+    lambda f: {"h": np.ones((2, 3))},
+    lambda f: {"lm": f["lm"][:1]},
+    lambda f: {"lm": np.full((3, 3), 1.0)},
+    lambda f: {"lm": np.full(f["lm"].shape, math.inf)},
+    {"n": 0}, {"n": 13}, {"trials": 0}, {"master_seed": -1}, {"master_seed": 2**64},
+    {"epsilons": (math.nan,)}, {"epsilons": (math.inf,)}, {"epsilons": (-math.inf,)},
+    {"epsilons": (0.1, 0.1)},
+    {"clean_source": {"type": "iid_bernoulli"}},
+    {"clean_source": {"type": "iid_bernoulli", "p": 1.5}},
+    {"clean_source": {"type": "iid_bernoulli", "p": math.nan}},
+    {"clean_source": {"type": "markov"}},
+    {"clean_source": {}},
+    {"clean_source": FILE},
+    {"clean_file": np.zeros(12, np.int64)},
+    {"clean_source": FILE, "clean_file": np.array([0, 5] * 6)},
+    {"clean_source": FILE, "clean_file": np.array([1] * 11)},
+    {"clean_source": FILE, "clean_file": np.array([-1] * 12)},
+    {"clean_source": FILE, "clean_file": np.array([0.5] * 12)},
+    {"clean_source": FILE, "clean_file": np.array([1, 0] * 6)},
+    {"d1": denoisers.BecParityDenoiser(False)},
+    {"d2": IdentityDenoiser(3)},
+    {"d1": make_sliding_window(1, "majority")},
+    {"smoothing": denoisers.SmoothingConfig(q=0.1, mode="exact")},
+    {"smoothing": denoisers.SmoothingConfig(nu=0.75, m=4)},
+    {"output_format": "xml"}, {"output_path": "."}, {"output_path": ""},
+    {"output_path": "no-such-directory/trials.csv"},
+]
+
+
+@st.composite
+def argument_mutants(draw):
+    """The constructor call on the arguments of a parsed base config with
+    one of ``ARGUMENT_DEFECTS``, or with one argument taken from another
+    base."""
+    name, other = (draw(st.sampled_from(sorted(BASES))) for _ in range(2))
+    fields = {field: getattr(ExperimentConfig.from_json(BASES[name]), field) for field in FIELDS}
+    if draw(st.booleans()):
+        defect = draw(st.sampled_from(ARGUMENT_DEFECTS))
+        fields.update(defect(fields) if callable(defect) else defect)
+    else:
+        field = draw(st.sampled_from(FIELDS))
+        fields[field] = getattr(ExperimentConfig.from_json(BASES[other]), field)
+    return functools.partial(ExperimentConfig, **fields)
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_base_configs_run(name):
     cfg = ExperimentConfig.from_json(BASES[name])
@@ -455,13 +519,15 @@ def test_base_configs_run(name):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(spec=mutants())
-def test_mutated_config_runs_or_is_rejected_while_parsing(tmp_path, monkeypatch, spec):
+@given(make=st.one_of(spec_mutants().map(lambda spec: functools.partial(
+    ExperimentConfig.from_json, spec)), argument_mutants()))
+def test_mutated_config_runs_or_is_rejected_while_parsing(tmp_path, monkeypatch, make):
+    # a mutated spec is parsed, mutated arguments go to the constructor;
     # every relative output path, a mutated one included, lands in tmp_path;
     # one tmp_path serves every example, so each run rewrites its file
     monkeypatch.chdir(tmp_path)
     try:
-        cfg = ExperimentConfig.from_json(spec)
+        cfg = make()
     except ConfigError:
         return
     run_experiment(cfg)
